@@ -10,8 +10,7 @@ hold each builder to that.
 
 import math
 
-from .report import merge_reports, series_compare_report
-from .series import LaurentSeries, Zmod, ZZ
+from .series import LaurentSeries, ZZ
 
 
 def _normalize_pole(sign, e0, d, square=False):
@@ -98,30 +97,3 @@ def double_pole_sum(weight, prec, low=0, widen=0, ring=ZZ):
         sign, e0, d = _normalize_pole(sign, n * (n + 1) // 2, n, square=True)
         entries.append((sign * w, e0, d))
     return _accumulate(entries, low, prec, ring, square=True)
-
-
-def pole_split_check(ell, prec=120, n_range=20):
-    """Check 1/(1-q^n)^2 = sum_{k=0}^{ell-2} (k+1) q^{nk} / (1-q^{ell n}) mod ell.
-
-    This is the step that turns a double pole into single poles with
-    polynomial weights, so it gets its own direct test over n = 1..n_range.
-    """
-    ring = Zmod(ell)
-    subs = []
-    for n in range(1, n_range + 1):
-        lhs = [0] * prec
-        e, j = 0, 1
-        while e < prec:
-            lhs[e] += j
-            e += n
-            j += 1
-        rhs = [0] * prec
-        for k in range(ell - 1):
-            e = n * k
-            while e < prec:
-                rhs[e] += k + 1
-                e += ell * n
-        subs.append(series_compare_report(
-            f"pole_split[{ell}]:n={n}",
-            LaurentSeries(ring, 0, lhs), LaurentSeries(ring, 0, rhs), prec))
-    return merge_reports(f"pole_split[{ell}]", prec, subs, {"ell": ell})

@@ -6,12 +6,10 @@ and reduced on construction when a modular ring is requested, so the
 expensive work is shared between rings.
 """
 
-import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._kernel import binomial_product, convolve, partition_bound_bits
-from .series import LaurentSeries, NonUnitError, ZZ
+from .series import LaurentSeries, ZZ
 
 
 @lru_cache(maxsize=None)
@@ -115,87 +113,3 @@ def jacobi_theta(a, m, prec, ring=ZZ):
 def cap_P(a, ell, prec, ring=ZZ):
     """P(a) = [q^{ell*a}; q^{ell^2}], the building block of the mod-ell tables."""
     return jacobi_theta(ell * a, ell * ell, prec, ring)
-
-
-class FactorKind(enum.Enum):
-    POCH_INF = "poch_inf"
-    POCH_FINITE = "poch_finite"
-    JACOBI = "jacobi"
-
-
-@dataclass(frozen=True)
-class Factor:
-    kind: FactorKind
-    a: int
-    m: int  # step for POCH_INF, factor count for POCH_FINITE, modulus for JACOBI
-    e: int = 1
-
-
-@dataclass(frozen=True)
-class ProductExpr:
-    """coeff * q^qpow * prod factor^e, evaluated lazily at a chosen prec."""
-
-    coeff: int = 1
-    qpow: int = 0
-    factors: tuple = ()
-
-    def __mul__(self, other):
-        if not isinstance(other, ProductExpr):
-            return NotImplemented
-        return ProductExpr(self.coeff * other.coeff, self.qpow + other.qpow,
-                           self.factors + other.factors)
-
-
-def E_(m, e=1):
-    return Factor(FactorKind.POCH_INF, m, m, e)
-
-
-def poch_(a, m, e=1):
-    return Factor(FactorKind.POCH_INF, a, m, e)
-
-
-def pochf_(a, n, e=1):
-    return Factor(FactorKind.POCH_FINITE, a, n, e)
-
-
-def jac_(a, m, e=1):
-    return Factor(FactorKind.JACOBI, a, m, e)
-
-
-def P_(a, ell, e=1):
-    return Factor(FactorKind.JACOBI, ell * a, ell * ell, e)
-
-
-def eval_product_expr(expr, prec, ring=ZZ):
-    """Evaluate a ProductExpr with a single inversion for the denominator."""
-    num = LaurentSeries.one(ring, prec)
-    den = LaurentSeries.one(ring, prec)
-    coeff = expr.coeff
-    shift = expr.qpow
-    for f in expr.factors:
-        if f.e == 0:
-            continue
-        copies = abs(f.e)
-        if f.kind is FactorKind.JACOBI:
-            sign, sh, r = _theta_normalize(f.a, f.m)
-            base = LaurentSeries(ring, 0, _jacobi_unit_coeffs(min(r, f.m - r), f.m, prec))
-            if sign < 0 and copies % 2:
-                coeff = -coeff
-            shift += sh * f.e
-        elif f.kind is FactorKind.POCH_INF:
-            base = pochhammer_inf(f.a, f.m, prec, ring)
-        else:
-            base = pochhammer_finite(f.a, f.m, prec, ring)
-            if base.is_zero():
-                if f.e > 0:
-                    return LaurentSeries.zeros(ring, expr.qpow, expr.qpow + prec)
-                raise NonUnitError("zero polynomial factor in a denominator")
-        powered = base ** copies
-        if f.e > 0:
-            num = num * powered
-        else:
-            den = den * powered
-    out = num * den.invert()
-    if coeff != 1:
-        out = out.scale(coeff)
-    return out.shift(shift) if shift else out

@@ -14,7 +14,7 @@ class Report:
     prec: int
     params: dict = field(default_factory=dict)
     window: tuple = None  # (low, prec) actually compared, when applicable
-    first_failure: int = None
+    first_failure: tuple = None  # (exponent, lhs coeff, rhs coeff)
     notes: str = ""
     wall_time: float = None
 

@@ -4,18 +4,24 @@ Each check builds its two sides through independent routes and grades the
 comparison into a Report.  The A13/B13 term tables are loaded from data
 files and re-validated on every load; the end-to-end theorem2 checks are
 the final word on their transcription.
+
+Every dissection is a sum of (coeff, qpow, {a: e}) terms, each standing for
+coeff * q^qpow * prod P(a)^e with P(a) = [q^{ell a}; q^{ell^2}], built by the
+one evaluator _monomial_sums.  In the theorem 2 forms the P-sum carries the
+prefactor E(ell^2)^k / E(ell), with k = 2 for ell = 3, 5 and k = 4 for
+ell = 7, 13.
 """
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
 from time import perf_counter
 
-from .lambert import pole_split_check, s_series, t_series
+from .lambert import s_series, t_series
 from .partitions import u_count, uv_series_def, uv_series_lambert, v_count
-from .products import (E_, P_, ProductExpr, cap_P, euler_E, eval_product_expr,
-                       jacobi_theta, pochhammer_finite)
+from .products import cap_P, euler_E, jacobi_theta, pochhammer_finite
 from .report import Report, merge_reports, series_compare_report
 from .series import ZZ, EpsPoly, LaurentSeries, Zmod
 
@@ -122,6 +128,60 @@ def _sum_aligned(terms):
             a, b = _aligned(acc, t)
             acc = a + b
     return acc
+
+
+def _power(basis, powers, key, e):
+    """basis[key] ** e, e != 0, memoized in powers; every negative power
+    comes from the one inverse kept under (key, -1)."""
+    if e == 1:
+        return basis[key]
+    if (key, e) not in powers:
+        if e == -1:
+            powers[key, e] = basis[key].invert()
+        elif e < 0:
+            powers[key, e] = _power(basis, powers, key, -1) ** -e
+        else:
+            powers[key, e] = basis[key] ** e
+    return powers[key, e]
+
+
+def _monomial(basis, powers, coeff, qpow, exps):
+    out = None
+    for key, e in exps.items():
+        if e:
+            f = _power(basis, powers, key, e)
+            out = f if out is None else out * f
+    if out is None:
+        ref = next(iter(basis.values()))
+        out = LaurentSeries.one(ref.ring, len(ref.coeffs))
+    return out.scale(coeff).shift(qpow)
+
+
+def _monomial_sums(basis, *term_lists):
+    """Yield, per term list, the sum of coeff * q^qpow * prod basis[key]^e
+    over its (coeff, qpow, {key: e}) terms.
+
+    The basis series share one window [0, N), so a term spans
+    [qpow, qpow + N); a term with no factors is the monomial coeff * q^qpow
+    on that window.  Each power of a base is built once per call and shared
+    by every term list, and each sum is accumulated term by term, so only
+    one term series is alive at a time.
+    """
+    powers = {}
+    for terms in term_lists:
+        yield _sum_aligned(_monomial(basis, powers, *t) for t in terms)
+
+
+def _p_basis(ell, prec, ring):
+    """{a: P(a)} for 0 < a < ell/2, the blocks that _folded maps onto."""
+    return {a: cap_P(a, ell, prec, ring) for a in range(1, (ell + 1) // 2)}
+
+
+def _folded(ell, factors):
+    """Exponent map of prod P(a) over factors with every P(a) folded into
+    P(min(a, ell - a)); cap_P normalizes both to the same block, so the
+    fold is exact."""
+    return Counter(min(a, ell - a) for a in factors)
 
 
 def _cmp(check_id, lhs, rhs, prec, params=None, min_overlap=None):
@@ -374,21 +434,17 @@ def check_ecubed_dissect(ell=3, prec=300):
     lhs = euler_E(1, prec, ring) ** 3
     EL2 = euler_E(L2, prec, ring)
     s0 = -1 if ((1 + ell) // 2) % 2 else 1
-    terms = []
-    for k in range(1, ell):
-        sh = (L2 - 1) // 8 + k * (k - ell) // 2  # never negative
-        term = EL2 * jacobi_theta(ell * k, L2, prec, ring)
-        terms.append(term.shift(sh).scale(s0 * (-1) ** (k % 2) * k))
-    rhs = _sum_aligned(terms)
+    # q-powers (L2 - 1)/8 + k(k - ell)/2 are never negative
+    ksum = [(s0 * (-1) ** (k % 2) * k, (L2 - 1) // 8 + k * (k - ell) // 2,
+             _folded(ell, (k,))) for k in range(1, ell)]
+    short = {5: ((2, 1, {1: 1}), (1, 0, {2: 1})),
+             7: ((5, 3, {1: 1}), (4, 1, {2: 1}), (1, 0, {3: 1}))}
+    sums = _monomial_sums(_p_basis(ell, prec, ring), ksum, short.get(ell, ()))
+    rhs = EL2 * next(sums)
     subs = [_cmp(f"ecubed:l={ell}", lhs, rhs, prec)]
-    if ell in (5, 7):
-        caps = {a: cap_P(a, ell, prec, ring) for a in (1, 2, 3)}
-        if ell == 5:
-            short = _sum_aligned([caps[1].shift(1).scale(2), caps[2]])
-        else:
-            short = _sum_aligned([caps[1].shift(3).scale(5),
-                                  caps[2].shift(1).scale(4), caps[3]])
-        subs.append(_cmp(f"ecubed:short,l={ell}", rhs, EL2 * short, prec))
+    if ell in short:
+        subs.append(_cmp(f"ecubed:short,l={ell}", rhs, EL2 * next(sums),
+                         prec))
     return merge_reports("ecubed_dissect", prec, subs,
                          {"ell": ell, "prec": prec})
 
@@ -411,70 +467,51 @@ def check_eta_dissections(prec=2000):
     subs = []
     E1 = euler_E(1, N, ZZ)
 
-    # base q^25: E(1) = E(25) (X - q - q^2/X) with X = P(2)/P(1)
+    # base q^25: E(1) = E(25) (X - q - q^2/X) with X = P(2)/P(1), squared
+    # and cubed; powers of X have smaller ZZ coefficients than powers of
+    # 1/P(1), so X is the basis
+    [X] = _monomial_sums(_p_basis(5, N, ZZ), [(1, 0, {2: 1, 1: -1})])
     E25 = euler_E(25, N, ZZ)
-    P1, P2 = cap_P(1, 5, N, ZZ), cap_P(2, 5, N, ZZ)
-    X = P2 * P1.invert()
-    Xi = P1 * P2.invert()
-    mono = partial(LaurentSeries.monomial, ZZ)
-    d5 = _sum_aligned([X, mono(-1, 1, N), Xi.shift(2).scale(-1)])
-    subs.append(_cmp("eta:d5", E1, E25 * d5, prec))
-    d5sq = _sum_aligned([X ** 2, X.shift(1).scale(-2), mono(-1, 2, N),
-                         Xi.shift(3).scale(2), (Xi ** 2).shift(4)])
-    subs.append(_cmp("eta:d5_square", E1 ** 2, (E25 ** 2) * d5sq, prec))
-    d5cu = _sum_aligned([X ** 3, (X ** 2).shift(1).scale(-3), mono(5, 3, N),
-                         (Xi ** 2).shift(5).scale(-3),
-                         (Xi ** 3).shift(6).scale(-1)])
-    subs.append(_cmp("eta:d5_cube", E1 ** 3, (E25 ** 3) * d5cu, prec))
+    d5 = (("eta:d5", ((1, 0, {"X": 1}), (-1, 1, {}), (-1, 2, {"X": -1}))),
+          ("eta:d5_square", ((1, 0, {"X": 2}), (-2, 1, {"X": 1}),
+                             (-1, 2, {}), (2, 3, {"X": -1}),
+                             (1, 4, {"X": -2}))),
+          ("eta:d5_cube", ((1, 0, {"X": 3}), (-3, 1, {"X": 2}), (5, 3, {}),
+                           (-3, 5, {"X": -2}), (-1, 6, {"X": -3}))))
+    sums = _monomial_sums({"X": X}, *(terms for _, terms in d5))
+    for k, ((name, _), d5k) in enumerate(zip(d5, sums), 1):
+        subs.append(_cmp(name, E1 ** k, (E25 ** k) * d5k, prec))
 
     # base q^49: E(1) = E(49) (P(2)/P(1) - q P(3)/P(2) - q^2 + q^5 P(1)/P(3))
-    E49 = euler_E(49, N, ZZ)
-    Q = {a: cap_P(a, 7, N, ZZ) for a in (1, 2, 3)}
-    Qi = {a: Q[a].invert() for a in (1, 2, 3)}
-    d7 = _sum_aligned([Q[2] * Qi[1], (Q[3] * Qi[2]).shift(1).scale(-1),
-                       mono(-1, 2, N), (Q[1] * Qi[3]).shift(5)])
-    subs.append(_cmp("eta:d7", E1, E49 * d7, prec))
+    [d7] = _monomial_sums(_p_basis(7, N, ZZ), [
+        (1, 0, {2: 1, 1: -1}), (-1, 1, {3: 1, 2: -1}), (-1, 2, {}),
+        (1, 5, {1: 1, 3: -1})])
+    subs.append(_cmp("eta:d7", E1, euler_E(49, N, ZZ) * d7, prec))
 
     # fourth power mod 7, nine-term and eight-term shapes plus the quotient
     # trade that links them
     r7 = Zmod(7)
     e14 = euler_E(1, N, r7) ** 4
-    q7 = {a: Q[a].reduce_mod(7) for a in (1, 2, 3)}
-    q7i = {a: q7[a].invert() for a in (1, 2, 3)}
-    e49m = euler_E(49, N, r7)
-    nine = ((1, 0, q7[2] * q7[3] * q7i[1]), (4, 1, (q7[2] ** 2) * q7i[1]),
-            (6, 1, (q7[3] ** 2) * q7i[2]), (5, 8, (q7[1] ** 2) * q7i[3]),
-            (2, 2, q7[3]), (1, 3, q7[2]), (2, 4, q7[3] * q7[1] * q7i[2]),
-            (3, 5, q7[1]), (4, 6, q7[1] * q7[2] * q7i[3]))
-    rhs9 = (e49m ** 2) * _sum_aligned([s.shift(e).scale(c)
-                                       for c, e, s in nine])
-    subs.append(_cmp("eta:e4_mod7_9term", e14, rhs9, prec))
-    bridge_l = ((q7[1] ** 2) * q7i[3]).shift(8).scale(5)
-    bridge_r = _sum_aligned([((q7[2] ** 2) * q7i[1]).shift(1).scale(5),
-                             ((q7[3] ** 2) * q7i[2]).shift(1).scale(2)])
-    subs.append(_cmp("eta:mod7_bridge", bridge_l, bridge_r, prec))
-    eight = ((1, 0, q7[2] * q7[3] * q7i[1]), (2, 1, (q7[2] ** 2) * q7i[1]),
-             (1, 1, (q7[3] ** 2) * q7i[2]), (2, 2, q7[3]), (1, 3, q7[2]),
-             (2, 4, q7[3] * q7[1] * q7i[2]), (3, 5, q7[1]),
-             (4, 6, q7[1] * q7[2] * q7i[3]))
-    rhs8 = (e49m ** 2) * _sum_aligned([s.shift(e).scale(c)
-                                       for c, e, s in eight])
-    subs.append(_cmp("eta:e4_mod7_8term", e14, rhs8, prec))
+    e49sq = euler_E(49, N, r7) ** 2
+    nine = ((1, 0, {2: 1, 3: 1, 1: -1}), (4, 1, {2: 2, 1: -1}),
+            (6, 1, {3: 2, 2: -1}), (5, 8, {1: 2, 3: -1}), (2, 2, {3: 1}),
+            (1, 3, {2: 1}), (2, 4, {3: 1, 1: 1, 2: -1}), (3, 5, {1: 1}),
+            (4, 6, {1: 1, 2: 1, 3: -1}))
+    bridge_l = ((5, 8, {1: 2, 3: -1}),)
+    bridge_r = ((5, 1, {2: 2, 1: -1}), (2, 1, {3: 2, 2: -1}))
+    eight = ((1, 0, {2: 1, 3: 1, 1: -1}), (2, 1, {2: 2, 1: -1}),
+             (1, 1, {3: 2, 2: -1}), (2, 2, {3: 1}), (1, 3, {2: 1}),
+             (2, 4, {3: 1, 1: 1, 2: -1}), (3, 5, {1: 1}),
+             (4, 6, {1: 1, 2: 1, 3: -1}))
+    sums = _monomial_sums(_p_basis(7, N, r7), nine, bridge_l, bridge_r, eight)
+    subs.append(_cmp("eta:e4_mod7_9term", e14, e49sq * next(sums), prec))
+    subs.append(_cmp("eta:mod7_bridge", next(sums), next(sums), prec))
+    subs.append(_cmp("eta:e4_mod7_8term", e14, e49sq * next(sums), prec))
 
-    # tenth power mod 13
+    # tenth power mod 13; rows are (coeff, qpow, the four a of prod P(a))
     r13 = Zmod(13)
     e110 = euler_E(1, N, r13) ** 10
-    c13 = {a: cap_P(a, 13, N, r13) for a in range(1, 7)}
-    e169m = euler_E(169, N, r13)
-
-    def quad(entries):
-        out = None
-        for c, e, (w, x, y, z) in entries:
-            t = c13[w] * c13[x] * c13[y] * c13[z]
-            t = t.shift(e).scale(c)
-            out = t if out is None else _sum_aligned([out, t])
-        return (e169m ** 2) * out
-
+    e169sq = euler_E(169, N, r13) ** 2
     fifteen = ((1, 0, (2, 4, 5, 6)), (3, 1, (3, 3, 4, 6)),
                (9, 2, (1, 5, 6, 6)), (9, 3, (2, 3, 5, 6)),
                (12, 4, (2, 3, 5, 5)), (11, 5, (2, 3, 4, 6)),
@@ -490,8 +527,12 @@ def check_eta_dissections(prec=2000):
                 (9, 20, (1, 2, 3, 4)), (4, 8, (1, 4, 4, 5)),
                 (10, 9, (2, 2, 4, 6)), (1, 10, (1, 3, 4, 6)),
                 (10, 11, (1, 3, 4, 5)), (3, 12, (1, 2, 5, 6)))
-    subs.append(_cmp("eta:e10_mod13_15term", e110, quad(fifteen), prec))
-    subs.append(_cmp("eta:e10_mod13_14term", e110, quad(fourteen), prec))
+    sums = _monomial_sums(_p_basis(13, N, r13), *(
+        [(c, e, _folded(13, ms)) for c, e, ms in rows]
+        for rows in (fifteen, fourteen)))
+    for name, s in zip(("eta:e10_mod13_15term", "eta:e10_mod13_14term"),
+                       sums):
+        subs.append(_cmp(name, e110, e169sq * s, prec))
     params = {"prec": prec, "e10_q7_coeff": int(e110.coeff(7))}
     return merge_reports("eta_dissections", prec, subs, params)
 
@@ -534,31 +575,22 @@ def check_product_rules(prec=5000):
     subs, skipped = [], []
     N = prec
 
-    A = {a: cap_P(a, 7, N, ZZ) for a in (1, 2, 3)}
-    as7 = _sum_aligned([(A[3] ** 3) * A[1], ((A[2] ** 3) * A[3]).scale(-1),
-                        ((A[1] ** 3) * A[2]).shift(7)])
+    [as7] = _monomial_sums(_p_basis(7, N, ZZ), [
+        (1, 0, {3: 3, 1: 1}), (-1, 0, {2: 3, 3: 1}), (1, 7, {1: 3, 2: 1})])
     subs.append(_zero_cmp("rules:as7", as7, prec))
 
     r5 = Zmod(5)
-    B1, B2 = cap_P(1, 5, N, r5), cap_P(2, 5, N, r5)
-    B1i, B2i = B1.invert(), B2.invert()
-    lhs5 = _sum_aligned([(B2 ** 2) * (B1i ** 3),
-                         ((B1 ** 2) * (B2i ** 3)).shift(5).scale(2)])
+    [lhs5] = _monomial_sums(_p_basis(5, N, r5), [
+        (1, 0, {2: 2, 1: -3}), (2, 5, {1: 2, 2: -3})])
     rhs5 = (euler_E(25, N, r5) ** 2).invert()
     subs.append(_cmp("rules:mod5_quotient", lhs5, rhs5, prec))
 
-    C = {a: cap_P(a, 13, N, ZZ) for a in range(1, 13)}
-
-    def quad13(ms):
-        w, x, y, z = ms
-        return C[w] * C[x] * C[y] * C[z]
-
+    # every base-q^169 combination below must vanish
+    zero13 = []
     for idx, (q1, m1, q2, m2, q3, m3) in enumerate(_RULES13, 1):
-        combo = _sum_aligned([quad13(m1).shift(q1),
-                              quad13(m2).shift(q2).scale(-1),
-                              quad13(m3).shift(q3)])
-        subs.append(_zero_cmp(f"rules:r{idx}", combo, prec))
-
+        zero13.append((f"rules:r{idx}", [
+            (1, q1, _folded(13, m1)), (-1, q2, _folded(13, m2)),
+            (1, q3, _folded(13, m3))]))
     grid = [(a, b, c, d)
             for a in range(1, 7) for b in range(1, a)
             for c in range(1, b) for d in range(1, c)]
@@ -568,43 +600,34 @@ def check_product_rules(prec=5000):
         if any(v % 13 == 0 for v in args):
             skipped.append((a, b, c, d))
             continue
-        combo = _sum_aligned([
-            C[a + d] * C[a - d] * C[b + c] * C[b - c],
-            (C[a + c] * C[a - c] * C[b + d] * C[b - d]).scale(-1),
-            (C[a + b] * C[a - b] * C[c + d] * C[c - d]).shift(13 * (b - c)),
-        ])
-        subs.append(_zero_cmp(f"rules:mt({a},{b},{c},{d})", combo, prec))
+        zero13.append((f"rules:mt({a},{b},{c},{d})", [
+            (1, 0, _folded(13, args[0:4])), (-1, 0, _folded(13, args[4:8])),
+            (1, 13 * (b - c), _folded(13, args[8:12]))]))
 
     # the (5,3,2,1) grid point is term-for-term the last listed rule;
-    # C[7] = C[6] by the theta reflection, so the middle terms agree too
+    # P(7) = P(6) by the theta reflection, so the middle terms agree too
     q1, m1, q2, m2, q3, m3 = _RULES13[-1]
-    point = ((5 + 1, 5 - 1, 3 + 2, 3 - 2), (5 + 2, 5 - 2, 3 + 1, 3 - 1),
-             (5 + 3, 5 - 3, 2 + 1, 2 - 1))
-    for tag, ms_rule, qp_rule, ms_pt, qp_pt in (
-            ("t1", m1, q1, point[0], 0), ("t2", m2, q2, point[1], 0),
-            ("t3", m3, q3, point[2], 13 * (3 - 2))):
-        subs.append(_cmp(f"rules:mt_vs_r21,{tag}",
-                         quad13(ms_rule).shift(qp_rule),
-                         quad13(ms_pt).shift(qp_pt), prec))
+    pairs = (("t1", (q1, m1), (0, (5 + 1, 5 - 1, 3 + 2, 3 - 2))),
+             ("t2", (q2, m2), (0, (5 + 2, 5 - 2, 3 + 1, 3 - 1))),
+             ("t3", (q3, m3), (13 * (3 - 2), (5 + 3, 5 - 3, 2 + 1, 2 - 1))))
+    sums = _monomial_sums(_p_basis(13, N, ZZ), *(t for _, t in zero13),
+                          *([(1, qp, _folded(13, ms))]
+                            for _, *sides in pairs for qp, ms in sides))
+    for name, _ in zero13:
+        subs.append(_zero_cmp(name, next(sums), prec))
+    for tag, *_ in pairs:
+        subs.append(_cmp(f"rules:mt_vs_r21,{tag}", next(sums), next(sums),
+                         prec))
 
     r7 = Zmod(7)
     prec7 = min(prec, 600)
-    N7 = prec7
-    q7 = {a: cap_P(a, 7, N7, r7) for a in (1, 2, 3)}
-    q7i = {a: q7[a].invert() for a in (1, 2, 3)}
-    a70 = _sum_aligned([
-        ((q7[2] ** 2) * q7i[1] * q7i[3]).shift(7).scale(4),
-        (q7[3] * q7i[2]).shift(7).scale(3),
-        ((q7[1] ** 2) * (q7i[3] ** 2)).shift(14).scale(3),
-    ])
-    subs.append(_zero_cmp("rules:mod7_class0", a70, prec7))
-    a75 = _sum_aligned([
-        ((q7[2] ** 3) * (q7i[1] ** 2) * q7i[3]).scale(2),
-        ((q7[3] ** 3) * (q7i[2] ** 3)).scale(5),
-        ((q7[1] ** 2) * (q7i[2] ** 2)).shift(7).scale(5),
-        (q7[1] * q7[2] * (q7i[3] ** 2)).shift(7).scale(5),
-    ])
-    subs.append(_zero_cmp("rules:mod7_class5", a75, prec7))
+    sums = _monomial_sums(_p_basis(7, prec7, r7), (
+        (4, 7, {2: 2, 1: -1, 3: -1}), (3, 7, {3: 1, 2: -1}),
+        (3, 14, {1: 2, 3: -2})), (
+        (2, 0, {2: 3, 1: -2, 3: -1}), (5, 0, {3: 3, 2: -3}),
+        (5, 7, {1: 2, 2: -2}), (5, 7, {1: 1, 2: 1, 3: -2})))
+    subs.append(_zero_cmp("rules:mod7_class0", next(sums), prec7))
+    subs.append(_zero_cmp("rules:mod7_class5", next(sums), prec7))
 
     params = {"prec": prec, "mod7_prec": prec7,
               "skipped_params": [list(x) for x in skipped]}
@@ -637,95 +660,55 @@ _LAMBERT = {
 # right residues mod 13
 
 
-def _p7_exprs(rows):
-    out = []
-    for coeff, qpow, num, den in rows:
-        factors = [E_(49, 4), E_(7, -1)]
-        factors += [P_(a, 7, e) for a, e in num]
-        factors += [P_(a, 7, -e) for a, e in den]
-        out.append(ProductExpr(coeff, qpow, tuple(factors)))
-    return tuple(out)
-
-
+# P-parts of the dissected forms for ell = 3, 5, 7: (coeff, qpow, {a: e})
+# terms of coeff * q^qpow * prod P(a)^e, each sum times E(ell^2)^k / E(ell)
 _PRODUCTS = {
-    "U3": (ProductExpr(1, 1, (E_(9, 2), E_(3, -1), P_(1, 3, -1))),),
+    "U3": ((1, 1, {1: -1}),),
     "V3": (),
-    "U5": (ProductExpr(1, 1, (E_(25, 2), P_(2, 5), E_(5, -1), P_(1, 5, -1))),
-           ProductExpr(1, 2, (E_(25, 2), E_(5, -1)))),
-    "V5": (ProductExpr(4, 3, (E_(25, 2), P_(1, 5), E_(5, -1), P_(2, 5, -1))),),
-    "U7": _p7_exprs((
-        (3, 1, ((2, 2), (3, 1)), ((1, 3),)),
-        (4, 8, ((2, 3),), ((1, 1), (3, 2))),
-        (3, 8, ((1, 1), (3, 2)), ((2, 3),)),
-        (4, 2, ((3, 2),), ((1, 2),)),
-        (1, 2, ((2, 3),), ((1, 3),)),
-        (1, 9, ((1, 1), (3, 1)), ((2, 2),)),
-        (2, 9, ((2, 1),), ((3, 1),)),
-        (3, 3, ((2, 1), (3, 1)), ((1, 2),)),
-        (4, 3, ((2, 4),), ((1, 3), (3, 1))),
-        (1, 3, ((3, 3),), ((2, 2), (1, 1))),
-        (4, 10, ((1, 1),), ((2, 1),)),
-        (5, 10, ((2, 2),), ((3, 2),)),
-        (2, 6, ((3, 2),), ((2, 2),)),
-        (1, 6, ((2, 1),), ((1, 1),)),
-        (4, 13, ((1, 2),), ((2, 1), (3, 1))),
-        (6, 13, ((1, 1), (2, 2)), ((3, 3),)),
-    )),
-    "V7": _p7_exprs((
-        (5, 1, ((2, 2), (3, 1)), ((1, 3),)),
-        (3, 8, (), ()),
-        (6, 8, ((2, 3),), ((1, 1), (3, 2))),
-        (1, 15, ((1, 3),), ((3, 1), (2, 2))),
-        (1, 2, ((2, 3),), ((1, 3),)),
-        (3, 9, ((3, 1), (1, 1)), ((2, 2),)),
-        (1, 9, ((2, 1),), ((3, 1),)),
-        (4, 3, ((2, 4),), ((1, 3), (3, 1))),
-        (5, 10, ((1, 1),), ((2, 1),)),
-        (4, 10, ((2, 2),), ((3, 2),)),
-        (4, 5, ((3, 1),), ((1, 1),)),
-        (5, 12, ((1, 2),), ((2, 2),)),
-        (1, 12, ((1, 1), (2, 1)), ((3, 2),)),
-        (2, 6, ((2, 1),), ((1, 1),)),
-        (6, 13, ((1, 2),), ((2, 1), (3, 1))),
-        (4, 13, ((1, 1), (2, 2)), ((3, 3),)),
-    )),
+    "U5": ((1, 1, {2: 1, 1: -1}), (1, 2, {})),
+    "V5": ((4, 3, {1: 1, 2: -1}),),
+    "U7": (
+        (3, 1, {2: 2, 3: 1, 1: -3}),
+        (4, 8, {2: 3, 1: -1, 3: -2}),
+        (3, 8, {1: 1, 3: 2, 2: -3}),
+        (4, 2, {3: 2, 1: -2}),
+        (1, 2, {2: 3, 1: -3}),
+        (1, 9, {1: 1, 3: 1, 2: -2}),
+        (2, 9, {2: 1, 3: -1}),
+        (3, 3, {2: 1, 3: 1, 1: -2}),
+        (4, 3, {2: 4, 1: -3, 3: -1}),
+        (1, 3, {3: 3, 2: -2, 1: -1}),
+        (4, 10, {1: 1, 2: -1}),
+        (5, 10, {2: 2, 3: -2}),
+        (2, 6, {3: 2, 2: -2}),
+        (1, 6, {2: 1, 1: -1}),
+        (4, 13, {1: 2, 2: -1, 3: -1}),
+        (6, 13, {1: 1, 2: 2, 3: -3}),
+    ),
+    "V7": (
+        (5, 1, {2: 2, 3: 1, 1: -3}),
+        (3, 8, {}),
+        (6, 8, {2: 3, 1: -1, 3: -2}),
+        (1, 15, {1: 3, 3: -1, 2: -2}),
+        (1, 2, {2: 3, 1: -3}),
+        (3, 9, {3: 1, 1: 1, 2: -2}),
+        (1, 9, {2: 1, 3: -1}),
+        (4, 3, {2: 4, 1: -3, 3: -1}),
+        (5, 10, {1: 1, 2: -1}),
+        (4, 10, {2: 2, 3: -2}),
+        (4, 5, {3: 1, 1: -1}),
+        (5, 12, {1: 2, 2: -2}),
+        (1, 12, {1: 1, 2: 1, 3: -2}),
+        (2, 6, {2: 1, 1: -1}),
+        (6, 13, {1: 2, 2: -1, 3: -1}),
+        (4, 13, {1: 1, 2: 2, 3: -3}),
+    ),
 }
 
 _VANISHING = {"U3": (0,), "V3": (1,), "U5": (0, 3), "V5": (1, 4),
               "U7": (0, 5), "V7": (), "U13": (0,), "V13": (10,)}
 
 CASES = ("U3", "V3", "U5", "V5", "U7", "V7", "U13", "V13")
-
-
-def _table_products(table, ell, unit_prec, ring):
-    base = {a: cap_P(a, ell, unit_prec, ring) for a in range(1, 7)}
-    binv = {a: base[a].invert() for a in range(1, 7)}
-    powcache = {}
-
-    def ppow(a, e):
-        key = (a, e)
-        if key not in powcache:
-            powcache[key] = (base[a] if e > 0 else binv[a]) ** abs(e)
-        return powcache[key]
-
-    comp_sums = []
-    for comp, rows in sorted(table.components().items()):
-        if not rows:
-            continue
-        terms = []
-        for r in rows:
-            s = None
-            for a, e in enumerate(r.p_exps, start=1):
-                if e == 0:
-                    continue
-                f = ppow(a, e)
-                s = f if s is None else s * f
-            terms.append(s.scale(r.coeff).shift(r.qpow + comp))
-        comp_sums.append(_sum_aligned(terms))
-    total = _sum_aligned(comp_sums)
-    epre = (euler_E(ell * ell, unit_prec, ring) ** 4
-            * euler_E(ell, unit_prec, ring).invert())
-    return total * epre
 
 
 def _theorem2_rhs(case, prec):
@@ -740,11 +723,17 @@ def _theorem2_rhs(case, prec):
         t = t_series(a, b, c, iprec - qpow, low=_T2_LOW - qpow, ring=ring)
         terms.append((t * inv_den).shift(qpow).scale(coeff))
     if ell == 13:
+        # component i of the table carries the outer factor q^i
         table = load_table("A13" if kind == "U" else "B13")
-        terms.append(_table_products(table, ell, unit_prec, ring))
+        pterms = [(r.coeff, r.qpow + r.component,
+                   dict(enumerate(r.p_exps, start=1))) for r in table.rows]
     else:
-        for expr in _PRODUCTS[case]:
-            terms.append(eval_product_expr(expr, unit_prec, ring))
+        pterms = _PRODUCTS[case]
+    if pterms:
+        [psum] = _monomial_sums(_p_basis(ell, unit_prec, ring), pterms)
+        epow = 4 if ell in (7, 13) else 2
+        terms.append(psum * (euler_E(ell * ell, unit_prec, ring) ** epow
+                             * euler_E(ell, unit_prec, ring).invert()))
     return _sum_aligned(terms)
 
 
@@ -855,6 +844,33 @@ def check_chan_identity(prec=200):
     return merge_reports("chan_identity", prec, subs, params)
 
 
+def pole_split_check(ell, prec=120, n_range=20):
+    """Check 1/(1-q^n)^2 = sum_{k=0}^{ell-2} (k+1) q^{nk} / (1-q^{ell n}) mod ell.
+
+    This is the step that turns a double pole into single poles with
+    polynomial weights, so it gets its own direct test over n = 1..n_range.
+    """
+    ring = Zmod(ell)
+    subs = []
+    for n in range(1, n_range + 1):
+        lhs = [0] * prec
+        e, j = 0, 1
+        while e < prec:
+            lhs[e] += j
+            e += n
+            j += 1
+        rhs = [0] * prec
+        for k in range(ell - 1):
+            e = n * k
+            while e < prec:
+                rhs[e] += k + 1
+                e += ell * n
+        subs.append(series_compare_report(
+            f"pole_split[{ell}]:n={n}",
+            LaurentSeries(ring, 0, lhs), LaurentSeries(ring, 0, rhs), prec))
+    return merge_reports(f"pole_split[{ell}]", prec, subs, {"ell": ell})
+
+
 def check_pole_split(ells=(3, 5, 7, 13), prec=120, n_range=20):
     """Double pole against the mod-ell single-pole split, per modulus."""
     subs = [pole_split_check(ell, prec, n_range) for ell in ells]
@@ -953,21 +969,16 @@ def report_conjectures(n_max=1800, prec=2000):
                                first_failure=bad))
 
     r7 = Zmod(7)
-    q7 = {a: cap_P(a, 7, prec, r7) for a in (1, 2, 3)}
-    q7i = {a: q7[a].invert() for a in (1, 2, 3)}
-    lhs7 = _sum_aligned([((q7[2] ** 2) * q7i[1]).shift(1).scale(4),
-                         ((q7[3] ** 2) * q7i[2]).shift(1).scale(6),
-                         ((q7[1] ** 2) * q7i[3]).shift(8).scale(5)])
+    [lhs7] = _monomial_sums(_p_basis(7, prec, r7), [
+        (4, 1, {2: 2, 1: -1}), (6, 1, {3: 2, 2: -1}), (5, 8, {1: 2, 3: -1})])
     rhs7 = ((euler_E(7, prec, r7) ** 4)
             * (euler_E(49, prec, r7) ** 2).invert()).shift(1).scale(3)
     subs.append(_cmp("conj:mod7_quotient", lhs7, rhs7, prec))
 
     r13 = Zmod(13)
-    c13 = {a: cap_P(a, 13, prec, r13) for a in range(1, 7)}
-    lhs13 = _sum_aligned([
-        (c13[2] * c13[3] * c13[4] * c13[6]).shift(5).scale(11),
-        (c13[1] * c13[4] * c13[5] * c13[6]).shift(5).scale(6),
-        (c13[1] * c13[2] * c13[3] * c13[5]).shift(18).scale(5)])
+    [lhs13] = _monomial_sums(_p_basis(13, prec, r13), [
+        (11, 5, _folded(13, (2, 3, 4, 6))), (6, 5, _folded(13, (1, 4, 5, 6))),
+        (5, 18, _folded(13, (1, 2, 3, 5)))])
     rhs13 = ((euler_E(13, prec, r13) ** 10)
              * (euler_E(169, prec, r13) ** 2).invert())
     printed = _cmp("conj:mod13_quotient", lhs13, rhs13, prec)

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from qcong.lambert import double_pole_sum, pole_split_check, s_series, t_series
+from qcong.lambert import double_pole_sum, s_series, t_series
 from qcong.products import euler_E
 from qcong.series import LaurentSeries, ZZ
+from qcong.verify import pole_split_check
 
 U_HEADS = [0, 1, 5, 15, 44, 105, 252, 539, 1135, 2259, 4390, 8213, 15099,
            26975, 47397, 81600, 138414, 230938, 380475, 618317]

@@ -1,25 +1,18 @@
+import gc
 import math
 import random
 
 import pytest
 
 from qcong.products import (
-    E_,
-    Factor,
-    FactorKind,
-    P_,
-    ProductExpr,
     cap_P,
     euler_E,
-    eval_product_expr,
-    jac_,
     jacobi_theta,
-    poch_,
-    pochf_,
     pochhammer_finite,
     pochhammer_inf,
 )
-from qcong.series import LaurentSeries, NonUnitError, Zmod, ZZ
+from qcong.series import LaurentSeries, Zmod, ZZ
+from qcong.verify import _folded, _monomial_sums, _p_basis
 
 
 # oracles -------------------------------------------------------------------
@@ -173,69 +166,89 @@ def test_cap_P_symmetry():
     assert cap_P(6, 13, 50) == cap_P(7, 13, 50)
 
 
-# product expressions ---------------------------------------------------------
+# sums of P-monomials --------------------------------------------------------
 
-def test_eval_single_factors():
-    assert eval_product_expr(ProductExpr(factors=(E_(1, 3),)), 20) == \
-        pentagonal_series(20) ** 3
-    assert eval_product_expr(ProductExpr(factors=(poch_(2, 3),)), 20) == \
-        pochhammer_inf(2, 3, 20)
-    got = eval_product_expr(ProductExpr(coeff=3, qpow=2, factors=(E_(1),)), 20)
-    assert got == pentagonal_series(20).scale(3).shift(2)
-
-
-def test_eval_denominator_single_inversion():
-    got = eval_product_expr(ProductExpr(factors=(E_(1, -1),)), 30)
-    assert list(got.coeffs) == partition_counts(30)
+def test_monomial_sums_constant_term_window():
+    basis = _p_basis(5, 30, ZZ)
+    [const, single] = _monomial_sums(basis, [(3, 2, {})], [(3, 2, {1: 1})])
+    assert (const.low, const.prec) == (2, 32)
+    assert const == LaurentSeries.monomial(ZZ, 3, 2, 32)
+    assert (single.low, single.prec) == (2, 32)
+    assert single == cap_P(1, 5, 30).scale(3).shift(2)
 
 
-def test_eval_jacobi_shift_and_sign():
-    # [q^7; q^5]^-1 should match inverting the normalized series
-    got = eval_product_expr(ProductExpr(factors=(jac_(7, 5, -1),)), 40)
-    assert got == jacobi_theta(7, 5, 40).invert()
+def test_monomial_sums_negative_exponent_is_inverse():
+    [inv] = _monomial_sums({"E": euler_E(1, 30)}, [(1, 0, {"E": -1})])
+    assert list(inv.coeffs) == partition_counts(30)
+    [cube] = _monomial_sums(_p_basis(7, 40, ZZ), [(1, 0, {2: -3})])
+    assert cube == cap_P(2, 7, 40).invert() ** 3
 
 
-def test_eval_finite_poch_and_zero():
-    got = eval_product_expr(ProductExpr(factors=(pochf_(1, 3),)), 12)
-    assert got == pochhammer_finite(1, 3, 12)
-    z = eval_product_expr(ProductExpr(qpow=4, factors=(pochf_(-1, 2), E_(1, 2))), 12)
-    assert z.is_zero()
-    with pytest.raises(NonUnitError):
-        eval_product_expr(ProductExpr(factors=(pochf_(-1, 2, -1),)), 12)
-
-
-def test_eval_distributes_over_concatenation():
+def test_monomial_sums_merged_exponents_match_product():
     rng = random.Random(5)
-    pool = [E_(1), E_(5, -1), jac_(2, 5), jac_(3, 7, -1), P_(1, 5), P_(2, 5, -2),
-            poch_(2, 3)]
+    basis = {**_p_basis(7, 50, ZZ), "E": euler_E(5, 50)}
+    keys = list(basis)
+
+    def exps():
+        return {k: rng.randrange(-2, 3)
+                for k in rng.sample(keys, rng.randrange(0, 4))}
+
     for _ in range(20):
-        fa = tuple(rng.choice(pool) for _ in range(rng.randrange(1, 4)))
-        fb = tuple(rng.choice(pool) for _ in range(rng.randrange(1, 4)))
-        ea = ProductExpr(rng.randrange(1, 5), rng.randrange(-3, 4), fa)
-        eb = ProductExpr(rng.randrange(1, 5), rng.randrange(-3, 4), fb)
-        lhs = eval_product_expr(ea * eb, 50)
-        rhs = eval_product_expr(ea, 50) * eval_product_expr(eb, 50)
-        assert lhs == rhs
+        ea, eb = exps(), exps()
+        ca, cb = rng.randrange(1, 5), rng.randrange(-4, 5)
+        qa, qb = rng.randrange(-3, 4), rng.randrange(-3, 4)
+        merged = {k: ea.get(k, 0) + eb.get(k, 0) for k in {**ea, **eb}}
+        ab, a, b = _monomial_sums(basis, [(ca * cb, qa + qb, merged)],
+                                  [(ca, qa, ea)], [(cb, qb, eb)])
+        assert ab == a * b, (ea, eb)
 
 
-def test_eval_mod_ring_matches_integer_reduction():
-    expr = ProductExpr(2, 1, (P_(2, 5, 2), P_(1, 5, -3), E_(25)))
-    over_z = eval_product_expr(expr, 80).reduce_mod(5)
-    over_5 = eval_product_expr(expr, 80, Zmod(5))
-    assert over_z == over_5
+def test_monomial_sums_mod_ring_matches_integer_reduction():
+    terms = [(2, 1, {2: 2, 1: -3}), (4, 0, {}), (1, 5, {1: 1, 2: -1})]
+    [over_z] = _monomial_sums(_p_basis(5, 80, ZZ), terms)
+    [over_5] = _monomial_sums(_p_basis(5, 80, Zmod(5)), terms)
+    assert over_z.reduce_mod(5) == over_5
+
+
+def test_monomial_sums_fold_reflects_P():
+    assert _folded(13, (7, 12, 1, 6)) == {6: 2, 1: 2}
+    [s] = _monomial_sums(_p_basis(13, 60, ZZ), [(1, 0, _folded(13, (7, 12, 3)))])
+    assert s == cap_P(7, 13, 60) * cap_P(12, 13, 60) * cap_P(3, 13, 60)
+
+
+def test_monomial_sums_several_lists_match_separate_calls():
+    basis = _p_basis(7, 60, Zmod(7))
+    lists = ([(4, 1, {2: 2, 1: -1}), (6, 1, {3: 2, 2: -1})],
+             [(5, 8, {1: 2, 3: -1}), (1, 0, {})],
+             [(3, 2, {2: -2}), (2, 0, {3: -2, 1: 1})])
+    together = list(_monomial_sums(basis, *lists))
+    apart = [next(_monomial_sums(basis, terms)) for terms in lists]
+    assert together == apart
+    assert [(s.low, s.prec) for s in together] == \
+        [(s.low, s.prec) for s in apart]
+
+
+def test_monomial_sums_leave_no_reference_cycle():
+    # a cycle through the power cache would keep every cached power alive
+    # until the cyclic collector runs
+    basis = _p_basis(7, 40, Zmod(7))
+    gc.collect()
+    gc.disable()
+    try:
+        sums = _monomial_sums(basis, [(1, 0, {2: 2, 1: -1}), (3, 1, {})],
+                              [(2, 0, {3: -2, 2: 3})])
+        for _ in sums:
+            pass
+        del sums
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_mod5_product_reduction_identity():
     # P(2)^2/P(1)^3 + 2 q^5 P(1)^2/P(2)^3 = 1/E(25)^2 holds mod 5
     prec = 120
     ring = Zmod(5)
-    lhs = eval_product_expr(ProductExpr(1, 0, (P_(2, 5, 2), P_(1, 5, -3))), prec, ring) \
-        + eval_product_expr(ProductExpr(2, 5, (P_(1, 5, 2), P_(2, 5, -3))), prec, ring)
-    rhs = eval_product_expr(ProductExpr(1, 0, (E_(25, -2),)), prec, ring)
-    assert lhs == rhs
-
-
-def test_factor_helpers_round_trip():
-    f = P_(3, 13, -2)
-    assert f == Factor(FactorKind.JACOBI, 39, 169, -2)
-    assert E_(7).m == 7 and E_(7).a == 7
+    [lhs] = _monomial_sums(_p_basis(5, prec, ring),
+                           [(1, 0, {2: 2, 1: -3}), (2, 5, {1: 2, 2: -3})])
+    assert lhs == (euler_E(25, prec, ring) ** 2).invert()
