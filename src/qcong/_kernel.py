@@ -2,28 +2,88 @@
 
 Coefficient vectors are packed into a single Python int (little-endian, a
 fixed slot width in whole bytes), combined with native big-int ops, and
-decoded back.  Negative values ride in two's-complement style slots and are
-recovered with a borrow chain, valid whenever every decoded coefficient
-satisfies |c| < 2**(bits-1).  Slot widths always come from exact bounds at
-the call site, so nothing here approximates.  CPython's Karatsuba does the
-heavy lifting for multiplication; there is deliberately no FFT.
+decoded back.  Slot widths always come from exact bounds at the call site,
+so nothing here approximates.  CPython's Karatsuba does the heavy lifting
+for multiplication; there is deliberately no FFT.
+
+Every codec step is linear in the packed size, and for slots of up to
+8 bytes no step loops over slots in Python:
+
+- Truncation to a window of slots is a mask, never ``%`` by a power of
+  two, which CPython computes as a quadratic long division.
+- Encoding converts the coefficients to 64-bit lanes with ``array('q')``
+  and re-strides the lanes' low bytes into slots with extended-slice
+  copies.  A negative coefficient then stands as its two's complement in
+  its slot, which is 2**(8*width) too much; one correction int, built from
+  the lanes' sign bits, takes that surplus off again.  A coefficient of
+  2**63 or more in size, or one wider than its slot, sends the vector
+  through a per-slot loop, which raises OverflowError for the latter.
+- Decoding a signed slot needs no borrow chain.  Adding a bias of
+  2**(bits-1) to every slot makes every slot nonnegative, so no borrow
+  crosses a slot boundary; xoring the same bias back leaves each slot's
+  two's-complement value, valid whenever |c| < 2**(bits-1).  The slots
+  are spread into 8-byte lanes by strided copies, the lanes' upper bytes
+  filled from the slots' sign bytes through ``bytes.translate``, and read
+  with ``array('q').frombytes``.  Slots wider than 8 bytes are read one
+  at a time with ``int.from_bytes(..., signed=True)``.
+
+Slot widths stay the tight byte counts the bounds give.  Strided copies
+decode a 3-byte slot as cheaply per byte as an 8-byte one, so rounding
+slots up to 4 or 8 bytes would only make every product larger.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 
 # below this many coefficient products, plain loops beat packing overhead
 _SCHOOLBOOK_AREA = 4096
+
+# byte -> its sign fill (0xff if the top bit is set, else 0), and -> sign bit
+_SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+_SIGN_BIT = bytes(b >> 7 for b in range(256))
+
+# array('q') holds native-endian lanes; the codec works little-endian
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def max_abs(coeffs):
     return max((abs(c) for c in coeffs), default=0)
 
 
+def _lanes(coeffs):
+    """Little-endian 8-byte two's-complement lanes, or None if some
+    |c| >= 2**63."""
+    try:
+        lanes = array("q", coeffs)
+    except OverflowError:
+        return None
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes.tobytes()
+
+
 def pack(coeffs, nbytes):
     """Return the exact integer sum c_i * 2**(8*nbytes*i)."""
     n = len(coeffs)
+    lanes = _lanes(coeffs)
+    if lanes is not None:
+        width = min(nbytes, 8)
+        fill = lanes[7::8].translate(_SIGN_FILL)
+        # bytes above the slot must be the sign fill, or the slot truncates c
+        if all(lanes[j::8] == fill for j in range(width, 8)):
+            slots = bytearray(nbytes * n)
+            for j in range(width):
+                slots[j::nbytes] = lanes[j::8]
+            value = int.from_bytes(slots, "little")
+            if b"\xff" not in fill:
+                return value
+            # a negative c stands as c + 2**(8*width) in its slot
+            surplus = bytearray(nbytes * n + 1)
+            surplus[width:width + nbytes * n:nbytes] = fill.translate(_SIGN_BIT)
+            return value - int.from_bytes(surplus, "little")
     pos = bytearray(nbytes * n)
     neg = None
     for i, c in enumerate(coeffs):
@@ -39,30 +99,36 @@ def pack(coeffs, nbytes):
     return value
 
 
+def _decode(raw, nbytes, signed):
+    """Read the little-endian slots of nbytes each that fill raw."""
+    if nbytes > 8:
+        return [int.from_bytes(raw[i:i + nbytes], "little", signed=signed)
+                for i in range(0, len(raw), nbytes)]
+    lanes = bytearray(8 * (len(raw) // nbytes))
+    for j in range(nbytes):
+        lanes[j::8] = raw[j::nbytes]
+    if signed:
+        fill = raw[nbytes - 1::nbytes].translate(_SIGN_FILL)
+        for j in range(nbytes, 8):
+            lanes[j::8] = fill
+    out = array("q" if signed else "Q")
+    out.frombytes(lanes)
+    if _BIG_ENDIAN:
+        out.byteswap()
+    return out.tolist()
+
+
 def unpack_signed(value, count, nbytes):
     """Decode count slots; requires |true coefficient| < 2**(8*nbytes-1)."""
-    bits = 8 * nbytes
-    half = 1 << (bits - 1)
-    full = 1 << bits
-    value %= 1 << (bits * count)
-    raw = value.to_bytes(nbytes * count, "little")
-    out = [0] * count
-    carry = 0
-    for i in range(count):
-        s = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") + carry
-        if s >= half:
-            out[i] = s - full
-            carry = 1
-        else:
-            out[i] = s
-            carry = 0
-    return out
+    size = nbytes * count
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+    unbiased = ((value + bias) & ((1 << (8 * size)) - 1)) ^ bias
+    return _decode(unbiased.to_bytes(size, "little"), nbytes, signed=True)
 
 
 def _unpack_unsigned(value, count, nbytes):
-    raw = value.to_bytes(nbytes * count, "little")
-    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
-            for i in range(count)]
+    return _decode(value.to_bytes(nbytes * count, "little"), nbytes,
+                   signed=False)
 
 
 def convolve(a, b, out_len, modulus=None):
@@ -100,7 +166,7 @@ def convolve(a, b, out_len, modulus=None):
         bits = 2 * (modulus - 1).bit_length() + terms.bit_length() + 1
         nbytes = (bits + 7) // 8
         p = pack(a, nbytes) * pack(b, nbytes)
-        p %= 1 << (8 * nbytes * out_len)
+        p &= (1 << (8 * nbytes * out_len)) - 1
         return [c % modulus for c in _unpack_unsigned(p, out_len, nbytes)]
 
     bits = (max_abs(a).bit_length() + max_abs(b).bit_length()

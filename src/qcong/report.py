@@ -18,10 +18,6 @@ class Report:
     notes: str = ""
     wall_time: float = None
 
-    @property
-    def ok(self):
-        return self.status != "fail"
-
     def to_dict(self, deterministic=False):
         d = {
             "check_id": self.check_id,

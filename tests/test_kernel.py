@@ -1,0 +1,183 @@
+"""Edge tests for the packed kernel codec.
+
+The fixtures force convolve onto its packed path and compare against a
+naive convolution, with coefficients at the slot-width bounds, on both the
+array codec (slots of up to 8 bytes) and the per-slot path (wider slots).
+"""
+
+import random
+
+import pytest
+
+from qcong import _kernel
+
+WIDTHS = list(range(1, 10)) + [16]
+
+
+def naive_convolve(a, b, out_len, modulus=None):
+    out = [0] * out_len
+    for i, x in enumerate(a[:out_len]):
+        for j, y in enumerate(b[:out_len - i]):
+            out[i + j] += x * y
+    return out if modulus is None else [c % modulus for c in out]
+
+
+def slot_value(cs, nbytes):
+    return sum(c << (8 * nbytes * i) for i, c in enumerate(cs))
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """Force the packed path and record the slot width of every decode."""
+    monkeypatch.setattr(_kernel, "_SCHOOLBOOK_AREA", 0)
+    widths = []
+    for name in ("unpack_signed", "_unpack_unsigned"):
+        decode = getattr(_kernel, name)
+
+        def spy(value, count, nbytes, decode=decode):
+            widths.append(nbytes)
+            return decode(value, count, nbytes)
+        monkeypatch.setattr(_kernel, name, spy)
+    return widths
+
+
+# convolve on the packed path -----------------------------------------------
+
+@pytest.mark.parametrize("nbytes", WIDTHS)
+def test_convolve_at_slot_bound_magnitudes(packed, nbytes):
+    rng = random.Random(nbytes)
+    top = (1 << (8 * nbytes - 1)) - 1
+    a = [rng.choice((top, -top, 0, 1)) for _ in range(23)]
+    b = [rng.choice((top, -top)) for _ in range(19)]
+    for out_len in (1, 7, 19, 41, 60):
+        assert _kernel.convolve(a, b, out_len) == naive_convolve(a, b, out_len)
+    assert packed
+
+
+def test_convolve_slot_widths_cover_both_decoders(packed):
+    for k in range(0, 70, 3):
+        c = (1 << k) - 1 or 1
+        a = [c] * 12
+        b = [-c] * 9 + [0, 0, 0]
+        assert _kernel.convolve(a, b, 21) == naive_convolve(a, b, 21)
+    assert {w for w in packed if w <= 8} == set(range(1, 9))
+    assert max(packed) >= 16
+
+
+def test_convolve_all_negative(packed):
+    rng = random.Random(3)
+    a = [-rng.randrange(1, 1 << 40) for _ in range(50)]
+    b = [-rng.randrange(1, 1 << 12) for _ in range(50)]
+    assert _kernel.convolve(a, b, 99) == naive_convolve(a, b, 99)
+    assert all(c > 0 for c in _kernel.convolve(a, b, 99))
+
+
+def test_convolve_single_nonzero_entry(packed):
+    for pos in (0, 1, 17, 39):
+        a = [0] * 40
+        a[pos] = -(1 << 30) + 1
+        b = list(range(-20, 20))
+        assert _kernel.convolve(a, b, 40) == naive_convolve(a, b, 40)
+        assert _kernel.convolve(b, a, 40) == naive_convolve(a, b, 40)
+
+
+def test_convolve_trailing_zeros_and_short_output(packed):
+    rng = random.Random(5)
+    a = [rng.randrange(-999, 1000) for _ in range(30)] + [0] * 25
+    b = [rng.randrange(-999, 1000) for _ in range(12)] + [0] * 40
+    for out_len in (1, 2, 11, 29, 55, 90):
+        assert _kernel.convolve(a, b, out_len) == naive_convolve(a, b, out_len)
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 13, 255, 257, 65537])
+def test_convolve_mod(packed, modulus):
+    rng = random.Random(modulus)
+    top = modulus - 1
+    cases = [
+        ([top] * 64, [top] * 64),
+        ([rng.randrange(modulus) for _ in range(70)],
+         [rng.randrange(modulus) for _ in range(45)] + [0] * 10),
+        ([0] * 20 + [top], [rng.randrange(modulus) for _ in range(40)]),
+    ]
+    for a, b in cases:
+        for out_len in (1, 33, 64, 130):
+            want = naive_convolve(a, b, out_len, modulus)
+            assert _kernel.convolve(a, b, out_len, modulus) == want
+
+
+# codec round trips ---------------------------------------------------------
+
+@pytest.mark.parametrize("nbytes", WIDTHS)
+def test_pack_unpack_signed_round_trip(nbytes):
+    rng = random.Random(100 + nbytes)
+    top = (1 << (8 * nbytes - 1)) - 1
+    cs = [top, -top, 0, -1, 1] + [rng.randint(-top, top) for _ in range(40)]
+    value = _kernel.pack(cs, nbytes)
+    assert value == slot_value(cs, nbytes)
+    assert _kernel.unpack_signed(value, len(cs), nbytes) == cs
+    assert _kernel.unpack_signed(value, 3, nbytes) == cs[:3]
+    window = 8 * nbytes * len(cs)
+    for junk in (1, -1, rng.randrange(1 << 200), -rng.randrange(1 << 200)):
+        assert _kernel.unpack_signed(value + (junk << window),
+                                     len(cs), nbytes) == cs
+
+
+@pytest.mark.parametrize("nbytes", [1, 3, 7, 8, 9])
+def test_pack_full_unsigned_slot_is_exact(nbytes):
+    # 0 <= c < 2**(8*nbytes) fits a slot even with its top bit set
+    full = (1 << (8 * nbytes)) - 1
+    cs = [full, -full, 1 << (8 * nbytes - 1), 0, full]
+    assert _kernel.pack(cs, nbytes) == slot_value(cs, nbytes)
+
+
+@pytest.mark.parametrize("nbytes", [1, 3, 7, 9])
+def test_pack_rejects_a_coefficient_wider_than_its_slot(nbytes):
+    for c in (1 << (8 * nbytes), -(1 << (8 * nbytes)) - 1):
+        with pytest.raises(OverflowError):
+            _kernel.pack([1, c, -1], nbytes)
+
+
+def test_pack_beyond_64_bits():
+    for nbytes in (9, 12, 16):
+        top = (1 << (8 * nbytes - 1)) - 1
+        cs = [1 << 63, -(1 << 63) - 1, top, -top, 0, 5, -5]
+        value = _kernel.pack(cs, nbytes)
+        assert value == slot_value(cs, nbytes)
+        assert _kernel.unpack_signed(value, len(cs), nbytes) == cs
+
+
+@pytest.mark.parametrize("nbytes", WIDTHS)
+def test_unpack_unsigned_full_range(nbytes):
+    rng = random.Random(200 + nbytes)
+    full = (1 << (8 * nbytes)) - 1
+    cs = [full, 0, 1 << (8 * nbytes - 1), full] + [
+        rng.randrange(full + 1) for _ in range(30)]
+    assert _kernel._unpack_unsigned(slot_value(cs, nbytes),
+                                    len(cs), nbytes) == cs
+
+
+def test_empty_vectors():
+    assert _kernel.pack([], 3) == 0
+    assert _kernel.unpack_signed(12345, 0, 3) == []
+    assert _kernel._unpack_unsigned(0, 0, 3) == []
+
+
+# newton_invert ---------------------------------------------------------------
+
+@pytest.mark.parametrize("length", [1, 2, 3, 257])
+@pytest.mark.parametrize("modulus", [None, 13])
+@pytest.mark.parametrize("force_packed", [False, True])
+def test_newton_invert(monkeypatch, length, modulus, force_packed):
+    if force_packed:
+        monkeypatch.setattr(_kernel, "_SCHOOLBOOK_AREA", 0)
+    rng = random.Random(length)
+    if modulus is None:
+        f = [1] + [rng.randint(-5, 5) for _ in range(length - 1)]
+        lead_inverse = 1
+    else:
+        f = [rng.randrange(1, modulus)] + [
+            rng.randrange(modulus) for _ in range(length - 1)]
+        lead_inverse = pow(f[0], -1, modulus)
+    g = _kernel.newton_invert(f, lead_inverse, modulus)
+    assert len(g) == length
+    assert naive_convolve(f, g, length, modulus) == [1] + [0] * (length - 1)
