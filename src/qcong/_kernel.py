@@ -199,9 +199,10 @@ class PackedSeries:
     """Mutable packed window [0, length) used by the bulk product builders.
 
     Only linear operations are provided; they are exact mod q**length for
-    any slot width.  The width only matters at decode time (to_coeffs) and
-    must then dominate every true coefficient, plus the transient headroom
-    that div_one_minus's doubling steps need (see callers for bounds).
+    any slot width.  The width only matters at decode time (to_coeffs,
+    widen) and must then dominate every true coefficient, plus the
+    transient headroom that div_one_minus's doubling steps need (see
+    callers for bounds).
     """
 
     __slots__ = ("length", "nbytes", "slot_bits", "mask", "value")
@@ -225,6 +226,8 @@ class PackedSeries:
     def div_one_minus(self, k):
         """*= 1/(1 - q^k) mod q^length, by the doubling product
         (1+q^k)(1+q^2k)(1+q^4k)... which telescopes to the geometric series."""
+        if k <= 0:
+            raise ValueError("div_one_minus needs k >= 1")
         j = k
         v = self.value
         sb = self.slot_bits
@@ -240,6 +243,13 @@ class PackedSeries:
     def to_coeffs(self):
         return unpack_signed(self.value, self.length, self.nbytes)
 
+    def widen(self, slot_bits):
+        """Re-pack at slot_bits; the current width must hold every
+        coefficient, since the window is decoded at it first."""
+        coeffs = self.to_coeffs()
+        self.__init__(self.length, slot_bits)
+        self.value = pack(coeffs, self.nbytes) & self.mask
+
 
 def binomial_product(exponents, length, slot_bits):
     """Coefficients of prod (1 - q^e) on [0, length) for positive e."""
@@ -252,8 +262,9 @@ def binomial_product(exponents, length, slot_bits):
 def partition_bound_bits(n):
     """Overestimate of bits(p(n)) via p(n) < exp(pi*sqrt(2n/3)), integer-only.
 
-    pi/ln2 * sqrt(2/3) = 1.51078...; 15108/10000 with a ceiling sqrt keeps
-    the bound safe without floats.
+    log2 exp(pi*sqrt(2n/3)) = pi/(3*ln2) * sqrt(6n), and pi/(3*ln2) =
+    1.51078...; 15108/10000 with a ceiling sqrt keeps the bound safe
+    without floats.
     """
     if n <= 1:
         return 2

@@ -13,6 +13,7 @@ the double-pole Lambert representation.  Tests and the verify checks
 compare them; nothing in here assumes they agree.
 """
 
+import math
 from typing import NamedTuple
 
 from ._kernel import PackedSeries, convolve, partition_bound_bits
@@ -96,6 +97,24 @@ class UVPair(NamedTuple):
 _def_cache = {"prec": 0, "pair": None}
 
 
+def _uv_bound(n, prec):
+    """B(n): bounds the coefficients below q^prec of prod_{m>=n} (1-q^m)^-4
+    (derived in uv_series_def)."""
+    cap = 2 * partition_bound_bits(prec) + 3 * (prec + 2).bit_length()
+    limit = 1 << cap
+    bound = 1
+    j = 1
+    while j * n < prec and bound < limit:
+        bound += math.comb(prec - j * n + j, j) * 4 ** j
+        j += 1
+    return min(bound, limit - 1)
+
+
+def _uv_slot_bits(n, prec):
+    """Slot bits that hold every series uv_series_def carries at step n."""
+    return _uv_bound(n, prec).bit_length() + prec.bit_length() + 1
+
+
 def uv_series_def(prec):
     """U(q) and V(q) on [0, prec), straight from the defining sums.
 
@@ -106,15 +125,46 @@ def uv_series_def(prec):
 
     which starts from core_prec = 1 + O(q^prec) and costs a handful of
     packed linear passes per n instead of a fresh inversion.
+
+    Slot width.  At step n every series the loop holds fits a slot of
+    bitlen(B(n)) + bitlen(prec) + 1 bits (_uv_slot_bits), where B(n)
+    bounds the coefficients below q^prec of prod_{m>=n} (1-q^m)^-4:
+
+    - Every exact intermediate of core is prod_{m>=n} (1-q^m)^-e_m with
+      all e_m <= 4; the two mul_one_minus calls only cancel factors of
+      core_{n+1}.  So its coefficients lie in [0, B(n)].
+    - A doubling transient inside div_one_minus is P - q^M P for such a
+      P, so it lies within +-B(n).
+    - A U or V partial sum adds fewer than prec such series.
+    - B(n) = min(1 + sum_{j>=1, jn<prec} C(prec-jn+j, j) 4^j, 2^cap - 1)
+      with cap = 2 pbb(prec) + 3 bitlen(prec+2), pbb being
+      partition_bound_bits.  The j-th term bounds the 4-coloured
+      partitions of w < prec into j parts, all >= n: their shapes are at
+      most the C(w-jn+j-1, j-1) <= C(prec-jn+j, j) weak compositions of
+      w - jn into j parts, each with at most 4^j colourings.  The
+      cap follows from p_4(w) <= C(w+3, 3) exp(2 pi sqrt(2w/3)), which
+      p(a) <= exp(pi sqrt(2a/3)) and sum sqrt(a_i) <= 2 sqrt(w) give.
+      The sum stops once it reaches 2^cap.
+
+    B only falls as n grows, so the loop starts narrow and, whenever a
+    step needs more, widens core, U and V to twice the width (at least
+    the need, at most the n = 1 width).  A widening decodes at the old
+    width, which still holds the values of step n+1.
     """
     if _def_cache["prec"] >= prec:
         u, v = _def_cache["pair"]
         return UVPair(u.truncate(prec), v.truncate(prec))
-    bits = 4 * partition_bound_bits(prec) + 24
+    full = _uv_slot_bits(1, prec)
+    bits = _uv_slot_bits(max(prec - 1, 1), prec)
     core = PackedSeries(prec, bits, 1)
     upk = PackedSeries(prec, bits)
     vpk = PackedSeries(prec, bits)
     for n in range(prec - 1, 0, -1):
+        need = _uv_slot_bits(n, prec)
+        if need > core.slot_bits:
+            bits = min(max(need, 2 * core.slot_bits), full)
+            for ps in (core, upk, vpk):
+                ps.widen(bits)
         core.mul_one_minus(2 * n + 1)
         core.mul_one_minus(2 * n + 2)
         for _ in range(4):

@@ -181,3 +181,131 @@ def test_newton_invert(monkeypatch, length, modulus, force_packed):
     g = _kernel.newton_invert(f, lead_inverse, modulus)
     assert len(g) == length
     assert naive_convolve(f, g, length, modulus) == [1] + [0] * (length - 1)
+
+
+# PackedSeries ------------------------------------------------------------------
+
+LENGTH = 29
+SHIFTS = (1, 2, 3, 7, LENGTH - 1)
+
+
+def packed_series(cs, nbytes):
+    ps = _kernel.PackedSeries(len(cs), 8 * nbytes)
+    ps.value = slot_value(cs, nbytes) & ps.mask
+    return ps
+
+
+def shifted(cs, k, sign, other=None):
+    """cs + sign * q^k * other (other defaults to cs), on len(cs) terms."""
+    other = cs if other is None else other
+    return [c + sign * (other[i - k] if i >= k else 0) for i, c in enumerate(cs)]
+
+
+@pytest.mark.parametrize("nbytes", WIDTHS)
+def test_packed_series_mul_one_minus(nbytes):
+    rng = random.Random(300 + nbytes)
+    top = (1 << (8 * nbytes - 1)) - 1
+    for sign in (1, -1):
+        for k in SHIFTS:
+            x = [sign * rng.choice((0, top, rng.randint(0, top)))
+                 for _ in range(LENGTH)]
+            x[0], x[k] = sign * top, 0
+            ps = packed_series(x, nbytes)
+            ps.mul_one_minus(k)
+            want = shifted(x, k, -1)
+            assert -sign * top in want
+            assert ps.to_coeffs() == want
+
+
+@pytest.mark.parametrize("nbytes", WIDTHS)
+def test_packed_series_mul_one_plus(nbytes):
+    # signs alternate between blocks of k terms, so c_i + c_{i-k} never
+    # adds two values of one sign
+    rng = random.Random(400 + nbytes)
+    top = (1 << (8 * nbytes - 1)) - 1
+    for k in SHIFTS:
+        x = [(-1) ** (i // k) * rng.choice((0, top, rng.randint(0, top)))
+             for i in range(LENGTH)]
+        x[0], x[k] = top, 0
+        ps = packed_series(x, nbytes)
+        ps.mul_one_plus(k)
+        want = shifted(x, k, 1)
+        assert top in want
+        assert ps.to_coeffs() == want
+
+
+@pytest.mark.parametrize("nbytes", WIDTHS)
+def test_packed_series_div_one_minus(nbytes):
+    # x = (1 - q^k) z, so x / (1 - q^k) = z sits at the slot bound
+    rng = random.Random(500 + nbytes)
+    top = (1 << (8 * nbytes - 1)) - 1
+    for sign in (1, -1):
+        for k in SHIFTS:
+            z = [sign * rng.choice((0, top, rng.randint(0, top)))
+                 for _ in range(LENGTH)]
+            z[0] = sign * top
+            ps = packed_series(shifted(z, k, -1), nbytes)
+            ps.div_one_minus(k)
+            assert ps.to_coeffs() == z
+
+
+@pytest.mark.parametrize("nbytes", WIDTHS)
+def test_packed_series_add_shifted(nbytes):
+    rng = random.Random(600 + nbytes)
+    top = (1 << (8 * nbytes - 1)) - 1
+    for sign in (1, -1):
+        for k in (0,) + SHIFTS:
+            a = [sign * rng.randint(0, top) for _ in range(LENGTH)]
+            b = [-sign * rng.randint(0, top) for _ in range(LENGTH)]
+            a[k], b[0] = sign * top, 0
+            ps = packed_series(a, nbytes)
+            ps.add_shifted(packed_series(b, nbytes), k)
+            want = shifted(a, k, 1, b)
+            assert sign * top in want
+            assert ps.to_coeffs() == want
+
+
+@pytest.mark.parametrize("nbytes", WIDTHS)
+def test_packed_series_widen(nbytes):
+    rng = random.Random(700 + nbytes)
+    top = (1 << (8 * nbytes - 1)) - 1
+    x = [top, -top, 0, -1] + [rng.randint(-top, top) for _ in range(LENGTH - 4)]
+    for wider in [w for w in WIDTHS if w > nbytes] + [48]:
+        ps = packed_series(x, nbytes)
+        ps.widen(8 * wider)
+        assert (ps.nbytes, ps.slot_bits) == (wider, 8 * wider)
+        assert ps.value == slot_value(x, wider) & ps.mask
+        assert ps.to_coeffs() == x
+        ps.mul_one_plus(1)   # twice the old bound fits the wider slot
+        assert ps.to_coeffs() == shifted(x, 1, 1)
+    ps = packed_series(x, nbytes)
+    ps.widen(8 * nbytes + 1)   # slot bits round up to whole bytes
+    assert ps.nbytes == nbytes + 1
+    assert ps.to_coeffs() == x
+
+
+@pytest.mark.parametrize("nbytes", [1, 8, 9])
+def test_packed_series_no_op_branches(nbytes):
+    rng = random.Random(800 + nbytes)
+    top = (1 << (8 * nbytes - 1)) - 1
+    x = [top, -top] + [rng.randint(-top, top) for _ in range(LENGTH - 2)]
+    y = [rng.randint(-top, top) // 2 for _ in range(LENGTH)]
+    for k in (LENGTH, LENGTH + 5, 10 * LENGTH):
+        for op in ("mul_one_minus", "mul_one_plus", "div_one_minus"):
+            ps = packed_series(x, nbytes)
+            getattr(ps, op)(k)
+            assert ps.to_coeffs() == x, (op, k)
+        ps = packed_series(x, nbytes)
+        ps.add_shifted(packed_series(y, nbytes), k)
+        assert ps.to_coeffs() == x
+    for op in ("mul_one_minus", "mul_one_plus"):
+        ps = packed_series(x, nbytes)
+        getattr(ps, op)(0)
+        assert ps.to_coeffs() == x, op
+    ps = packed_series(x, nbytes)
+    with pytest.raises(ValueError):
+        ps.div_one_minus(0)
+    half = [c // 2 for c in x]
+    ps = packed_series(half, nbytes)
+    ps.add_shifted(packed_series(y, nbytes), 0)
+    assert ps.to_coeffs() == [a + b for a, b in zip(half, y)]

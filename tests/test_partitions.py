@@ -1,5 +1,9 @@
 from functools import lru_cache
 
+import pytest
+
+from qcong import partitions
+from qcong._kernel import PackedSeries, partition_bound_bits
 from qcong.partitions import (
     f_series_smallest_part,
     p_count,
@@ -93,6 +97,134 @@ def test_series_def_serves_truncations_from_cache():
     small = uv_series_def(18)
     assert small.u.prec == 18
     assert small.u == big.u.truncate(18)
+
+
+# the recurrence's slot widths ---------------------------------------------
+
+@pytest.fixture
+def cold_def_cache(monkeypatch):
+    """Make every uv_series_def call run the recurrence."""
+    def clear():
+        monkeypatch.setattr(partitions, "_def_cache", {"prec": 0, "pair": None})
+    clear()
+    return clear
+
+
+def fixed_width_uv(prec):
+    """The recurrence at one slot width for all steps, 4*pbb(prec) + 24."""
+    bits = 4 * partition_bound_bits(prec) + 24
+    core = PackedSeries(prec, bits, 1)
+    upk = PackedSeries(prec, bits)
+    vpk = PackedSeries(prec, bits)
+    for n in range(prec - 1, 0, -1):
+        core.mul_one_minus(2 * n + 1)
+        core.mul_one_minus(2 * n + 2)
+        for _ in range(4):
+            core.div_one_minus(n)
+        upk.add_shifted(core, n)
+        if 2 * n < prec:
+            vpk.add_shifted(core, 2 * n)
+    return upk.to_coeffs(), vpk.to_coeffs()
+
+
+def test_series_def_matches_counters_at_every_small_prec(cold_def_cache):
+    # prec 1 runs no step and prec 2 one; the widenings happen in this range
+    for prec in range(1, 41):
+        cold_def_cache()
+        pair = uv_series_def(prec)
+        assert pair.u.prec == prec
+        assert [pair.u.coeff(n) for n in range(prec)] == [u_count(n) for n in range(prec)]
+        assert [pair.v.coeff(n) for n in range(prec)] == [v_count(n) for n in range(prec)]
+
+
+@pytest.mark.parametrize("prec", [300, 1001])
+def test_series_def_matches_fixed_width_recurrence(cold_def_cache, prec):
+    pair = uv_series_def(prec)
+    u, v = fixed_width_uv(prec)
+    assert [pair.u.coeff(n) for n in range(prec)] == u
+    assert [pair.v.coeff(n) for n in range(prec)] == v
+
+
+def test_uv_bound_dominates_exact_coefficients():
+    # prod_{m>=n} (1-q^m)^-4 on [0, prec) by a plain list DP, for every n
+    prec = 120
+    coeffs = [1] + [0] * (prec - 1)
+    for n in range(prec - 1, 0, -1):
+        for _ in range(4):
+            for w in range(n, prec):
+                coeffs[w] += coeffs[w - n]
+        assert max(coeffs) <= partitions._uv_bound(n, prec), n
+    assert partitions._uv_bound(1, prec) == (1 << 105) - 1   # capped at n = 1
+
+
+def test_uv_slot_bits_grow_as_n_falls():
+    bits = [partitions._uv_slot_bits(n, 2001) for n in range(2000, 0, -1)]
+    assert bits == sorted(bits)
+    assert bits[-1] == 381
+    assert bits[-1] < 4 * partition_bound_bits(2001) + 24
+
+
+def _shift(cs, k, sign):
+    return [c + sign * (cs[i - k] if i >= k else 0) for i, c in enumerate(cs)]
+
+
+def _list_div_one_minus(cs, k):
+    out = list(cs)
+    for i in range(k, len(out)):
+        out[i] += out[i - k]
+    return out
+
+
+def test_series_def_agrees_with_list_shadow_after_every_op(cold_def_cache, monkeypatch):
+    """Each PackedSeries op of the recurrence, replayed on plain lists, must
+    decode to the same coefficients at the width the op left behind."""
+    shadow = {}
+    ops = []
+    orig = {name: getattr(PackedSeries, name) for name in
+            ("__init__", "mul_one_minus", "div_one_minus", "add_shifted", "widen")}
+
+    def check(ps, op):
+        ops.append(op)
+        assert ps.to_coeffs() == shadow[id(ps)], (op, ps.slot_bits)
+
+    def init(self, length, slot_bits, value=0):
+        orig["__init__"](self, length, slot_bits, value)
+        assert value in (0, 1)
+        shadow[id(self)] = [value] + [0] * (length - 1) if length else []
+
+    def mul_one_minus(self, k):
+        orig["mul_one_minus"](self, k)
+        if 0 < k < self.length:
+            shadow[id(self)] = _shift(shadow[id(self)], k, -1)
+        check(self, "mul_one_minus")
+
+    def div_one_minus(self, k):
+        orig["div_one_minus"](self, k)
+        shadow[id(self)] = _list_div_one_minus(shadow[id(self)], k)
+        check(self, "div_one_minus")
+
+    def add_shifted(self, other, k):
+        orig["add_shifted"](self, other, k)
+        mine, theirs = shadow[id(self)], shadow[id(other)]
+        shadow[id(self)] = [c + (theirs[i - k] if i >= k else 0)
+                            for i, c in enumerate(mine)]
+        check(self, "add_shifted")
+
+    def widen(self, slot_bits):
+        kept = shadow[id(self)]
+        orig["widen"](self, slot_bits)   # re-runs __init__, which resets
+        shadow[id(self)] = kept
+        check(self, "widen")
+
+    for name, fn in (("__init__", init), ("mul_one_minus", mul_one_minus),
+                     ("div_one_minus", div_one_minus),
+                     ("add_shifted", add_shifted), ("widen", widen)):
+        monkeypatch.setattr(PackedSeries, name, fn)
+    pair = uv_series_def(150)
+    assert [ops.count(op) for op in ("mul_one_minus", "div_one_minus",
+                                     "add_shifted")] == [2 * 149, 4 * 149, 149 + 74]
+    assert ops.count("widen") >= 3
+    assert pair.u.coeff(149) == u_count(149)
 
 
 def test_def_and_lambert_routes_agree():
