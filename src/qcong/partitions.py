@@ -151,6 +151,8 @@ def uv_series_def(prec):
     the need, at most the n = 1 width).  A widening decodes at the old
     width, which still holds the values of step n+1.
     """
+    if prec < 1:
+        raise ValueError("prec must be positive")
     if _def_cache["prec"] >= prec:
         u, v = _def_cache["pair"]
         return UVPair(u.truncate(prec), v.truncate(prec))

@@ -66,9 +66,13 @@ def series_compare_report(check_id, lhs, rhs, prec, params=None, min_overlap=Non
 
 
 def merge_reports(check_id, prec, reports, params=None):
-    """Fold a family of sub-reports into one, keeping the worst outcome."""
+    """Fold a family of sub-reports into one, keeping the worst outcome.
+    An empty family compared nothing, so it is skipped, never a pass."""
     params = dict(params or {})
     params["subchecks"] = len(reports)
+    if not reports:
+        return Report(check_id, "skipped", prec, params,
+                      notes="no subchecks ran")
     for r in reports:
         if r.status == "fail":
             notes = f"{r.check_id}: {r.notes}" if r.notes else r.check_id

@@ -7,8 +7,11 @@ the final word on their transcription.
 
 Every dissection is a sum of (coeff, qpow, {a: e}) terms, each standing for
 coeff * q^qpow * prod P(a)^e with P(a) = [q^{ell a}; q^{ell^2}], built by the
-one evaluator _monomial_sums.  In the theorem 2 forms the P-sum carries the
-prefactor E(ell^2)^k / E(ell), with k = 2 for ell = 3, 5 and k = 4 for
+one evaluator _monomial_sums.  It factors shared powers out of the terms
+(a sparse Horner scheme), so each distinct power multiplies a partial sum
+once instead of every term, and it adds the terms of a sum into one packed
+integer that is decoded once.  In the theorem 2 forms the P-sum carries
+the prefactor E(ell^2)^k / E(ell), with k = 2 for ell = 3, 5 and k = 4 for
 ell = 7, 13.
 """
 
@@ -19,6 +22,7 @@ from functools import partial
 from importlib import resources
 from time import perf_counter
 
+from . import _kernel
 from .lambert import s_series, t_series
 from .partitions import u_count, uv_series_def, uv_series_lambert, v_count
 from .products import cap_P, euler_E, jacobi_theta, pochhammer_finite
@@ -131,45 +135,136 @@ def _sum_aligned(terms):
 
 
 def _power(basis, powers, key, e):
-    """basis[key] ** e, e != 0, memoized in powers; every negative power
-    comes from the one inverse kept under (key, -1)."""
+    """basis[key] ** e, e != 0, memoized in powers.  Each power is one
+    product from the power next to it towards 0, so building every power
+    up to |e| costs |e| - 1 products; negative powers grow from the one
+    inverse kept under (key, -1)."""
     if e == 1:
         return basis[key]
     if (key, e) not in powers:
         if e == -1:
             powers[key, e] = basis[key].invert()
-        elif e < 0:
-            powers[key, e] = _power(basis, powers, key, -1) ** -e
         else:
-            powers[key, e] = basis[key] ** e
+            unit = 1 if e > 0 else -1
+            powers[key, e] = (_power(basis, powers, key, e - unit)
+                              * _power(basis, powers, key, unit))
     return powers[key, e]
 
 
-def _monomial(basis, powers, coeff, qpow, exps):
-    out = None
-    for key, e in exps.items():
-        if e:
-            f = _power(basis, powers, key, e)
-            out = f if out is None else out * f
-    if out is None:
-        ref = next(iter(basis.values()))
-        out = LaurentSeries.one(ref.ring, len(ref.coeffs))
-    return out.scale(coeff).shift(qpow)
+class _PackedSum:
+    """Running sum of c * q^s * f terms (f a series), packed into one
+    integer and decoded and reduced once by series().  Its window is
+    [min low, min prec) over the terms, as with _sum_aligned.
+
+    A slot holds at most sum |c| max|f| over ZZ, and sum (c mod m) (m - 1)
+    over Z/m, where every f is canonical; the slot keeps one spare bit for
+    unpack_signed's sign.  When a term raises that bound past the slot
+    width, the sum so far is decoded and re-packed wider.
+    """
+
+    __slots__ = ("ring", "low", "prec", "bound", "nbytes", "value")
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.low = self.prec = None
+        self.bound = self.value = 0
+        self.nbytes = 1
+
+    def add(self, c, s, f):
+        lo, hi = s + f.low, s + f.prec
+        if self.low is None:
+            self.low, self.prec = lo, hi
+        elif lo < self.low:
+            self.value <<= 8 * self.nbytes * (self.low - lo)
+            self.low = lo
+        self.prec = min(self.prec, hi)
+        m = self.ring.modulus
+        if m is not None:
+            c %= m
+        if not c or lo >= self.prec:
+            return
+        self.bound += abs(c) * (f.max_abs() if m is None else m - 1)
+        nbytes = (self.bound.bit_length() + 8) // 8
+        if nbytes > self.nbytes:
+            if self.value:
+                self.value = _kernel.pack(self._coeffs(), nbytes)
+            self.nbytes = nbytes
+        self.value += (c * _kernel.pack(f.coeffs[:self.prec - lo], nbytes)
+                       << (8 * nbytes * (lo - self.low)))
+
+    def _coeffs(self):
+        return _kernel.unpack_signed(self.value, self.prec - self.low,
+                                     self.nbytes)
+
+    def series(self):
+        if self.low is None:
+            raise ValueError("a sum of monomials needs at least one term")
+        return LaurentSeries(self.ring, self.low, self._coeffs())
 
 
 def _monomial_sums(basis, *term_lists):
     """Yield, per term list, the sum of coeff * q^qpow * prod basis[key]^e
-    over its (coeff, qpow, {key: e}) terms.
+    over its (coeff, qpow, {key: e}) terms; an empty list raises ValueError
+    when its sum is reached.
 
     The basis series share one window [0, N), so a term spans
-    [qpow, qpow + N); a term with no factors is the monomial coeff * q^qpow
-    on that window.  Each power of a base is built once per call and shared
-    by every term list, and each sum is accumulated term by term, so only
-    one term series is alive at a time.
+    [qpow, qpow + N) and every sum spans [min qpow, min qpow + N); a term
+    with no factors is the monomial coeff * q^qpow on that window.  Each
+    power of a base is built once per call and shared by every term list.
+
+    A sum is a sparse multivariate Horner scheme (_horner).  Terms with at
+    most one factor are a linear combination of cached powers and go
+    straight into the sum's packed accumulator (_PackedSum), with no
+    product.  The other terms are grouped by their exponent of one key,
+    the key with the fewest distinct exponents among them (ties broken by
+    the repr of the key); each group with a nonzero exponent e is summed
+    recursively in its own accumulator and multiplied once by key^e, and
+    the group with e = 0 recurses into the same accumulator.  Every group
+    product is added as soon as it is built, so each level of the
+    recursion (at most one per key) holds only its accumulator and the one
+    product it is building, besides the cached powers.
     """
+    ref = next(iter(basis.values()))
+    one = LaurentSeries.one(ref.ring, len(ref.coeffs))
     powers = {}
     for terms in term_lists:
-        yield _sum_aligned(_monomial(basis, powers, *t) for t in terms)
+        yield _horner_sum(basis, powers, one, terms, frozenset())
+
+
+def _horner_sum(basis, powers, one, terms, done):
+    acc = _PackedSum(one.ring)
+    _horner(basis, powers, one, terms, done, acc)
+    return acc.series()
+
+
+def _horner(basis, powers, one, terms, done, acc):
+    """Add into acc the sum of terms with the factors of the keys in done
+    left out.  Groups hold the callers' terms themselves, never copies."""
+    multi, keys = [], set()
+    for term in terms:
+        c, s, exps = term
+        left = [(k, e) for k, e in exps.items() if e and k not in done]
+        if len(left) > 1:
+            multi.append(term)
+            keys.update(k for k, _ in left)
+        elif left:
+            acc.add(c, s, _power(basis, powers, *left[0]))
+        else:
+            acc.add(c, s, one)
+    if not multi:
+        return
+    key = min(keys, key=lambda k: (
+        len({exps.get(k, 0) for _, _, exps in multi}), repr(k)))
+    groups = {}
+    for term in multi:
+        groups.setdefault(term[2].get(key, 0), []).append(term)
+    done = done | {key}
+    for e in sorted(groups):
+        if e == 0:
+            _horner(basis, powers, one, groups[e], done, acc)
+        else:
+            acc.add(1, 0, _power(basis, powers, key, e)
+                    * _horner_sum(basis, powers, one, groups[e], done))
 
 
 def _p_basis(ell, prec, ring):
@@ -439,7 +534,8 @@ def check_ecubed_dissect(ell=3, prec=300):
              _folded(ell, (k,))) for k in range(1, ell)]
     short = {5: ((2, 1, {1: 1}), (1, 0, {2: 1})),
              7: ((5, 3, {1: 1}), (4, 1, {2: 1}), (1, 0, {3: 1}))}
-    sums = _monomial_sums(_p_basis(ell, prec, ring), ksum, short.get(ell, ()))
+    sums = _monomial_sums(_p_basis(ell, prec, ring), ksum,
+                          *([short[ell]] if ell in short else []))
     rhs = EL2 * next(sums)
     subs = [_cmp(f"ecubed:l={ell}", lhs, rhs, prec)]
     if ell in short:

@@ -137,6 +137,15 @@ def test_series_def_matches_counters_at_every_small_prec(cold_def_cache):
         assert [pair.v.coeff(n) for n in range(prec)] == [v_count(n) for n in range(prec)]
 
 
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("prec", [0, -3])
+def test_series_def_rejects_nonpositive_prec(cold_def_cache, warm, prec):
+    if warm:
+        uv_series_def(10)
+    with pytest.raises(ValueError, match="prec must be positive"):
+        uv_series_def(prec)
+
+
 @pytest.mark.parametrize("prec", [300, 1001])
 def test_series_def_matches_fixed_width_recurrence(cold_def_cache, prec):
     pair = uv_series_def(prec)

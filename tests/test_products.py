@@ -12,7 +12,13 @@ from qcong.products import (
     pochhammer_inf,
 )
 from qcong.series import LaurentSeries, Zmod, ZZ
-from qcong.verify import _folded, _monomial_sums, _p_basis
+from qcong.verify import (
+    _folded,
+    _monomial_sums,
+    _p_basis,
+    _sum_aligned,
+    load_table,
+)
 
 
 # oracles -------------------------------------------------------------------
@@ -51,6 +57,25 @@ def partition_counts(prec, parts=None):
         for w in range(part, prec):
             dp[w] += dp[w - part]
     return dp
+
+
+def per_term_sums(basis, *term_lists):
+    """Each term built on its own (a product per extra factor, then scale
+    and shift) and the terms added one by one; the reference the Horner
+    evaluator must match in window and coefficients."""
+    ref = next(iter(basis.values()))
+    for terms in term_lists:
+        built = []
+        for coeff, qpow, exps in terms:
+            out = None
+            for key, e in exps.items():
+                if e:
+                    f = basis[key] ** e if e > 0 else basis[key].invert() ** -e
+                    out = f if out is None else out * f
+            if out is None:
+                out = LaurentSeries.one(ref.ring, len(ref.coeffs))
+            built.append(out.scale(coeff).shift(qpow))
+        yield _sum_aligned(built)
 
 
 # infinite products ----------------------------------------------------------
@@ -226,6 +251,85 @@ def test_monomial_sums_several_lists_match_separate_calls():
     assert together == apart
     assert [(s.low, s.prec) for s in together] == \
         [(s.low, s.prec) for s in apart]
+
+
+@pytest.mark.parametrize("modulus", [None, 5, 7, 13])
+def test_monomial_sums_match_per_term_path(modulus):
+    ring = ZZ if modulus is None else Zmod(modulus)
+    prec = 48
+    basis = {**_p_basis(11, prec, ring), "E": euler_E(2, prec, ring),
+             "X": jacobi_theta(1, 4, prec, ring)}
+    keys = list(basis)
+    rng = random.Random(1000 + (modulus or 0))
+
+    def coeff():
+        if modulus is None and rng.random() < 0.2:
+            return rng.randrange(-2 ** 70, 2 ** 70)
+        return rng.randrange(-30, 31)
+
+    lists = []
+    for _ in range(24):
+        spread = rng.choice((3, 20, 2 * prec))
+        terms = []
+        for _ in range(rng.randrange(1, 16)):
+            if terms and rng.random() < 0.25:
+                exps = dict(rng.choice(terms)[2])  # a repeated exponent vector
+            else:
+                exps = {k: rng.randrange(-2, 4)
+                        for k in rng.sample(keys, rng.randrange(0, 7))}
+            terms.append((coeff(), rng.randrange(-spread, spread + 1), exps))
+        lists.append(terms)
+    for got, want in zip(_monomial_sums(basis, *lists),
+                         per_term_sums(basis, *lists), strict=True):
+        assert (got.low, got.prec) == (want.low, want.prec)
+        assert got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("modulus, value", [
+    (None, 127), (None, -127), (None, 128), (None, -32767), (None, 32768),
+    (128, 127), (129, 128)])
+def test_monomial_sums_slot_width_at_its_edges(modulus, value):
+    # two terms whose coefficients add up to value in every slot, with
+    # the slot bound exactly |value|: 127 is the largest that one signed
+    # byte holds, 128 needs two
+    ring = ZZ if modulus is None else Zmod(modulus)
+    half = value // 2
+
+    def const(c):
+        return LaurentSeries(ring, 0, [c] * 30)
+
+    basis = {"F": const(half), "G": const(value - half)}
+    terms = [(1, 0, {"F": 1}), (1, 0, {"G": 1})]
+    [got] = _monomial_sums(basis, terms)
+    assert got.coeffs == const(value).coeffs
+    assert got == next(per_term_sums(basis, terms))
+
+
+def test_monomial_sums_reject_an_empty_term_list():
+    sums = _monomial_sums(_p_basis(5, 20, ZZ), [(1, 0, {1: 1})], [])
+    assert next(sums) == cap_P(1, 5, 20)
+    with pytest.raises(ValueError, match="at least one term"):
+        next(sums)
+
+
+@pytest.mark.parametrize("name", ["A13", "B13"])
+def test_monomial_sums_share_products_on_the_13_tables(monkeypatch, name):
+    # the per-term path makes 861 (A13) and 828 (B13) products here
+    rows = [(r.coeff, r.qpow + r.component, dict(enumerate(r.p_exps, 1)))
+            for r in load_table(name).rows]
+    basis = _p_basis(13, 338, Zmod(13))
+    calls = []
+    mul = LaurentSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    [got] = _monomial_sums(basis, rows)
+    assert len(calls) <= 400
+    monkeypatch.undo()
+    assert got == next(per_term_sums(basis, rows))
 
 
 def test_monomial_sums_leave_no_reference_cycle():

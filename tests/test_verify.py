@@ -1,6 +1,7 @@
 import pytest
 
 from qcong import verify
+from qcong.report import Report, merge_reports
 from qcong.verify import (
     REGISTRY,
     SUITE,
@@ -186,6 +187,23 @@ def test_lemma_family_counts_exclusions():
     # b=0 loses m=2, b=2 loses m=1, b=1 keeps both
     assert r.params["excluded"] == [[3, 0, 2], [3, 2, 1]]
     assert r.params["subchecks"] == 4
+
+
+def test_merge_of_no_subchecks_is_skipped():
+    rep = merge_reports("empty", 10, [])
+    assert (rep.status, rep.notes) == ("skipped", "no subchecks ran")
+    assert rep.params["subchecks"] == 0
+    ok = Report("one", "pass", 10)
+    assert merge_reports("one", 10, [ok]).status == "pass"
+
+
+def test_family_with_no_subchecks_is_skipped():
+    rep = check_lemma_family(ells=(), prec=80)
+    assert (rep.status, rep.notes) == ("skipped", "no subchecks ran")
+    # each modulus's inner family is empty, and the outer report says which
+    rep = check_pole_split(ells=(3, 5), prec=60, n_range=0)
+    assert rep.status == "skipped"
+    assert rep.notes == "pole_split[3]; pole_split[5]"
 
 
 def test_lemma_family_second_small():
