@@ -50,7 +50,7 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 
 def max_abs(coeffs):
-    return max((abs(c) for c in coeffs), default=0)
+    return max(max(coeffs, default=0), -min(coeffs, default=0))
 
 
 def _lanes(coeffs):

@@ -188,22 +188,6 @@ def uv_series_lambert(prec):
     return UVPair(u, v)
 
 
-def f_series_smallest_part(prec):
-    """F(q) = 1 + sum_{n>=1} q^n / (q^n;q)_inf.
-
-    Classifying partitions by smallest part shows F also generates all
-    partitions, i.e. F = 1/E(1); the identity is a test target, not an
-    assumption here.
-    """
-    bits = partition_bound_bits(prec) + 16
-    core = PackedSeries(prec, bits, 1)
-    total = PackedSeries(prec, bits, 1)
-    for n in range(prec - 1, 0, -1):
-        core.div_one_minus(n)
-        total.add_shifted(core, n)
-    return LaurentSeries(ZZ, 0, total.to_coeffs())
-
-
 def sequence_lines(name, values, origin):
     """Export format: '# <name> <n_max> <origin>', then one value per line."""
     head = f"# {name} {len(values) - 1} {origin}"

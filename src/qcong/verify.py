@@ -12,7 +12,10 @@ one evaluator _monomial_sums.  It factors shared powers out of the terms
 once instead of every term, and it adds the terms of a sum into one packed
 integer that is decoded once.  In the theorem 2 forms the P-sum carries
 the prefactor E(ell^2)^k / E(ell), with k = 2 for ell = 3, 5 and k = 4 for
-ell = 7, 13.
+ell = 7, 13.  The S_ell(b) representations (the lemma layer, _lemma_rhs) go
+through the same evaluator, one call per ell: each theta
+[q^{ell y}; q^{ell^2}] there is sign * q^shift * P(a), by the theta
+normalization followed by the fold P(a) = P(ell - a) (_pjac).
 """
 
 import os
@@ -25,7 +28,8 @@ from time import perf_counter
 from . import _kernel
 from .lambert import s_series, t_series
 from .partitions import u_count, uv_series_def, uv_series_lambert, v_count
-from .products import cap_P, euler_E, jacobi_theta, pochhammer_finite
+from .products import (_theta_normalize, cap_P, euler_E, jacobi_theta,
+                       pochhammer_finite)
 from .report import Report, merge_reports, series_compare_report
 from .series import ZZ, EpsPoly, LaurentSeries, Zmod
 
@@ -279,6 +283,15 @@ def _folded(ell, factors):
     return Counter(min(a, ell - a) for a in factors)
 
 
+def _pjac(ell, x):
+    """[q^x; q^{ell^2}] for x a multiple of ell, as (sign, shift, a) with
+    the theta equal to sign * q^shift * P(a), 0 < a < ell/2: the theta
+    normalization, then the fold of _folded."""
+    sign, shift, r = _theta_normalize(x, ell * ell)
+    a = r // ell
+    return sign, shift, min(a, ell - a)
+
+
 def _cmp(check_id, lhs, rhs, prec, params=None, min_overlap=None):
     lhs, rhs = _aligned(lhs, rhs)
     return series_compare_report(check_id, lhs, rhs, prec, params, min_overlap)
@@ -422,98 +435,95 @@ def _valid_m(ell, b, m):
     return 1 <= m <= ell - 1 and (2 * m - 2 * b - 1) % ell != 0
 
 
-def _lemma_rhs(ell, b, m, prec, ring, second):
-    """Right side of the S_ell(b) representation (or its reflected twin).
+def _lemma_rhs(ell, specs, prec, ring):
+    """Yield, per (b, m, second) in specs, the right side of the S_ell(b)
+    representation, or of its reflected twin when second is true.
 
-    Half-integer weights are realized mod ell through the inverses of 2
-    and 4, which exist for every odd ell, prime or not.
+    Every theta [q^{ell y}; q^{ell^2}] here is sign * q^shift * P(a)
+    (_pjac), so each k-term over [q^{ell m}][q^{a0}] is one P-monomial and
+    the k-sum is a P-monomial sum times E(ell^2)^2; the T term carries
+    P(m)^-1 as a one-factor sum times E(1)^3 / E(ell^2).  All sums of one
+    ell come from one _monomial_sums call, so each power of a P(a) is
+    built once per ell.  Half-integer weights are realized mod ell through
+    the inverses of 2 and 4, which exist for every odd ell, prime or not.
     """
     L2 = ell * ell
     N = prec + 8 * L2 + 400  # absorbs every theta fold and q-prefactor
-    a0 = ell * (ell - 1) // 2 + ell * m - ell * b
-
-    def jac(a):
-        return jacobi_theta(a, L2, N, ring)
-
-    EL2 = euler_E(L2, N, ring)
     inv2 = pow(2, -1, ell)
     inv4 = pow(4, -1, ell)
-    terms = []
-    tc = (2 * (b + 1) if second else 2 * b) * (-1) ** ((b + 1) % 2 if second
-                                                       else b % 2)
-    if tc % ell:
-        e3 = euler_E(1, N, ring) ** 3
-        t0 = t_series(a0, ell * m, L2, N, low=-L2 - 80, ring=ring)
-        pref = (EL2 * jac(ell * m)).invert()
-        terms.append((t0 * e3 * pref).scale(tc)
-                     .shift(ell * m - b * (b + 1) // 2))
-    s0 = (-1) ** (((ell + 1) // 2 + b) % 2) * (-1 if second else 1)
-    pref2 = (EL2 ** 2) * (jac(ell * m) * jac(a0)).invert()
-    qp2 = (L2 - 1) // 8 - b * (b + 1) // 2 + ell * m
-    ks = []
-    for k in range(ell):
-        if (2 * k - 2 * b - 1) % ell == 0:
-            continue  # excluded index: the C theta in the denominator poles
-        if k == m or (a0 + ell * k) % L2 == 0:
-            continue  # a numerator theta vanishes, so the term is zero
-        if second:
-            w = ((b - k + inv2) * (b - k + inv2 + 1)) % ell
-        else:
-            w = ((k - b) * (k - b) - inv4) % ell
-        if w == 0:
-            continue
-        A = a0 + ell * k
-        B = ell * k - ell * m
-        C = ell * (ell - 1) // 2 - ell * b + ell * k
-        t = jac(A) * jac(B) * jac(C).invert()
-        ks.append(t.scale(s0 * (-1) ** (k % 2) * w)
-                  .shift(qp2 + k * (k - ell) // 2))
-    if ks:
-        terms.append(_sum_aligned(ks) * pref2)
-    if not terms:
-        return LaurentSeries.zeros(ring, -L2, prec)
-    return _sum_aligned(terms)
-
-
-def _lemma_check(ell, b, m, prec, second):
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError("ell must be odd and >= 3")
-    if not 0 <= b < ell:
-        raise ValueError(f"b must lie in 0..{ell - 1}")
-    if not _valid_m(ell, b, m):
-        raise ValueError(f"m={m} is excluded for ell={ell}, b={b}")
-    ring = Zmod(ell)
-    idx = ell - b - 1 if second else b
-    lhs = s_series(ell, idx, prec, low=-ell * ell - 60, ring=ring)
-    rhs = _lemma_rhs(ell, b, m, prec, ring, second)
-    name = "lemma_second" if second else "lemma_main"
-    return _cmp(f"{name}[l={ell},b={b},m={m}]", lhs, rhs, prec,
-                {"ell": ell, "b": b, "m": m})
-
-
-def check_lemma_main(ell=3, b=0, m=1, prec=150):
-    """S_ell(b) equals its single-T-plus-theta-sum representation."""
-    return _lemma_check(ell, b, m, prec, second=False)
-
-
-def check_lemma_second(ell=3, b=0, m=1, prec=150):
-    """S_ell(ell-b-1) equals the reflected representation."""
-    return _lemma_check(ell, b, m, prec, second=True)
+    plans, term_lists = [], []
+    for b, m, second in specs:
+        a0 = ell * (ell - 1) // 2 + ell * m - ell * b
+        am = min(m, ell - m)  # [q^{ell m}; q^{ell^2}] is P(m) itself
+        s_0, h0, a_0 = _pjac(ell, a0)
+        tc = (2 * (b + 1) if second else 2 * b) * (-1) ** (
+            (b + 1) % 2 if second else b % 2)
+        if tc % ell:
+            term_lists.append([(tc, ell * m - b * (b + 1) // 2, {am: -1})])
+        s0 = (-1) ** (((ell + 1) // 2 + b) % 2) * (-1 if second else 1) * s_0
+        qp2 = (L2 - 1) // 8 - b * (b + 1) // 2 + ell * m - h0
+        ks = []
+        for k in range(ell):
+            if (2 * k - 2 * b - 1) % ell == 0:
+                continue  # excluded index: the C theta in the denominator poles
+            if k == m or (a0 + ell * k) % L2 == 0:
+                continue  # a numerator theta vanishes, so the term is zero
+            if second:
+                w = ((b - k + inv2) * (b - k + inv2 + 1)) % ell
+            else:
+                w = ((k - b) * (k - b) - inv4) % ell
+            if w == 0:
+                continue
+            A = a0 + ell * k
+            B = ell * k - ell * m
+            C = ell * (ell - 1) // 2 - ell * b + ell * k
+            (sA, hA, aA), (sB, hB, aB), (sC, hC, aC) = (
+                _pjac(ell, A), _pjac(ell, B), _pjac(ell, C))
+            # additive, since two of the factors can fold onto one P(a)
+            exps = Counter((aA, aB))
+            exps.subtract((aC, am, a_0))
+            ks.append((s0 * (-1) ** (k % 2) * w * sA * sB * sC,
+                       qp2 + k * (k - ell) // 2 + hA + hB - hC, exps))
+        if ks:
+            term_lists.append(ks)
+        plans.append((b, m, a0, bool(tc % ell), bool(ks)))
+    EL2 = euler_E(L2, N, ring)
+    e3 = euler_E(1, N, ring) ** 3 * EL2.invert()
+    EL2sq = EL2 ** 2
+    sums = _monomial_sums(_p_basis(ell, N, ring), *term_lists)
+    for b, m, a0, has_t, has_k in plans:
+        terms = []
+        if has_t:
+            t0 = t_series(a0, ell * m, L2, N, low=-L2 - 80, ring=ring)
+            terms.append(t0 * e3 * next(sums))
+        if has_k:
+            terms.append(next(sums) * EL2sq)
+        yield (_sum_aligned(terms) if terms
+               else LaurentSeries.zeros(ring, -L2, prec))
 
 
 def check_lemma_family(second=False, ells=(3, 5, 7, 9, 13), prec=300,
                        m_values=(1, 2)):
     """Both representations over every odd ell in ells, every b, and every
     m in m_values that the side condition allows."""
+    if any(ell < 3 or ell % 2 == 0 for ell in ells):
+        raise ValueError("ell must be odd and >= 3")
+    name = "lemma_second" if second else "lemma_main"
     subs, excluded = [], []
     for ell in ells:
+        ring = Zmod(ell)
+        specs = []
         for b in range(ell):
             for m in m_values:
-                if not _valid_m(ell, b, m):
+                if _valid_m(ell, b, m):
+                    specs.append((b, m, second))
+                else:
                     excluded.append((ell, b, m))
-                    continue
-                subs.append(_lemma_check(ell, b, m, prec, second))
-    name = "lemma_second" if second else "lemma_main"
+        for (b, m, _), rhs in zip(specs, _lemma_rhs(ell, specs, prec, ring)):
+            idx = ell - b - 1 if second else b
+            lhs = s_series(ell, idx, prec, low=-ell * ell - 60, ring=ring)
+            subs.append(_cmp(f"{name}[l={ell},b={b},m={m}]", lhs, rhs, prec,
+                             {"ell": ell, "b": b, "m": m}))
     params = {"ells": list(ells), "prec": prec, "m_values": list(m_values),
               "excluded": [list(x) for x in excluded]}
     return merge_reports(name, prec, subs, params)
@@ -1010,26 +1020,19 @@ def check_cross_lemma(ells=(5, 7, 13), prec=200):
         ring = Zmod(ell)
         inv2 = pow(2, -1, ell)
         half = (ell - 1) // 2
-        cache = {}
-
-        def S(idx, ell=ell, ring=ring, half=half, cache=cache):
-            if idx not in cache:
-                if idx <= half:
-                    b, second = idx, False
-                else:
-                    b, second = ell - 1 - idx, True
-                m = 1 if _valid_m(ell, b, 1) else 2
-                cache[idx] = _lemma_rhs(ell, b, m, prec, ring, second)
-            return cache[idx]
-
-        uterms = [S(0), S(half).scale(inv2)]
+        specs = []
+        for idx in range(ell):
+            b, second = (idx, False) if idx <= half else (ell - 1 - idx, True)
+            specs.append((b, 1 if _valid_m(ell, b, 1) else 2, second))
+        S = list(_lemma_rhs(ell, specs, prec, ring))
+        uterms = [S[0], S[half].scale(inv2)]
         for b in range(1, (ell - 3) // 2 + 1):
-            uterms.append(S(b).scale(b + 1))
-            uterms.append(S(ell - 1 - b).scale(-b))
-        vterms = [S(half).scale(-inv2), S(ell - 1).scale(-1)]
+            uterms.append(S[b].scale(b + 1))
+            uterms.append(S[ell - 1 - b].scale(-b))
+        vterms = [S[half].scale(-inv2), S[ell - 1].scale(-1)]
         for b in range((ell - 5) // 2 + 1):
-            vterms.append(S(b + 1).scale(b + 1))
-            vterms.append(S(ell - 2 - b).scale(-(b + 2)))
+            vterms.append(S[b + 1].scale(b + 1))
+            vterms.append(S[ell - 2 - b].scale(-(b + 2)))
         NE = prec + 8 * ell * ell + 400
         inv_e3 = (euler_E(1, NE, ring) ** 3).invert()
         for kind, terms in (("U", uterms), ("V", vterms)):

@@ -162,6 +162,20 @@ def test_empty_vectors():
     assert _kernel._unpack_unsigned(0, 0, 3) == []
 
 
+@pytest.mark.parametrize("coeffs,want", [
+    ((), 0),
+    ((-3, -7, -1), 7),
+    ((5, -9, 2), 9),
+    ((9, -5, 0), 9),
+    ((0, 0), 0),
+    ((1 << 70, -(1 << 70) + 1, 3), 1 << 70),
+    ((-(1 << 90), 1 << 89), 1 << 90),
+])
+def test_max_abs(coeffs, want):
+    assert _kernel.max_abs(coeffs) == want
+    assert _kernel.max_abs(list(coeffs)) == want
+
+
 # newton_invert ---------------------------------------------------------------
 
 @pytest.mark.parametrize("length", [1, 2, 3, 257])

@@ -5,7 +5,6 @@ import pytest
 from qcong import partitions
 from qcong._kernel import PackedSeries, partition_bound_bits
 from qcong.partitions import (
-    f_series_smallest_part,
     p_count,
     sequence_lines,
     u_count,
@@ -13,7 +12,6 @@ from qcong.partitions import (
     uv_series_lambert,
     v_count,
 )
-from qcong.products import euler_E
 
 
 # exhaustive enumeration oracle: build the actual part lists and count
@@ -262,12 +260,6 @@ def test_ramanujan_congruences_hold_for_p():
         assert p_count(5 * n + 4) % 5 == 0
         assert p_count(7 * n + 5) % 7 == 0
         assert p_count(11 * n + 6) % 11 == 0
-
-
-def test_smallest_part_series_is_partition_gf():
-    f = f_series_smallest_part(500)
-    assert f == euler_E(1, 500).invert()
-    assert f.coeff(5) == 7
 
 
 def test_sequence_lines_format():

@@ -1,7 +1,10 @@
 import pytest
 
 from qcong import verify
+from qcong.lambert import t_series
+from qcong.products import euler_E, jacobi_theta
 from qcong.report import Report, merge_reports
+from qcong.series import LaurentSeries, Zmod
 from qcong.verify import (
     REGISTRY,
     SUITE,
@@ -16,8 +19,6 @@ from qcong.verify import (
     check_eta_dissections,
     check_finite_jtp,
     check_lemma_family,
-    check_lemma_main,
-    check_lemma_second,
     check_pole_split,
     check_product_rules,
     check_t_functional_eq,
@@ -120,7 +121,6 @@ _ALL_DISPLAY_TRIPLES = sorted({abc for rows in verify._LAMBERT.values()
 
 @pytest.mark.parametrize("a,b,c", _ALL_DISPLAY_TRIPLES)
 def test_t_series_matches_direct_encoding(a, b, c):
-    from qcong.lambert import t_series
     lo, hi = -30, 80
     want = direct_T(a, b, c, lo, hi)
     got = t_series(a, b, c, hi, low=lo)
@@ -169,16 +169,97 @@ def test_theorem2_rejects_bad_args():
 
 
 def test_lemma_single_instances():
-    assert check_lemma_main(ell=5, b=2, m=1, prec=80).status == "pass"
-    assert check_lemma_second(ell=5, b=2, m=1, prec=80).status == "pass"
+    for second in (False, True):
+        rep = check_lemma_family(second=second, ells=(5,), prec=80)
+        assert rep.status == "pass"
 
 
 def test_lemma_rejects_excluded_m():
-    # 2m = 2b+1 mod ell makes the representation degenerate
+    # 2m = 2b+1 mod ell makes the representation degenerate: listed, not
+    # compared
+    rep = check_lemma_family(ells=(5,), prec=80, m_values=(3,))
+    assert rep.params["excluded"] == [[5, 0, 3]]
+    assert rep.params["subchecks"] == 4
     with pytest.raises(ValueError):
-        check_lemma_main(ell=5, b=0, m=3, prec=80)
-    with pytest.raises(ValueError):
-        check_lemma_main(ell=4, b=0, m=1, prec=80)
+        check_lemma_family(ells=(4,), prec=80)
+
+
+def _lemma_rhs_reference(ell, b, m, prec, ring, second):
+    """The S_ell(b) right side built term by term from jacobi_theta, with
+    each k-term jac(A) jac(B) / jac(C) and both prefactors inverted on
+    their own."""
+    L2 = ell * ell
+    N = prec + 8 * L2 + 400
+    a0 = ell * (ell - 1) // 2 + ell * m - ell * b
+
+    def jac(a):
+        return jacobi_theta(a, L2, N, ring)
+
+    EL2 = euler_E(L2, N, ring)
+    inv2, inv4 = pow(2, -1, ell), pow(4, -1, ell)
+    terms = []
+    tc = (2 * (b + 1) if second else 2 * b) * (-1) ** ((b + 1) % 2 if second
+                                                       else b % 2)
+    if tc % ell:
+        t0 = t_series(a0, ell * m, L2, N, low=-L2 - 80, ring=ring)
+        pref = (EL2 * jac(ell * m)).invert()
+        terms.append((t0 * euler_E(1, N, ring) ** 3 * pref).scale(tc)
+                     .shift(ell * m - b * (b + 1) // 2))
+    s0 = (-1) ** (((ell + 1) // 2 + b) % 2) * (-1 if second else 1)
+    qp2 = (L2 - 1) // 8 - b * (b + 1) // 2 + ell * m
+    ks = []
+    for k in range(ell):
+        if ((2 * k - 2 * b - 1) % ell == 0 or k == m
+                or (a0 + ell * k) % L2 == 0):
+            continue
+        if second:
+            w = ((b - k + inv2) * (b - k + inv2 + 1)) % ell
+        else:
+            w = ((k - b) * (k - b) - inv4) % ell
+        if w:
+            C = ell * (ell - 1) // 2 - ell * b + ell * k
+            t = jac(a0 + ell * k) * jac(ell * k - ell * m) * jac(C).invert()
+            ks.append(t.scale(s0 * (-1) ** (k % 2) * w)
+                      .shift(qp2 + k * (k - ell) // 2))
+    if ks:
+        pref2 = (EL2 ** 2) * (jac(ell * m) * jac(a0)).invert()
+        terms.append(verify._sum_aligned(ks) * pref2)
+    if not terms:
+        return LaurentSeries.zeros(ring, -L2, prec)
+    return verify._sum_aligned(terms)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_lemma_rhs_matches_per_term_theta_reference(ell):
+    # ell = 3, b = 0, m = 1 (first form) folds A and B onto the same P(1);
+    # a numerator map built as the dict literal {aA: 1, aB: 1} keeps one
+    # of the two and fails there first
+    ring = Zmod(ell)
+    specs = [(b, m, second) for second in (False, True) for b in range(ell)
+             for m in range(1, ell) if verify._valid_m(ell, b, m)]
+    assert len(specs) == 2 * (ell - 1) ** 2
+    for (b, m, second), got in zip(
+            specs, verify._lemma_rhs(ell, specs, 80, ring), strict=True):
+        want = _lemma_rhs_reference(ell, b, m, 80, ring, second)
+        assert (got.low, got.prec, got.coeffs) == (
+            want.low, want.prec, want.coeffs), (b, m, second)
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_lemma_family_inverts_once_per_block(monkeypatch, second):
+    # one _monomial_sums call per ell: each P(a)^-1 for 0 < a < ell/2 and
+    # E(ell^2)^-1 once, whatever the number of (b, m)
+    calls = []
+    real = LaurentSeries.invert
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(LaurentSeries, "invert", counted)
+    rep = check_lemma_family(second=second, ells=(13,), prec=100)
+    assert rep.status == "pass"
+    assert len(calls) <= (13 - 1) // 2 + 1
 
 
 def test_lemma_family_counts_exclusions():
