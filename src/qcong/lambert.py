@@ -3,7 +3,9 @@
 All three builders share the same discipline: a term index bound chosen
 so every term whose leading exponent lands below prec is included, and a
 window floor that extends itself below the requested low rather than
-discard a contribution.  The widen parameter adds extra term indices on
+discard a contribution.  So low=0 is exact: the window then starts at
+min(0, least term exponent), a support bound, and no padding below it is
+needed.  The widen parameter adds extra term indices on
 top of the bound; results must not change under widening, and the tests
 hold each builder to that.
 """

@@ -46,15 +46,18 @@ class Report:
 def series_compare_report(check_id, lhs, rhs, prec, params=None, min_overlap=None):
     """Compare two series on their window overlap and grade the result.
 
-    A comparison that covers less than min_overlap coefficients (default
-    ceil(prec/2)) is reported as skipped rather than silently passing on
-    a sliver.
+    A comparison whose overlap ends below prec, or covers less than
+    min_overlap coefficients (default ceil(prec/2)), is reported as skipped
+    rather than silently passing on a window short of what was asked for.
     """
     if min_overlap is None:
         min_overlap = math.ceil(prec / 2)
     params = dict(params or {})
     lo = max(lhs.low, rhs.low)
     hi = min(lhs.prec, rhs.prec)
+    if hi < prec:
+        return Report(check_id, "skipped", prec, params, None, None,
+                      f"overlap [{lo},{hi}) ends below prec {prec}")
     if hi - lo < min_overlap:
         return Report(check_id, "skipped", prec, params, None, None,
                       f"overlap [{lo},{hi}) shorter than required {min_overlap}")

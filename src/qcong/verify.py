@@ -16,6 +16,15 @@ ell = 7, 13.  The S_ell(b) representations (the lemma layer, _lemma_rhs) go
 through the same evaluator, one call per ell: each theta
 [q^{ell y}; q^{ell^2}] there is sign * q^shift * P(a), by the theta
 normalization followed by the fold P(a) = P(ell - a) (_pjac).
+
+Windows come from the real q-shifts, not from fixed padding.  Each term
+starts at a support bound: a P-monomial at its qpow, a Lambert sum at its
+prefactor shift plus the low that t_series or s_series returns when asked
+for low=0 (their floor drops to the least term exponent).  The term lists
+do not depend on the working length, so they are built first, and the
+length shared by one check's products is prec minus the lowest start; every
+side then reaches prec.  A comparison whose window ends below prec reports
+skipped, never pass (series_compare_report).
 """
 
 import os
@@ -448,18 +457,21 @@ def _lemma_rhs(ell, specs, prec, ring):
     the inverses of 2 and 4, which exist for every odd ell, prime or not.
     """
     L2 = ell * ell
-    N = prec + 8 * L2 + 400  # absorbs every theta fold and q-prefactor
     inv2 = pow(2, -1, ell)
     inv4 = pow(4, -1, ell)
-    plans, term_lists = [], []
+    plans, term_lists, starts = [], [], []
     for b, m, second in specs:
         a0 = ell * (ell - 1) // 2 + ell * m - ell * b
         am = min(m, ell - m)  # [q^{ell m}; q^{ell^2}] is P(m) itself
         s_0, h0, a_0 = _pjac(ell, a0)
         tc = (2 * (b + 1) if second else 2 * b) * (-1) ** (
             (b + 1) % 2 if second else b % 2)
+        t0 = None
         if tc % ell:
-            term_lists.append([(tc, ell * m - b * (b + 1) // 2, {am: -1})])
+            tq = ell * m - b * (b + 1) // 2
+            t0 = t_series(a0, ell * m, L2, prec - tq, ring=ring)
+            term_lists.append([(tc, tq, {am: -1})])
+            starts.append(tq + t0.low)
         s0 = (-1) ** (((ell + 1) // 2 + b) % 2) * (-1 if second else 1) * s_0
         qp2 = (L2 - 1) // 8 - b * (b + 1) // 2 + ell * m - h0
         ks = []
@@ -486,15 +498,16 @@ def _lemma_rhs(ell, specs, prec, ring):
                        qp2 + k * (k - ell) // 2 + hA + hB - hC, exps))
         if ks:
             term_lists.append(ks)
-        plans.append((b, m, a0, bool(tc % ell), bool(ks)))
+            starts.extend(qpow for _, qpow, _ in ks)
+        plans.append((t0, bool(ks)))
+    N = prec - min(starts, default=0)
     EL2 = euler_E(L2, N, ring)
     e3 = euler_E(1, N, ring) ** 3 * EL2.invert()
     EL2sq = EL2 ** 2
     sums = _monomial_sums(_p_basis(ell, N, ring), *term_lists)
-    for b, m, a0, has_t, has_k in plans:
+    for t0, has_k in plans:
         terms = []
-        if has_t:
-            t0 = t_series(a0, ell * m, L2, N, low=-L2 - 80, ring=ring)
+        if t0 is not None:
             terms.append(t0 * e3 * next(sums))
         if has_k:
             terms.append(next(sums) * EL2sq)
@@ -521,7 +534,7 @@ def check_lemma_family(second=False, ells=(3, 5, 7, 9, 13), prec=300,
                     excluded.append((ell, b, m))
         for (b, m, _), rhs in zip(specs, _lemma_rhs(ell, specs, prec, ring)):
             idx = ell - b - 1 if second else b
-            lhs = s_series(ell, idx, prec, low=-ell * ell - 60, ring=ring)
+            lhs = s_series(ell, idx, prec, ring=ring)
             subs.append(_cmp(f"{name}[l={ell},b={b},m={m}]", lhs, rhs, prec,
                              {"ell": ell, "b": b, "m": m}))
     params = {"ells": list(ells), "prec": prec, "m_values": list(m_values),
@@ -743,8 +756,6 @@ def check_product_rules(prec=5000):
 # ---------------------------------------------------------------------------
 # theorem 2: the dissected forms of U and V mod 3, 5, 7, 13
 
-_T2_LOW = -200
-
 _LAMBERT = {
     "U3": ((2, 2, (3, 3, 9)),),
     "V3": ((2, 3, (6, 3, 9)), (1, 2, (3, 3, 9))),
@@ -820,14 +831,8 @@ CASES = ("U3", "V3", "U5", "V5", "U7", "V7", "U13", "V13")
 def _theorem2_rhs(case, prec):
     kind, ell = case[0], int(case[1:])
     ring = Zmod(ell)
-    iprec = prec + 24
-    unit_prec = iprec - _T2_LOW + 26
-    inv_den = (euler_E(ell * ell, unit_prec, ring)
-               * jacobi_theta(ell, ell * ell, unit_prec, ring)).invert()
-    terms = []
-    for coeff, qpow, (a, b, c) in _LAMBERT[case]:
-        t = t_series(a, b, c, iprec - qpow, low=_T2_LOW - qpow, ring=ring)
-        terms.append((t * inv_den).shift(qpow).scale(coeff))
+    lamberts = [(coeff, qpow, t_series(a, b, c, prec - qpow, ring=ring))
+                for coeff, qpow, (a, b, c) in _LAMBERT[case]]
     if ell == 13:
         # component i of the table carries the outer factor q^i
         table = load_table("A13" if kind == "U" else "B13")
@@ -835,11 +840,17 @@ def _theorem2_rhs(case, prec):
                    dict(enumerate(r.p_exps, start=1))) for r in table.rows]
     else:
         pterms = _PRODUCTS[case]
+    N = prec - min([qpow + t.low for _, qpow, t in lamberts]
+                   + [qpow for _, qpow, _ in pterms])
+    inv_den = (euler_E(ell * ell, N, ring)
+               * jacobi_theta(ell, ell * ell, N, ring)).invert()
+    terms = [(t * inv_den).shift(qpow).scale(coeff)
+             for coeff, qpow, t in lamberts]
     if pterms:
-        [psum] = _monomial_sums(_p_basis(ell, unit_prec, ring), pterms)
+        [psum] = _monomial_sums(_p_basis(ell, N, ring), pterms)
         epow = 4 if ell in (7, 13) else 2
-        terms.append(psum * (euler_E(ell * ell, unit_prec, ring) ** epow
-                             * euler_E(ell, unit_prec, ring).invert()))
+        terms.append(psum * (euler_E(ell * ell, N, ring) ** epow
+                             * euler_E(ell, N, ring).invert()))
     return _sum_aligned(terms)
 
 
@@ -914,9 +925,8 @@ def check_t_functional_eq(prec=200):
         for a in (1, 2, ell, ell + 1, 2 * ell):
             for b in (ell, 2 * ell):
                 sh = c - a - b
-                lhs = t_series(a, b, c, prec, low=-200, ring=ZZ)
-                rhs = t_series(c - a, c - b, c, prec + max(0, -sh),
-                               low=-200 - sh, ring=ZZ).shift(sh)
+                lhs = t_series(a, b, c, prec, ring=ZZ)
+                rhs = t_series(c - a, c - b, c, prec - sh, ring=ZZ).shift(sh)
                 subs.append(_cmp(f"tfe:a={a},b={b},c={c}", lhs, rhs, prec))
     return merge_reports("t_functional_eq", prec, subs, {"prec": prec})
 
@@ -926,24 +936,36 @@ def check_chan_identity(prec=200):
     over the bases 9, 25, 49, 169, exact."""
     subs, skipped = [], []
     for M in (9, 25, 49, 169):
-        N = prec + 4 * M + 120
-        EM2 = euler_E(M, N, ZZ) ** 2
+
+        def shift(x):
+            return _theta_normalize(x, M)[1]
+
+        points, starts = [], []
         for A, B1, B2 in ((1, 2, 3), (2, 3, 5), (M - 1, 1, 3),
                           (M + 2, 1, 5), (4, M - 1, 2)):
             if any(v % M == 0 for v in
                    (A, B1, B2, A - B1, A - B2, B1 - B2)):
                 skipped.append((A, B1, B2, M))
                 continue
+            # each T term is [A - Bi] / [Bj - Bi] T(Bi, A - Bj, M)
+            tterms = []
+            for Bi, Bj in ((B1, B2), (B2, B1)):
+                sh = shift(A - Bi) - shift(Bj - Bi)
+                t = t_series(Bi, A - Bj, M, prec - sh, ring=ZZ)
+                tterms.append((A - Bi, Bj - Bi, t))
+                starts.append(sh + t.low)
+            starts.append(shift(A) - shift(B1) - shift(B2))
+            points.append((A, B1, B2, tterms))
+        N = prec - min(starts)
+        EM2 = euler_E(M, N, ZZ) ** 2
 
-            def jac(x):
-                return jacobi_theta(x, M, N, ZZ)
+        def jac(x):
+            return jacobi_theta(x, M, N, ZZ)
 
+        for A, B1, B2, tterms in points:
             lhs = jac(A) * EM2 * (jac(B1) * jac(B2)).invert()
-            t1 = (jac(A - B1) * jac(B2 - B1).invert()
-                  * t_series(B1, A - B2, M, N, low=-260, ring=ZZ))
-            t2 = (jac(A - B2) * jac(B1 - B2).invert()
-                  * t_series(B2, A - B1, M, N, low=-260, ring=ZZ))
-            rhs = _sum_aligned([t1, t2])
+            rhs = _sum_aligned([jac(x) * jac(y).invert() * t
+                                for x, y, t in tterms])
             subs.append(_cmp(f"chan:A={A},B1={B1},B2={B2},M={M}",
                              lhs, rhs, prec))
     params = {"prec": prec, "skipped_params": [list(x) for x in skipped]}
@@ -1033,7 +1055,7 @@ def check_cross_lemma(ells=(5, 7, 13), prec=200):
         for b in range((ell - 5) // 2 + 1):
             vterms.append(S[b + 1].scale(b + 1))
             vterms.append(S[ell - 2 - b].scale(-(b + 2)))
-        NE = prec + 8 * ell * ell + 400
+        NE = prec - min(s.low for s in S)  # every S reaches prec
         inv_e3 = (euler_E(1, NE, ring) ** 3).invert()
         for kind, terms in (("U", uterms), ("V", vterms)):
             assembled = (_sum_aligned(terms) * inv_e3).scale(-inv2)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qcong import cli
+from qcong import cli, verify
 from qcong.verify import load_table
 
 
@@ -113,6 +113,21 @@ def test_deterministic_output_is_byte_stable(capsys):
     _, second, _ = run_cli(capsys, *args)
     assert first == second
     assert "wall_time" not in first
+
+
+def test_verify_exits_2_on_a_window_short_of_prec(capsys, monkeypatch):
+    real = verify.t_series
+
+    def short(a, b, c, prec, **kw):
+        return real(a, b, c, prec - 1, **kw)
+
+    monkeypatch.setattr(verify, "t_series", short)
+    code, out, _ = run_cli(capsys, "verify", "--check", "t_functional_eq",
+                           "--prec", "60")
+    assert code == 2
+    reports, rows = split_reports(out, 1)
+    assert reports[0]["status"] == "skipped"
+    assert rows == ["t_functional_eq,skipped,60,"]
 
 
 def test_explore_never_gates(capsys):

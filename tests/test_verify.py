@@ -3,8 +3,8 @@ import pytest
 from qcong import verify
 from qcong.lambert import t_series
 from qcong.products import euler_E, jacobi_theta
-from qcong.report import Report, merge_reports
-from qcong.series import LaurentSeries, Zmod
+from qcong.report import Report, merge_reports, series_compare_report
+from qcong.series import ZZ, LaurentSeries, Zmod
 from qcong.verify import (
     REGISTRY,
     SUITE,
@@ -233,7 +233,9 @@ def _lemma_rhs_reference(ell, b, m, prec, ring, second):
 def test_lemma_rhs_matches_per_term_theta_reference(ell):
     # ell = 3, b = 0, m = 1 (first form) folds A and B onto the same P(1);
     # a numerator map built as the dict literal {aA: 1, aB: 1} keeps one
-    # of the two and fails there first
+    # of the two and fails there first.  The reference keeps its wide
+    # fixed padding, so the derived window must sit inside it, reach prec,
+    # and leave out only coefficients the reference has as zero.
     ring = Zmod(ell)
     specs = [(b, m, second) for second in (False, True) for b in range(ell)
              for m in range(1, ell) if verify._valid_m(ell, b, m)]
@@ -241,8 +243,12 @@ def test_lemma_rhs_matches_per_term_theta_reference(ell):
     for (b, m, second), got in zip(
             specs, verify._lemma_rhs(ell, specs, 80, ring), strict=True):
         want = _lemma_rhs_reference(ell, b, m, 80, ring, second)
-        assert (got.low, got.prec, got.coeffs) == (
-            want.low, want.prec, want.coeffs), (b, m, second)
+        where = (b, m, second)
+        assert got.prec >= 80, where
+        assert want.low <= got.low and got.prec <= want.prec, where
+        assert not any(want.coeffs[:got.low - want.low]), where
+        assert got.coeffs == want.coeffs[got.low - want.low:
+                                         got.prec - want.low], where
 
 
 @pytest.mark.parametrize("second", [False, True])
@@ -262,12 +268,63 @@ def test_lemma_family_inverts_once_per_block(monkeypatch, second):
     assert len(calls) <= (13 - 1) // 2 + 1
 
 
+def _record_basis_lengths(monkeypatch):
+    lengths = []
+    real = verify._p_basis
+
+    def recording(ell, prec, ring):
+        lengths.append(prec)
+        return real(ell, prec, ring)
+
+    monkeypatch.setattr(verify, "_p_basis", recording)
+    return lengths
+
+
+@pytest.mark.parametrize("second,length", [(False, 165), (True, 153)])
+def test_lemma_window_from_q_shifts(monkeypatch, second, length):
+    # N = prec minus the lowest start among the T and k terms of one ell;
+    # the fixed padding prec + 8 ell^2 + 400 gave 1852 here
+    lengths = _record_basis_lengths(monkeypatch)
+    rep = check_lemma_family(second=second, ells=(13,), prec=100)
+    assert rep.status == "pass"
+    assert lengths == [length]
+
+
+def test_theorem2_window_from_q_shifts(monkeypatch):
+    # the lowest start is the q^-8 T(13,13,169) term, whose own support
+    # starts at q^0; the fixed padding gave 650 here
+    lengths = _record_basis_lengths(monkeypatch)
+    rhs = verify._theorem2_rhs("U13", 400)
+    assert lengths == [408]
+    assert (rhs.low, rhs.prec) == (-8, 400)
+
+
 def test_lemma_family_counts_exclusions():
     r = check_lemma_family(second=False, ells=(3,), prec=80)
     assert r.status == "pass"
     # b=0 loses m=2, b=2 loses m=1, b=1 keeps both
     assert r.params["excluded"] == [[3, 0, 2], [3, 2, 1]]
     assert r.params["subchecks"] == 4
+
+
+def _ones(low, prec):
+    return LaurentSeries(ZZ, low, [1] * (prec - low))
+
+
+@pytest.mark.parametrize("lhs,rhs,prec,status,window,notes", [
+    ((0, 99), (-3, 120), 100, "skipped", None,
+     "overlap [0,99) ends below prec 100"),
+    ((0, 100), (-3, 120), 100, "pass", (0, 100), ""),
+    # both supports start well above q^0; only the top of the window counts
+    ((40, 110), (35, 130), 100, "pass", (40, 110), ""),
+    # reaching prec is not enough: the overlap must cover ceil(101/2) = 51
+    ((50, 101), (0, 101), 101, "pass", (50, 101), ""),
+    ((51, 101), (0, 101), 101, "skipped", None,
+     "overlap [51,101) shorter than required 51"),
+])
+def test_compare_window_rules(lhs, rhs, prec, status, window, notes):
+    rep = series_compare_report("cmp", _ones(*lhs), _ones(*rhs), prec)
+    assert (rep.status, rep.window, rep.notes) == (status, window, notes)
 
 
 def test_merge_of_no_subchecks_is_skipped():
@@ -338,6 +395,22 @@ def test_chan_identity_small():
     assert r.status == "pass"
     assert r.params["skipped_params"] == []
     assert r.params["subchecks"] == 20
+
+
+def test_chan_identity_windows_reach_prec(monkeypatch):
+    # a fixed Lambert floor of q^-260 once ended the M = 9 and M = 25
+    # comparisons below prec while the check still passed
+    windows = []
+    real = verify.series_compare_report
+
+    def recording(check_id, lhs, rhs, prec, *args):
+        windows.append((max(lhs.low, rhs.low), min(lhs.prec, rhs.prec)))
+        return real(check_id, lhs, rhs, prec, *args)
+
+    monkeypatch.setattr(verify, "series_compare_report", recording)
+    assert check_chan_identity(prec=60).status == "pass"
+    assert len(windows) == 20
+    assert all(hi >= 60 for _, hi in windows), windows
 
 
 def test_pole_split_small():
