@@ -3,13 +3,13 @@ quadruple counting functions u(n) and v(n)."""
 
 from .partitions import (
     UVPair,
-    p_count,
     sequence_lines,
     u_count,
     uv_series_def,
     uv_series_lambert,
     v_count,
 )
+from .products import p_count
 from .report import CSV_FIELDS, Report, merge_reports, series_compare_report
 from .series import (
     EpsPoly,

@@ -196,13 +196,14 @@ def newton_invert(coeffs, lead_inverse, modulus=None):
 
 
 class PackedSeries:
-    """Mutable packed window [0, length) used by the bulk product builders.
+    """Mutable packed window [0, length) for the u/v recurrence
+    (partitions.uv_series_def).
 
     Only linear operations are provided; they are exact mod q**length for
     any slot width.  The width only matters at decode time (to_coeffs,
     widen) and must then dominate every true coefficient, plus the
     transient headroom that div_one_minus's doubling steps need (see
-    callers for bounds).
+    uv_series_def for the bound).
     """
 
     __slots__ = ("length", "nbytes", "slot_bits", "mask", "value")
@@ -218,10 +219,6 @@ class PackedSeries:
         """*= (1 - q^k); no-op for k >= length."""
         if 0 < k < self.length:
             self.value = (self.value - (self.value << (k * self.slot_bits))) & self.mask
-
-    def mul_one_plus(self, k):
-        if 0 < k < self.length:
-            self.value = (self.value + (self.value << (k * self.slot_bits))) & self.mask
 
     def div_one_minus(self, k):
         """*= 1/(1 - q^k) mod q^length, by the doubling product
@@ -249,14 +246,6 @@ class PackedSeries:
         coeffs = self.to_coeffs()
         self.__init__(self.length, slot_bits)
         self.value = pack(coeffs, self.nbytes) & self.mask
-
-
-def binomial_product(exponents, length, slot_bits):
-    """Coefficients of prod (1 - q^e) on [0, length) for positive e."""
-    ps = PackedSeries(length, slot_bits, 1)
-    for e in exponents:
-        ps.mul_one_minus(e)
-    return ps.to_coeffs()
 
 
 def partition_bound_bits(n):

@@ -15,9 +15,8 @@ import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .partitions import (p_count, sequence_lines, u_count, uv_series_def,
-                         v_count)
-from .products import euler_E
+from .partitions import sequence_lines, u_count, uv_series_def, v_count
+from .products import euler_E, p_count
 from .report import CSV_FIELDS
 from .series import ZZ
 from .verify import (REGISTRY, SUITE, TableError,

@@ -21,27 +21,6 @@ from .lambert import double_pole_sum
 from .products import euler_E
 from .series import LaurentSeries, ZZ
 
-_pent = [1]
-
-
-def p_count(n):
-    """Ordinary partition count, by the pentagonal recurrence."""
-    if n < 0:
-        return 0
-    while len(_pent) <= n:
-        m = len(_pent)
-        total = 0
-        k = 1
-        while k * (3 * k - 1) // 2 <= m:
-            sign = 1 if k % 2 else -1
-            total += sign * _pent[m - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= m:
-                total += sign * _pent[m - k * (3 * k + 1) // 2]
-            k += 1
-        _pent.append(total)
-    return _pent[n]
-
-
 def _restricted_counts(min_part, max_part, width):
     """Partitions of 0..width-1 with parts in [min_part, max_part]."""
     dp = [0] * width

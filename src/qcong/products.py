@@ -1,57 +1,84 @@
-"""q-Pochhammer and theta-style products.
+"""Euler products, theta blocks and finite q-Pochhammer products.
 
-Everything here expands infinite products into truncated series over a
-chosen ring.  Integer coefficient tables are cached per (a, step, prec)
-and reduced on construction when a modular ring is requested, so the
-expensive work is shared between rings.
+E(m) = (q^m; q^m)_inf comes from a pentagonal table, which the pentagonal
+number theorem keeps sparse.  A theta block comes from the Jacobi triple
+product over E(m):
+
+    (q^r;q^m)_inf (q^{m-r};q^m)_inf
+        = sum_n (-1)^n q^{m n(n-1)/2 + r n} * sum_k p(k) q^{m k},
+
+a sparse sum of +-1 terms times 1/E(m), whose coefficients are the
+partition numbers.  Both integer tables are cached per (m, prec) and
+(r, m, prec) and reduced on construction when a modular ring is requested,
+so the work is shared between rings.
 """
 
 from functools import lru_cache
 
-from ._kernel import binomial_product, convolve, partition_bound_bits
+from ._kernel import convolve
 from .series import LaurentSeries, ZZ
+
+_pent = [1]
+
+
+def p_count(n):
+    """Ordinary partition count, by the pentagonal recurrence."""
+    if n < 0:
+        return 0
+    while len(_pent) <= n:
+        m = len(_pent)
+        total = 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * _pent[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * _pent[m - k * (3 * k + 1) // 2]
+            k += 1
+        _pent.append(total)
+    return _pent[n]
 
 
 @lru_cache(maxsize=None)
-def _poch_inf_coeffs(a, step, prec):
-    """ZZ coefficients of prod_{j>=0} (1 - q^{a+j*step}) on [0, prec)."""
-    if a == step:
-        # Euler product: the pentagonal number theorem keeps this sparse.
-        cs = [0] * prec
-        k = 0
-        while step * (k * (3 * k - 1) // 2) < prec:
-            sign = -1 if k % 2 else 1
-            for e in {step * (k * (3 * k - 1) // 2), step * (k * (3 * k + 1) // 2)}:
-                if e < prec:
-                    cs[e] += sign
-            k += 1
-        return tuple(cs)
-    # Coefficients of partial products count distinct-part partitions, so
-    # the partition bound dominates every slot.
-    bits = partition_bound_bits(prec) + 8
-    return tuple(binomial_product(range(a, prec, step), prec, bits))
+def _poch_inf_coeffs(m, prec):
+    """ZZ coefficients of E(m) = prod_{j>=1} (1 - q^{j*m}) on [0, prec)."""
+    cs = [0] * prec
+    k = 0
+    while m * (k * (3 * k - 1) // 2) < prec:
+        sign = -1 if k % 2 else 1
+        for e in {m * (k * (3 * k - 1) // 2), m * (k * (3 * k + 1) // 2)}:
+            if e < prec:
+                cs[e] += sign
+        k += 1
+    return tuple(cs)
 
 
 @lru_cache(maxsize=None)
 def _jacobi_unit_coeffs(r, m, prec):
-    """ZZ coefficients of (q^r;q^m)_inf (q^{m-r};q^m)_inf, 0 < r < m."""
-    na = _poch_inf_coeffs(r, m, prec)
-    nb = _poch_inf_coeffs(m - r, m, prec)
-    return tuple(convolve(na, nb, prec))
+    """ZZ coefficients of (q^r;q^m)_inf (q^{m-r};q^m)_inf, 0 < r < m.
 
-
-def pochhammer_inf(a, m, prec, ring=ZZ):
-    """(q^a; q^m)_inf on [0, prec).  Needs a >= 1 so the product is a unit."""
-    if a < 1 or m < 1:
-        raise ValueError(f"pochhammer_inf needs a, m >= 1, got a={a}, m={m}")
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    return LaurentSeries(ring, 0, _poch_inf_coeffs(a, m, prec))
+    The triple product's terms n >= 0 and n = -k, k >= 1, have exponents
+    m n(n-1)/2 + r n and m k(k-1)/2 + (m-r) k: one rule with r and m - r.
+    """
+    jtp = [0] * prec
+    for a, n in ((r, 0), (m - r, 1)):
+        while (e := m * n * (n - 1) // 2 + a * n) < prec:
+            jtp[e] += -1 if n % 2 else 1
+            n += 1
+    top = (prec - 1) // m
+    p_count(top)  # fills _pent through p(top)
+    inv_euler = [0] * prec
+    inv_euler[::m] = _pent[:top + 1]
+    return tuple(convolve(jtp, inv_euler, prec))
 
 
 def euler_E(m, prec, ring=ZZ):
-    """E(m) = (q^m; q^m)_inf."""
-    return pochhammer_inf(m, m, prec, ring)
+    """E(m) = (q^m; q^m)_inf on [0, prec)."""
+    if m < 1:
+        raise ValueError(f"euler_E needs m >= 1, got m={m}")
+    if prec < 1:
+        raise ValueError("prec must be positive")
+    return LaurentSeries(ring, 0, _poch_inf_coeffs(m, prec))
 
 
 def pochhammer_finite(a, n, prec, ring=ZZ):

@@ -43,15 +43,14 @@ class Report:
                 "" if ff is None else str(ff))
 
 
-def series_compare_report(check_id, lhs, rhs, prec, params=None, min_overlap=None):
+def series_compare_report(check_id, lhs, rhs, prec, params=None):
     """Compare two series on their window overlap and grade the result.
 
     A comparison whose overlap ends below prec, or covers less than
-    min_overlap coefficients (default ceil(prec/2)), is reported as skipped
-    rather than silently passing on a window short of what was asked for.
+    ceil(prec/2) coefficients, is reported as skipped rather than silently
+    passing on a window short of what was asked for.
     """
-    if min_overlap is None:
-        min_overlap = math.ceil(prec / 2)
+    min_overlap = math.ceil(prec / 2)
     params = dict(params or {})
     lo = max(lhs.low, rhs.low)
     hi = min(lhs.prec, rhs.prec)

@@ -47,9 +47,6 @@ class Ring:
         if self.modulus is not None and self.modulus < 2:
             raise ValueError("modulus must be >= 2")
 
-    def normalize(self, c):
-        return c if self.modulus is None else c % self.modulus
-
     def is_unit(self, c):
         if self.modulus is None:
             return c in (1, -1)
@@ -141,9 +138,6 @@ class LaurentSeries:
             if c:
                 return self.low + i
         return None
-
-    def is_zero(self):
-        return not any(self.coeffs)
 
     def max_abs(self):
         return _kernel.max_abs(self.coeffs)
@@ -279,17 +273,6 @@ class LaurentSeries:
                     f"coefficient {c} of q^{self.low + i} not divisible by {k}")
             out.append(d)
         return LaurentSeries(self.ring, self.low, out)
-
-    def subst_pow(self, k):
-        """q -> q^k; window scales to [k*low, k*(prec-1)+1)."""
-        if k < 1:
-            raise ValueError("substitution power must be >= 1")
-        if k == 1:
-            return self
-        cs = [0] * (k * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            cs[k * i] = c
-        return LaurentSeries(self.ring, k * self.low, cs)
 
     def reduce_mod(self, m):
         if self.ring.modulus is not None:

@@ -301,9 +301,9 @@ def _pjac(ell, x):
     return sign, shift, min(a, ell - a)
 
 
-def _cmp(check_id, lhs, rhs, prec, params=None, min_overlap=None):
+def _cmp(check_id, lhs, rhs, prec, params=None):
     lhs, rhs = _aligned(lhs, rhs)
-    return series_compare_report(check_id, lhs, rhs, prec, params, min_overlap)
+    return series_compare_report(check_id, lhs, rhs, prec, params)
 
 
 def _zero_cmp(check_id, combo, prec, params=None):
@@ -352,6 +352,20 @@ def check_bailey_uv(n_max=12, prec=150):
     return rep
 
 
+def _jtp_sums(t, n):
+    """The symmetric and the paired right side of the finite triple product
+    at x = q^t, as (sign, shift, j) terms, each standing for
+    sign * q^shift / ((q;q)_{n-|j|} (q;q)_{n+|j|})."""
+    sym = [(-1 if j % 2 else 1, t * j + j * (j + 1) // 2, j)
+           for j in range(-n, n + 1)]
+    paired = [(1, 0, 0)]
+    for j in range(1, n + 1):
+        sign = -1 if j % 2 else 1
+        paired += [(sign, j * (j - 1) // 2 - t * j, j),
+                   (sign, j * (j - 1) // 2 + t * j + j, j)]
+    return sym, paired
+
+
 def check_finite_jtp(n_max=10, prec=200, t_values=(-3, -2, -1, 1, 2, 3)):
     """Finite triple product at x = q^t, both the symmetric bilateral sum
     and the paired form with head 1/(q;q)_n^2 and per-term bracket
@@ -360,11 +374,12 @@ def check_finite_jtp(n_max=10, prec=200, t_values=(-3, -2, -1, 1, 2, 3)):
     Combinations where a numerator factor degenerates to 1-q^0 are listed
     and not compared, except t = 1, which stays in as an exact zero = zero
     polynomial identity.
+
+    Every right-side term starts at its q-shift, and the left side at the
+    sum of its numerator's negative exponents (t != 0 leaves them all in
+    one factor), so the shared length is prec minus the lowest start.
     """
-    wprec = prec + 120
-    pinv = [pochhammer_finite(1, k, wprec).invert()
-            for k in range(2 * n_max + 1)]
-    subs, skipped = [], []
+    cases, skipped = [], []
     for t in t_values:
         if t == 0:
             skipped.append((t, "all n"))
@@ -372,24 +387,25 @@ def check_finite_jtp(n_max=10, prec=200, t_values=(-3, -2, -1, 1, 2, 3)):
         for n in range(n_max + 1):
             if (t < 0 and n >= -t) or (t > 1 and n >= t + 1):
                 skipped.append((t, n))
-                continue
-            lhs = (pochhammer_finite(1 + t, n, wprec)
-                   * pochhammer_finite(-t, n, wprec) * pinv[2 * n])
-            sym = _sum_aligned(
-                [(pinv[n - j] * pinv[n + j])
-                 .shift(t * j + j * (j + 1) // 2)
-                 .scale(1 if j % 2 == 0 else -1)
-                 for j in range(-n, n + 1)])
-            paired = [pinv[n] * pinv[n]]
-            for j in range(1, n + 1):
-                base = pinv[n - j] * pinv[n + j]
-                sgn = 1 if j % 2 == 0 else -1
-                paired.append(base.shift(j * (j - 1) // 2 - t * j).scale(sgn))
-                paired.append(
-                    base.shift(j * (j - 1) // 2 + t * j + j).scale(sgn))
-            subs.append(_cmp(f"jtp:sym,t={t},n={n}", lhs, sym, prec))
-            subs.append(_cmp(f"jtp:paired,t={t},n={n}", lhs,
-                             _sum_aligned(paired), prec))
+            else:
+                cases.append((t, n, *_jtp_sums(t, n)))
+    starts = [0]
+    for t, n, sym, paired in cases:
+        starts.append(sum(min(e, 0) for e in range(-t, n - t))
+                      + sum(min(e, 0) for e in range(1 + t, 1 + t + n)))
+        starts += [shift for _, shift, _ in sym + paired]
+    wprec = prec - min(starts)
+    pinv = [pochhammer_finite(1, k, wprec).invert()
+            for k in range(2 * n_max + 1)]
+    subs = []
+    for t, n, sym, paired in cases:
+        lhs = (pochhammer_finite(1 + t, n, wprec)
+               * pochhammer_finite(-t, n, wprec) * pinv[2 * n])
+        blocks = [pinv[n - j] * pinv[n + j] for j in range(n + 1)]
+        for form, terms in (("sym", sym), ("paired", paired)):
+            rhs = _sum_aligned([blocks[abs(j)].shift(shift).scale(sign)
+                                for sign, shift, j in terms])
+            subs.append(_cmp(f"jtp:{form},t={t},n={n}", lhs, rhs, prec))
     params = {"n_max": n_max, "prec": prec,
               "skipped_params": [list(x) for x in skipped]}
     rep = merge_reports("finite_jtp", prec, subs, params)
@@ -402,21 +418,26 @@ def check_finite_jtp(n_max=10, prec=200, t_values=(-3, -2, -1, 1, 2, 3)):
 def check_beta_second_derivatives(n_max=8, prec=120):
     """d^2/dx^2 of (xq, 1/x; q)_n / (q;q)_{2n} at x0 = 1 and x0 = 1/q,
     via order-2 epsilon arithmetic, against the closed forms
-    -2 (q;q)_{n-1}^2/(q;q)_{2n} and its q^{n+2} multiple."""
+    -2 (q;q)_{n-1}^2/(q;q)_{2n} and its q^{n+2} multiple.
+
+    The q-powers of the factors 1 - x q^{1+i} and 1 - q^i / x are shifts,
+    not products, so each factor keeps every part's true start, q^0 or
+    above; only x0 = 1/q itself starts at q^-1.  No product then starts
+    below q^0 or loses its top, and the length is prec itself.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    ring = ZZ
-    wprec = prec + 4 * n_max + 80
-    wlow = -2
-    one = LaurentSeries.from_terms(ring, {0: 1}, wlow, wprec)
+    one = LaurentSeries.one(ZZ, prec)
 
-    def qmono(j):
-        return LaurentSeries.from_terms(ring, {j: 1}, wlow, wprec)
+    def one_minus(x, k):
+        """1 - q^k x for an EpsPoly x whose parts start at q^-k or above."""
+        e0, e1, e2 = (e.shift(k).with_low(0) for e in (x.e0, x.e1, x.e2))
+        return EpsPoly(one - e0, -e1, -e2)
 
-    pinv2 = [pochhammer_finite(1, 2 * n, wprec).invert()
+    pinv2 = [pochhammer_finite(1, 2 * n, prec).invert()
              for n in range(n_max + 1)]
-    poch = [pochhammer_finite(1, n, wprec) for n in range(n_max)]
-    points = (("1", one, 0), ("1/q", qmono(-1), 1))
+    poch = [pochhammer_finite(1, n, prec) for n in range(n_max)]
+    points = (("1", one, 0), ("1/q", one.shift(-1), 1))
     subs = []
     for n in range(1, n_max + 1):
         base = (poch[n - 1] ** 2) * pinv2[n]
@@ -425,8 +446,8 @@ def check_beta_second_derivatives(n_max=8, prec=120):
             xinv = x.invert()
             acc = EpsPoly.constant(one)
             for i in range(n):
-                acc = acc * (EpsPoly.constant(one) - x * qmono(1 + i))
-                acc = acc * (EpsPoly.constant(one) - xinv * qmono(i))
+                acc = acc * one_minus(x, 1 + i)
+                acc = acc * one_minus(xinv, i)
             lhs = (acc * pinv2[n]).second_derivative()
             closed = base.scale(-2)
             if at_qinv:

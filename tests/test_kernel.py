@@ -233,8 +233,9 @@ def test_packed_series_mul_one_minus(nbytes):
 
 @pytest.mark.parametrize("nbytes", WIDTHS)
 def test_packed_series_mul_one_plus(nbytes):
-    # signs alternate between blocks of k terms, so c_i + c_{i-k} never
-    # adds two values of one sign
+    # *= (1 + q^k) as add_shifted of the series onto itself; signs
+    # alternate between blocks of k terms, so c_i + c_{i-k} never adds two
+    # values of one sign
     rng = random.Random(400 + nbytes)
     top = (1 << (8 * nbytes - 1)) - 1
     for k in SHIFTS:
@@ -242,7 +243,7 @@ def test_packed_series_mul_one_plus(nbytes):
              for i in range(LENGTH)]
         x[0], x[k] = top, 0
         ps = packed_series(x, nbytes)
-        ps.mul_one_plus(k)
+        ps.add_shifted(ps, k)
         want = shifted(x, k, 1)
         assert top in want
         assert ps.to_coeffs() == want
@@ -290,7 +291,7 @@ def test_packed_series_widen(nbytes):
         assert (ps.nbytes, ps.slot_bits) == (wider, 8 * wider)
         assert ps.value == slot_value(x, wider) & ps.mask
         assert ps.to_coeffs() == x
-        ps.mul_one_plus(1)   # twice the old bound fits the wider slot
+        ps.add_shifted(ps, 1)   # twice the old bound fits the wider slot
         assert ps.to_coeffs() == shifted(x, 1, 1)
     ps = packed_series(x, nbytes)
     ps.widen(8 * nbytes + 1)   # slot bits round up to whole bytes
@@ -305,17 +306,16 @@ def test_packed_series_no_op_branches(nbytes):
     x = [top, -top] + [rng.randint(-top, top) for _ in range(LENGTH - 2)]
     y = [rng.randint(-top, top) // 2 for _ in range(LENGTH)]
     for k in (LENGTH, LENGTH + 5, 10 * LENGTH):
-        for op in ("mul_one_minus", "mul_one_plus", "div_one_minus"):
+        for op in ("mul_one_minus", "div_one_minus"):
             ps = packed_series(x, nbytes)
             getattr(ps, op)(k)
             assert ps.to_coeffs() == x, (op, k)
         ps = packed_series(x, nbytes)
         ps.add_shifted(packed_series(y, nbytes), k)
         assert ps.to_coeffs() == x
-    for op in ("mul_one_minus", "mul_one_plus"):
-        ps = packed_series(x, nbytes)
-        getattr(ps, op)(0)
-        assert ps.to_coeffs() == x, op
+    ps = packed_series(x, nbytes)
+    ps.mul_one_minus(0)
+    assert ps.to_coeffs() == x
     ps = packed_series(x, nbytes)
     with pytest.raises(ValueError):
         ps.div_one_minus(0)

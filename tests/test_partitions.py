@@ -5,13 +5,13 @@ import pytest
 from qcong import partitions
 from qcong._kernel import PackedSeries, partition_bound_bits
 from qcong.partitions import (
-    p_count,
     sequence_lines,
     u_count,
     uv_series_def,
     uv_series_lambert,
     v_count,
 )
+from qcong.products import p_count
 
 
 # exhaustive enumeration oracle: build the actual part lists and count

@@ -9,7 +9,6 @@ from qcong.products import (
     euler_E,
     jacobi_theta,
     pochhammer_finite,
-    pochhammer_inf,
 )
 from qcong.series import LaurentSeries, Zmod, ZZ
 from qcong.verify import (
@@ -50,6 +49,16 @@ def triple_product_sum(a, m, low, prec):
     return LaurentSeries(ZZ, low, out)
 
 
+def product_expansion(r, m, prec):
+    """prod_{j>=0} (1 - q^{r+jm}) (1 - q^{m-r+jm}) on [0, prec), multiplied
+    out one factor at a time on a plain list."""
+    cs = [1] + [0] * (prec - 1)
+    for e in [*range(r, prec, m), *range(m - r, prec, m)]:
+        for i in range(prec - 1, e - 1, -1):
+            cs[i] -= cs[i - e]
+    return tuple(cs)
+
+
 def partition_counts(prec, parts=None):
     dp = [0] * prec
     dp[0] = 1
@@ -81,21 +90,17 @@ def per_term_sums(basis, *term_lists):
 # infinite products ----------------------------------------------------------
 
 def test_euler_head():
-    f = pochhammer_inf(1, 1, 6)
+    f = euler_E(1, 6)
     assert f.coeffs == (1, -1, -1, 0, 0, 1)
-
-
-def test_general_poch_matches_binomial_expansion():
-    # (q^2; q^3)_inf = (1-q^2)(1-q^5)(1-q^8): expand by hand to q^9
-    f = pochhammer_inf(2, 3, 10)
-    assert f.coeffs == (1, 0, -1, 0, 0, -1, 0, 1, -1, 0)
 
 
 def test_poch_requires_positive_offsets():
     with pytest.raises(ValueError):
-        pochhammer_inf(0, 5, 10)
+        euler_E(0, 10)
     with pytest.raises(ValueError):
-        pochhammer_inf(1, 0, 10)
+        euler_E(-3, 10)
+    with pytest.raises(ValueError):
+        euler_E(1, 0)
 
 
 def test_euler_E_is_dilated_euler():
@@ -129,15 +134,17 @@ def test_poch_finite_negative_offsets():
 
 def test_poch_finite_zero_factor_gives_zero_series():
     f = pochhammer_finite(-1, 2, 5)  # contains (1 - q^0)
-    assert f.is_zero()
+    assert not any(f.coeffs)
     assert f.low == -1
 
 
 def test_poch_finite_vs_infinite_ratio():
-    # (q^a;q)_n = (q^a;q)_inf / (q^{a+n};q)_inf
-    fin = pochhammer_finite(2, 4, 40)
-    ratio = pochhammer_inf(2, 1, 40) * pochhammer_inf(6, 1, 40).invert()
-    assert fin == ratio
+    # (q;q)_{a-1} (q^a;q)_n = E(1) / (q^{a+n};q)_inf, and the inverse
+    # product counts the partitions into parts >= a + n
+    for a, n in ((1, 0), (1, 4), (2, 4), (3, 17), (1, 38)):
+        head = pochhammer_finite(1, a - 1, 40)
+        tail = LaurentSeries(ZZ, 0, partition_counts(40, range(a + n, 40)))
+        assert head * pochhammer_finite(a, n, 40) == euler_E(1, 40) * tail
 
 
 # theta blocks ---------------------------------------------------------------
@@ -149,6 +156,21 @@ def test_theta_against_triple_product_sum():
         lhs = th * euler_E(m, 120)
         rhs = triple_product_sum(a, m, lhs.low, lhs.prec)
         assert lhs == rhs, (a, m)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 9, 13, 25])
+def test_theta_matches_product_expansion(m):
+    # m = 4, r = 2: the triple-product terms n and -n fall on one exponent
+    for r in range(1, m):
+        for prec in sorted({1, r, m - 1, m, m + 1, 200}):
+            th = jacobi_theta(r, m, prec)
+            assert (th.low, th.prec) == (0, prec)
+            assert th.coeffs == product_expansion(r, m, prec), (r, m, prec)
+
+
+@pytest.mark.parametrize("r, m, prec", [(6, 169, 5000), (2, 25, 2000)])
+def test_theta_matches_product_expansion_long(r, m, prec):
+    assert jacobi_theta(r, m, prec).coeffs == product_expansion(r, m, prec)
 
 
 def test_theta_one_three_restores_full_euler():

@@ -45,6 +45,13 @@ def euler(prec):
     return LaurentSeries(ZZ, 0, pentagonal_coeffs(prec))
 
 
+def subst_pow(f, k):
+    """f(q^k); the window scales to [k*low, k*(prec-1)+1)."""
+    cs = [0] * (k * (len(f.coeffs) - 1) + 1)
+    cs[::k] = f.coeffs
+    return LaurentSeries(f.ring, k * f.low, cs)
+
+
 def naive_convolve(a, b, out_len):
     out = [0] * out_len
     for i, x in enumerate(a):
@@ -181,7 +188,7 @@ def test_invert_with_valuation():
 
 
 def test_invert_euler_sub5_counts_multiples_of_5_partitions():
-    e5 = euler(12).subst_pow(5).truncate(12)
+    e5 = subst_pow(euler(12), 5).truncate(12)
     inv = e5.invert()
     assert list(inv.coeffs) == partition_counts(12, parts=[5, 10])
 
@@ -226,21 +233,6 @@ def test_divide_exact():
 
 # substitution, reduction, dissection ---------------------------------------
 
-def test_subst_pow_examples():
-    f = LaurentSeries(ZZ, 0, [1, 1])
-    g = f.subst_pow(3)
-    assert (g.low, g.prec) == (0, 4)
-    assert g.coeffs == (1, 0, 0, 1)
-
-    e = euler(4).subst_pow(13)
-    assert (e.low, e.prec) == (0, 40)
-    assert e.coeff(13) == -1 and e.coeff(26) == -1 and e.coeff(14) == 0
-
-    h = LaurentSeries(ZZ, -1, [1, 1]).subst_pow(2)
-    assert (h.low, h.prec) == (-2, 1)
-    assert h.coeffs == (1, 0, 1)
-
-
 def test_reduce_mod_examples():
     f = LaurentSeries(ZZ, 0, [5, -3])
     r = f.reduce_mod(5)
@@ -252,7 +244,7 @@ def test_reduce_mod_examples():
 
 def test_euler_cube_mod3_equals_dilated_euler():
     cube = (euler(8) ** 3).reduce_mod(3)
-    e3 = euler(3).subst_pow(3).reduce_mod(3)  # window [0, 7), compared on overlap
+    e3 = subst_pow(euler(3), 3).reduce_mod(3)  # window [0, 7), compared on overlap
     assert cube == e3
 
 
@@ -267,7 +259,7 @@ def test_dissect_examples():
     assert comps[5].coeff(-1) == 1 and comps[5].coeff(0) == 1
     for j, c in enumerate(comps):
         if j != 5:
-            assert c.is_zero()
+            assert not any(c.coeffs)
 
 
 def test_truncate_and_with_low():
@@ -299,7 +291,7 @@ def test_eps_product():
     one_minus = _eps_const(2) - one_plus
     prod = one_plus * one_minus  # (1+eps)(1-eps) = 1 - eps^2
     assert prod.e0.coeff(0) == 1
-    assert prod.e1.is_zero()
+    assert not any(prod.e1.coeffs)
     assert prod.e2.coeff(0) == -1
 
 
@@ -310,7 +302,8 @@ def test_eps_invert():
     assert inv.e1.coeff(0) == -1
     assert inv.e2.coeff(0) == 1
     ident = x * inv
-    assert ident.e0.coeff(0) == 1 and ident.e1.is_zero() and ident.e2.is_zero()
+    assert ident.e0.coeff(0) == 1
+    assert not any(ident.e1.coeffs) and not any(ident.e2.coeffs)
 
 
 def test_eps_second_derivative_of_cube():
@@ -355,11 +348,6 @@ def test_packed_series_roundtrip():
     assert ps.to_coeffs() == cs
 
 
-def test_binomial_product_small():
-    # (1-q)(1-q^2) = 1 - q - q^2 + q^3
-    assert _kernel.binomial_product([1, 2], 6, 16) == [1, -1, -1, 1, 0, 0]
-
-
 def test_partition_bound_bits_dominates_known_values():
     p100 = 190569292           # 28 bits
     p1000 = 24061467864032622473692149727991  # 104 bits
@@ -402,21 +390,15 @@ def test_ring_laws(fgh):
     assert (f * (g + h)) == (f * g + f * h)
 
 
-@given(series(), st.integers(1, 4), st.integers(1, 4))
-def test_subst_pow_composes(f, a, b):
-    assert f.subst_pow(a * b) == f.subst_pow(a).subst_pow(b)
-
-
 @given(series_triple(), st.sampled_from([2, 3, 5, 13]), st.integers(-6, 6),
-       st.integers(1, 4), st.integers(1, 5))
-def test_reduce_mod_commutes(fgh, m, s, k, ell):
+       st.integers(1, 5))
+def test_reduce_mod_commutes(fgh, m, s, ell):
     f, g, h = fgh
     if f.ring.modulus is not None:
         return
     assert (f + g).reduce_mod(m) == (f.reduce_mod(m) + g.reduce_mod(m))
     assert (f * g).reduce_mod(m) == (f.reduce_mod(m) * g.reduce_mod(m))
     assert f.shift(s).reduce_mod(m) == f.reduce_mod(m).shift(s)
-    assert f.subst_pow(k).reduce_mod(m) == f.reduce_mod(m).subst_pow(k)
     for a, b in zip(f.dissect(ell), f.reduce_mod(m).dissect(ell)):
         assert a.reduce_mod(m) == b
 
@@ -427,7 +409,7 @@ def test_dissect_reassembles(f, ell):
     parts = f.dissect(ell)
     total = None
     for j, fj in enumerate(parts):
-        piece = fj.subst_pow(ell).shift(j)
+        piece = subst_pow(fj, ell).shift(j)
         total = piece if total is None else total + piece
     assert total == f
 

@@ -413,6 +413,25 @@ def test_chan_identity_windows_reach_prec(monkeypatch):
     assert all(hi >= 60 for _, hi in windows), windows
 
 
+@pytest.mark.parametrize("check_id", ["finite_jtp", "beta_second_derivative"])
+def test_padded_windows_end_at_prec(monkeypatch, check_id):
+    # lengths sized from the q-shifts leave no padding: the shortest
+    # window ends at prec exactly, so every window reaches prec and a
+    # length one coefficient short would end below it
+    windows = []
+    real = verify.series_compare_report
+
+    def recording(check_id, lhs, rhs, prec, *args):
+        windows.append(min(lhs.prec, rhs.prec))
+        return real(check_id, lhs, rhs, prec, *args)
+
+    monkeypatch.setattr(verify, "series_compare_report", recording)
+    rep = run_check(check_id)
+    assert rep.status == "pass"
+    assert len(windows) == rep.params["subchecks"]
+    assert min(windows) == rep.prec, windows
+
+
 def test_pole_split_small():
     assert check_pole_split(ells=(3, 5), prec=60,
                             n_range=12).status == "pass"
