@@ -5,7 +5,8 @@ low are zero by construction (low is a support bound, not the valuation);
 coefficients at prec and beyond are unknown, never assumed zero.  Every
 operation returns the window its inputs actually determine:
 
-  add/sub   the overlap of the two windows
+  add/sub   [min low, min prec): below its low a series is zero, so the
+            lower start is sound; above the lower prec nothing is known
   mul       [f.low + g.low, min(f.low + g.prec, g.low + f.prec))
   equality  compared on the overlap only; an empty overlap is an error
 
@@ -16,6 +17,7 @@ them freely.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import _kernel
@@ -188,24 +190,27 @@ class LaurentSeries:
         if self.ring != other.ring:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
 
-    def _overlap_op(self, other, op):
+    def _padded(self, lo, hi):
+        """Coefficients on [lo, hi) for lo <= low, zeros below low."""
+        return ((0,) * (min(self.low, hi) - lo)
+                + self.coeffs[:max(hi - self.low, 0)])
+
+    def _window_op(self, other, op):
         self._want_ring(other)
-        lo, hi = self.overlap(other)
-        if hi <= lo:
-            raise WindowError("empty overlap window")
-        a, b = self.coeffs, other.coeffs
-        cs = [op(a[n - self.low], b[n - other.low]) for n in range(lo, hi)]
-        return LaurentSeries(self.ring, lo, cs)
+        lo = min(self.low, other.low)
+        hi = min(self.prec, other.prec)  # > lo: each prec exceeds its low
+        return LaurentSeries(self.ring, lo, map(op, self._padded(lo, hi),
+                                                other._padded(lo, hi)))
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self._overlap_op(other, lambda x, y: x + y)
+        return self._window_op(other, operator.add)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self._overlap_op(other, lambda x, y: x - y)
+        return self._window_op(other, operator.sub)
 
     def __neg__(self):
         return LaurentSeries(self.ring, self.low, tuple(-c for c in self.coeffs))

@@ -7,15 +7,21 @@ the final word on their transcription.
 
 Every dissection is a sum of (coeff, qpow, {a: e}) terms, each standing for
 coeff * q^qpow * prod P(a)^e with P(a) = [q^{ell a}; q^{ell^2}], built by the
-one evaluator _monomial_sums.  It factors shared powers out of the terms
-(a sparse Horner scheme), so each distinct power multiplies a partial sum
-once instead of every term, and it adds the terms of a sum into one packed
-integer that is decoded once.  In the theorem 2 forms the P-sum carries
-the prefactor E(ell^2)^k / E(ell), with k = 2 for ell = 3, 5 and k = 4 for
-ell = 7, 13.  The S_ell(b) representations (the lemma layer, _lemma_rhs) go
-through the same evaluator, one call per ell: each theta
-[q^{ell y}; q^{ell^2}] there is sign * q^shift * P(a), by the theta
-normalization followed by the fold P(a) = P(ell - a) (_pjac).
+one evaluator _monomial_sums.  Every P(a) is a power series in x = q^ell,
+[x^a; x^ell], so _p_basis builds the blocks in x, on ceil(N/ell)
+coefficients for a q-window of N.  The evaluator splits the terms of a sum
+by the residue of qpow mod ell, sums each residue class in x (so every
+power, inverse and group product is 1/ell as long as in q), and
+interleaves the class sums into one q-series.  Within a class it factors
+shared powers out of the terms (a sparse Horner scheme), so each distinct
+power multiplies a partial sum once instead of every term, and it adds the
+terms into one packed integer that is decoded once.  In the theorem 2
+forms the P-sum carries the prefactor E(ell^2)^k / E(ell), with k = 2 for
+ell = 3, 5 and k = 4 for ell = 7, 13; the prefactors, the Lambert (T)
+terms and the comparisons stay in q.  The S_ell(b) representations (the
+lemma layer, _lemma_rhs) go through the same evaluator, one call per ell:
+each theta [q^{ell y}; q^{ell^2}] there is sign * q^shift * P(a), by the
+theta normalization followed by the fold P(a) = P(ell - a) (_pjac).
 
 Windows come from the real q-shifts, not from fixed padding.  Each term
 starts at a support bound: a P-monomial at its qpow, a Lambert sum at its
@@ -30,8 +36,9 @@ skipped, never pass (series_compare_report).
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from importlib import resources
+from operator import add
 from time import perf_counter
 
 from . import _kernel
@@ -136,17 +143,6 @@ def _aligned(*series):
     return tuple(s.with_low(lo) for s in series)
 
 
-def _sum_aligned(terms):
-    acc = None
-    for t in terms:
-        if acc is None:
-            acc = t
-        else:
-            a, b = _aligned(acc, t)
-            acc = a + b
-    return acc
-
-
 def _power(basis, powers, key, e):
     """basis[key] ** e, e != 0, memoized in powers.  Each power is one
     product from the power next to it towards 0, so building every power
@@ -165,9 +161,9 @@ def _power(basis, powers, key, e):
 
 
 class _PackedSum:
-    """Running sum of c * q^s * f terms (f a series), packed into one
+    """Running sum of c * x^s * f terms (f a series), packed into one
     integer and decoded and reduced once by series().  Its window is
-    [min low, min prec) over the terms, as with _sum_aligned.
+    [min low, min prec) over the terms.
 
     A slot holds at most sum |c| max|f| over ZZ, and sum (c mod m) (m - 1)
     over Z/m, where every f is canonical; the slot keeps one spare bit for
@@ -210,24 +206,34 @@ class _PackedSum:
                                      self.nbytes)
 
     def series(self):
-        if self.low is None:
-            raise ValueError("a sum of monomials needs at least one term")
         return LaurentSeries(self.ring, self.low, self._coeffs())
 
 
-def _monomial_sums(basis, *term_lists):
-    """Yield, per term list, the sum of coeff * q^qpow * prod basis[key]^e
-    over its (coeff, qpow, {key: e}) terms; an empty list raises ValueError
-    when its sum is reached.
+def _monomial_sums(basis, step, prec, *term_lists):
+    """Yield, per term list, the sum of coeff * q^qpow * prod B_key^e over
+    its (coeff, qpow, {key: e}) terms, where B_key(q) = basis[key](q^step);
+    an empty list raises ValueError when its sum is reached.
 
-    The basis series share one window [0, N), so a term spans
-    [qpow, qpow + N) and every sum spans [min qpow, min qpow + N); a term
-    with no factors is the monomial coeff * q^qpow on that window.  Each
-    power of a base is built once per call and shared by every term list.
+    The basis series are series in x = q^step on one window [0, n) with
+    n = ceil(prec / step), so each stands for a q-series on [0, prec), and
+    every sum is on the q-window [min qpow, min qpow + prec).  With step 1
+    the basis is in q itself.  A term with no factors is the monomial
+    coeff * q^qpow.
 
-    A sum is a sparse multivariate Horner scheme (_horner).  Terms with at
-    most one factor are a linear combination of cached powers and go
-    straight into the sum's packed accumulator (_PackedSum), with no
+    The terms are split by the residue r = qpow mod step: a class is a sum
+    of c * x^t * prod basis[key]^e with t = (qpow - r) / step, so every
+    power, inverse and group product of a class is a product of series of
+    length n, not prec.  The class sums are interleaved into the q-series,
+    class r on the exponents r mod step.  The sum ends at
+    q^(min qpow + prec), which every class reaches on such a basis: its
+    terms start at or above min qpow, and step * n >= prec.  A class whose
+    window ends sooner (the inverse of a series that starts above x^0 ends
+    below x^n) ends the sum there.  Each power of a base is built once per
+    call and shared by every class and every term list.
+
+    A class sum is a sparse multivariate Horner scheme (_horner).  Terms
+    with at most one factor are a linear combination of cached powers and
+    go straight into the class's packed accumulator (_PackedSum), with no
     product.  The other terms are grouped by their exponent of one key,
     the key with the fewest distinct exponents among them (ties broken by
     the repr of the key); each group with a nonzero exponent e is summed
@@ -241,7 +247,22 @@ def _monomial_sums(basis, *term_lists):
     one = LaurentSeries.one(ref.ring, len(ref.coeffs))
     powers = {}
     for terms in term_lists:
-        yield _horner_sum(basis, powers, one, terms, frozenset())
+        if not terms:
+            raise ValueError("a sum of monomials needs at least one term")
+        classes = {}
+        for c, qpow, exps in terms:
+            t, r = divmod(qpow, step)
+            classes.setdefault(r, []).append((c, t, exps))
+        parts = [(r, _horner_sum(basis, powers, one, cls, frozenset()))
+                 for r, cls in classes.items()]
+        low = min(step * s.low + r for r, s in parts)
+        top = min(min(qpow for _, qpow, _ in terms) + prec,
+                  *(step * s.prec + r for r, s in parts))
+        cs = [0] * (top - low)
+        for r, s in parts:
+            start = step * s.low + r - low
+            cs[start::step] = s.coeffs[:len(range(start, top - low, step))]
+        yield LaurentSeries(one.ring, low, cs)
 
 
 def _horner_sum(basis, powers, one, terms, done):
@@ -252,7 +273,8 @@ def _horner_sum(basis, powers, one, terms, done):
 
 def _horner(basis, powers, one, terms, done, acc):
     """Add into acc the sum of terms with the factors of the keys in done
-    left out.  Groups hold the callers' terms themselves, never copies."""
+    left out.  Groups hold the class's term tuples themselves, never
+    copies."""
     multi, keys = [], set()
     for term in terms:
         c, s, exps = term
@@ -281,8 +303,12 @@ def _horner(basis, powers, one, terms, done, acc):
 
 
 def _p_basis(ell, prec, ring):
-    """{a: P(a)} for 0 < a < ell/2, the blocks that _folded maps onto."""
-    return {a: cap_P(a, ell, prec, ring) for a in range(1, (ell + 1) // 2)}
+    """{a: P(a)} for 0 < a < ell/2, the blocks that _folded maps onto, for
+    _monomial_sums at step ell: P(a) = [q^{ell a}; q^{ell^2}] is
+    [x^a; x^ell] at x = q^ell, built on [0, ceil(prec / ell)) in x, which
+    stands for [0, prec) in q."""
+    n = -(-prec // ell)
+    return {a: jacobi_theta(a, ell, n, ring) for a in range(1, (ell + 1) // 2)}
 
 
 def _folded(ell, factors):
@@ -342,8 +368,8 @@ def check_bailey_uv(n_max=12, prec=150):
             beta = (poch[n - 1] ** 2) * pinv[2 * n]
             if pair == "v":
                 beta = beta.shift(n)
-            rhs = _sum_aligned([_alpha(pair, k, prec) * pinv[n - k] * pinv[n + k]
-                                for k in range(1, n + 1)])
+            rhs = reduce(add, (_alpha(pair, k, prec) * pinv[n - k]
+                               * pinv[n + k] for k in range(1, n + 1)))
             subs.append(_cmp(f"bailey:{pair},n={n}", beta, rhs, prec))
     rep = merge_reports("bailey_uv", prec, subs,
                         {"n_max": n_max, "prec": prec})
@@ -403,8 +429,8 @@ def check_finite_jtp(n_max=10, prec=200, t_values=(-3, -2, -1, 1, 2, 3)):
                * pochhammer_finite(-t, n, wprec) * pinv[2 * n])
         blocks = [pinv[n - j] * pinv[n + j] for j in range(n + 1)]
         for form, terms in (("sym", sym), ("paired", paired)):
-            rhs = _sum_aligned([blocks[abs(j)].shift(shift).scale(sign)
-                                for sign, shift, j in terms])
+            rhs = reduce(add, (blocks[abs(j)].shift(shift).scale(sign)
+                               for sign, shift, j in terms))
             subs.append(_cmp(f"jtp:{form},t={t},n={n}", lhs, rhs, prec))
     params = {"n_max": n_max, "prec": prec,
               "skipped_params": [list(x) for x in skipped]}
@@ -431,8 +457,7 @@ def check_beta_second_derivatives(n_max=8, prec=120):
 
     def one_minus(x, k):
         """1 - q^k x for an EpsPoly x whose parts start at q^-k or above."""
-        e0, e1, e2 = (e.shift(k).with_low(0) for e in (x.e0, x.e1, x.e2))
-        return EpsPoly(one - e0, -e1, -e2)
+        return EpsPoly(one - x.e0.shift(k), -x.e1.shift(k), -x.e2.shift(k))
 
     pinv2 = [pochhammer_finite(1, 2 * n, prec).invert()
              for n in range(n_max + 1)]
@@ -525,14 +550,14 @@ def _lemma_rhs(ell, specs, prec, ring):
     EL2 = euler_E(L2, N, ring)
     e3 = euler_E(1, N, ring) ** 3 * EL2.invert()
     EL2sq = EL2 ** 2
-    sums = _monomial_sums(_p_basis(ell, N, ring), *term_lists)
+    sums = _monomial_sums(_p_basis(ell, N, ring), ell, N, *term_lists)
     for t0, has_k in plans:
         terms = []
         if t0 is not None:
             terms.append(t0 * e3 * next(sums))
         if has_k:
             terms.append(next(sums) * EL2sq)
-        yield (_sum_aligned(terms) if terms
+        yield (reduce(add, terms) if terms
                else LaurentSeries.zeros(ring, -L2, prec))
 
 
@@ -578,7 +603,7 @@ def check_ecubed_dissect(ell=3, prec=300):
              _folded(ell, (k,))) for k in range(1, ell)]
     short = {5: ((2, 1, {1: 1}), (1, 0, {2: 1})),
              7: ((5, 3, {1: 1}), (4, 1, {2: 1}), (1, 0, {3: 1}))}
-    sums = _monomial_sums(_p_basis(ell, prec, ring), ksum,
+    sums = _monomial_sums(_p_basis(ell, prec, ring), ell, prec, ksum,
                           *([short[ell]] if ell in short else []))
     rhs = EL2 * next(sums)
     subs = [_cmp(f"ecubed:l={ell}", lhs, rhs, prec)]
@@ -609,8 +634,9 @@ def check_eta_dissections(prec=2000):
 
     # base q^25: E(1) = E(25) (X - q - q^2/X) with X = P(2)/P(1), squared
     # and cubed; powers of X have smaller ZZ coefficients than powers of
-    # 1/P(1), so X is the basis
-    [X] = _monomial_sums(_p_basis(5, N, ZZ), [(1, 0, {2: 1, 1: -1})])
+    # 1/P(1), so X, built in x = q^5 like the P(a), is the basis
+    P5 = _p_basis(5, N, ZZ)
+    X = P5[2] * P5[1].invert()
     E25 = euler_E(25, N, ZZ)
     d5 = (("eta:d5", ((1, 0, {"X": 1}), (-1, 1, {}), (-1, 2, {"X": -1}))),
           ("eta:d5_square", ((1, 0, {"X": 2}), (-2, 1, {"X": 1}),
@@ -618,12 +644,12 @@ def check_eta_dissections(prec=2000):
                              (1, 4, {"X": -2}))),
           ("eta:d5_cube", ((1, 0, {"X": 3}), (-3, 1, {"X": 2}), (5, 3, {}),
                            (-3, 5, {"X": -2}), (-1, 6, {"X": -3}))))
-    sums = _monomial_sums({"X": X}, *(terms for _, terms in d5))
+    sums = _monomial_sums({"X": X}, 5, N, *(terms for _, terms in d5))
     for k, ((name, _), d5k) in enumerate(zip(d5, sums), 1):
         subs.append(_cmp(name, E1 ** k, (E25 ** k) * d5k, prec))
 
     # base q^49: E(1) = E(49) (P(2)/P(1) - q P(3)/P(2) - q^2 + q^5 P(1)/P(3))
-    [d7] = _monomial_sums(_p_basis(7, N, ZZ), [
+    [d7] = _monomial_sums(_p_basis(7, N, ZZ), 7, N, [
         (1, 0, {2: 1, 1: -1}), (-1, 1, {3: 1, 2: -1}), (-1, 2, {}),
         (1, 5, {1: 1, 3: -1})])
     subs.append(_cmp("eta:d7", E1, euler_E(49, N, ZZ) * d7, prec))
@@ -643,7 +669,8 @@ def check_eta_dissections(prec=2000):
              (1, 1, {3: 2, 2: -1}), (2, 2, {3: 1}), (1, 3, {2: 1}),
              (2, 4, {3: 1, 1: 1, 2: -1}), (3, 5, {1: 1}),
              (4, 6, {1: 1, 2: 1, 3: -1}))
-    sums = _monomial_sums(_p_basis(7, N, r7), nine, bridge_l, bridge_r, eight)
+    sums = _monomial_sums(_p_basis(7, N, r7), 7, N, nine, bridge_l,
+                          bridge_r, eight)
     subs.append(_cmp("eta:e4_mod7_9term", e14, e49sq * next(sums), prec))
     subs.append(_cmp("eta:mod7_bridge", next(sums), next(sums), prec))
     subs.append(_cmp("eta:e4_mod7_8term", e14, e49sq * next(sums), prec))
@@ -667,7 +694,7 @@ def check_eta_dissections(prec=2000):
                 (9, 20, (1, 2, 3, 4)), (4, 8, (1, 4, 4, 5)),
                 (10, 9, (2, 2, 4, 6)), (1, 10, (1, 3, 4, 6)),
                 (10, 11, (1, 3, 4, 5)), (3, 12, (1, 2, 5, 6)))
-    sums = _monomial_sums(_p_basis(13, N, r13), *(
+    sums = _monomial_sums(_p_basis(13, N, r13), 13, N, *(
         [(c, e, _folded(13, ms)) for c, e, ms in rows]
         for rows in (fifteen, fourteen)))
     for name, s in zip(("eta:e10_mod13_15term", "eta:e10_mod13_14term"),
@@ -715,12 +742,12 @@ def check_product_rules(prec=5000):
     subs, skipped = [], []
     N = prec
 
-    [as7] = _monomial_sums(_p_basis(7, N, ZZ), [
+    [as7] = _monomial_sums(_p_basis(7, N, ZZ), 7, N, [
         (1, 0, {3: 3, 1: 1}), (-1, 0, {2: 3, 3: 1}), (1, 7, {1: 3, 2: 1})])
     subs.append(_zero_cmp("rules:as7", as7, prec))
 
     r5 = Zmod(5)
-    [lhs5] = _monomial_sums(_p_basis(5, N, r5), [
+    [lhs5] = _monomial_sums(_p_basis(5, N, r5), 5, N, [
         (1, 0, {2: 2, 1: -3}), (2, 5, {1: 2, 2: -3})])
     rhs5 = (euler_E(25, N, r5) ** 2).invert()
     subs.append(_cmp("rules:mod5_quotient", lhs5, rhs5, prec))
@@ -750,7 +777,8 @@ def check_product_rules(prec=5000):
     pairs = (("t1", (q1, m1), (0, (5 + 1, 5 - 1, 3 + 2, 3 - 2))),
              ("t2", (q2, m2), (0, (5 + 2, 5 - 2, 3 + 1, 3 - 1))),
              ("t3", (q3, m3), (13 * (3 - 2), (5 + 3, 5 - 3, 2 + 1, 2 - 1))))
-    sums = _monomial_sums(_p_basis(13, N, ZZ), *(t for _, t in zero13),
+    sums = _monomial_sums(_p_basis(13, N, ZZ), 13, N,
+                          *(t for _, t in zero13),
                           *([(1, qp, _folded(13, ms))]
                             for _, *sides in pairs for qp, ms in sides))
     for name, _ in zero13:
@@ -761,7 +789,7 @@ def check_product_rules(prec=5000):
 
     r7 = Zmod(7)
     prec7 = min(prec, 600)
-    sums = _monomial_sums(_p_basis(7, prec7, r7), (
+    sums = _monomial_sums(_p_basis(7, prec7, r7), 7, prec7, (
         (4, 7, {2: 2, 1: -1, 3: -1}), (3, 7, {3: 1, 2: -1}),
         (3, 14, {1: 2, 3: -2})), (
         (2, 0, {2: 3, 1: -2, 3: -1}), (5, 0, {3: 3, 2: -3}),
@@ -863,16 +891,15 @@ def _theorem2_rhs(case, prec):
         pterms = _PRODUCTS[case]
     N = prec - min([qpow + t.low for _, qpow, t in lamberts]
                    + [qpow for _, qpow, _ in pterms])
-    inv_den = (euler_E(ell * ell, N, ring)
-               * jacobi_theta(ell, ell * ell, N, ring)).invert()
+    inv_den = (euler_E(ell * ell, N, ring) * cap_P(1, ell, N, ring)).invert()
     terms = [(t * inv_den).shift(qpow).scale(coeff)
              for coeff, qpow, t in lamberts]
     if pterms:
-        [psum] = _monomial_sums(_p_basis(ell, N, ring), pterms)
+        [psum] = _monomial_sums(_p_basis(ell, N, ring), ell, N, pterms)
         epow = 4 if ell in (7, 13) else 2
         terms.append(psum * (euler_E(ell * ell, N, ring) ** epow
                              * euler_E(ell, N, ring).invert()))
-    return _sum_aligned(terms)
+    return reduce(add, terms)
 
 
 def check_theorem2(case="U3", prec=800):
@@ -985,8 +1012,8 @@ def check_chan_identity(prec=200):
 
         for A, B1, B2, tterms in points:
             lhs = jac(A) * EM2 * (jac(B1) * jac(B2)).invert()
-            rhs = _sum_aligned([jac(x) * jac(y).invert() * t
-                                for x, y, t in tterms])
+            rhs = reduce(add, (jac(x) * jac(y).invert() * t
+                               for x, y, t in tterms))
             subs.append(_cmp(f"chan:A={A},B1={B1},B2={B2},M={M}",
                              lhs, rhs, prec))
     params = {"prec": prec, "skipped_params": [list(x) for x in skipped]}
@@ -1079,7 +1106,7 @@ def check_cross_lemma(ells=(5, 7, 13), prec=200):
         NE = prec - min(s.low for s in S)  # every S reaches prec
         inv_e3 = (euler_E(1, NE, ring) ** 3).invert()
         for kind, terms in (("U", uterms), ("V", vterms)):
-            assembled = (_sum_aligned(terms) * inv_e3).scale(-inv2)
+            assembled = (reduce(add, terms) * inv_e3).scale(-inv2)
             rhs = _theorem2_rhs(f"{kind}{ell}", prec)
             subs.append(_cmp(f"cross:{kind}{ell}", assembled, rhs, prec))
     return merge_reports("cross_lemma", prec, subs,
@@ -1111,14 +1138,14 @@ def report_conjectures(n_max=1800, prec=2000):
                                first_failure=bad))
 
     r7 = Zmod(7)
-    [lhs7] = _monomial_sums(_p_basis(7, prec, r7), [
+    [lhs7] = _monomial_sums(_p_basis(7, prec, r7), 7, prec, [
         (4, 1, {2: 2, 1: -1}), (6, 1, {3: 2, 2: -1}), (5, 8, {1: 2, 3: -1})])
     rhs7 = ((euler_E(7, prec, r7) ** 4)
             * (euler_E(49, prec, r7) ** 2).invert()).shift(1).scale(3)
     subs.append(_cmp("conj:mod7_quotient", lhs7, rhs7, prec))
 
     r13 = Zmod(13)
-    [lhs13] = _monomial_sums(_p_basis(13, prec, r13), [
+    [lhs13] = _monomial_sums(_p_basis(13, prec, r13), 13, prec, [
         (11, 5, _folded(13, (2, 3, 4, 6))), (6, 5, _folded(13, (1, 4, 5, 6))),
         (5, 18, _folded(13, (1, 2, 3, 5)))])
     rhs13 = ((euler_E(13, prec, r13) ** 10)

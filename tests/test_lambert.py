@@ -40,8 +40,7 @@ def t_oracle(a, b, c, prec, low=0):
         term = pole_term(-1 if n % 2 else 1, c * n * (n + 1) // 2 + b * n,
                          c * n + a, prec)
         if term is not None:
-            floor = min(total.low, term.low)
-            total = total.with_low(floor) + term.truncate(prec).with_low(floor)
+            total = total + term.truncate(prec)
     return total
 
 
@@ -55,8 +54,7 @@ def s_oracle(ell, b, prec, low=0):
         term = pole_term((-1 if n % 2 else 1) * w,
                          n * (n + 1) // 2 + b * n, ell * n, prec)
         if term is not None:
-            floor = min(total.low, term.low)
-            total = total.with_low(floor) + term.truncate(prec).with_low(floor)
+            total = total + term.truncate(prec)
     return total
 
 
@@ -70,8 +68,7 @@ def double_pole_oracle(weight, prec):
         term = pole_term((-1 if n % 2 else 1) * w, n * (n + 1) // 2, n, prec,
                          square=True)
         if term is not None:
-            floor = min(total.low, term.low)
-            total = total.with_low(floor) + term.truncate(prec).with_low(floor)
+            total = total + term.truncate(prec)
     return total
 
 

@@ -35,7 +35,7 @@ def partition_counts(prec, parts=None):
     """Coin-change DP; default counts ordinary partitions."""
     dp = [0] * prec
     dp[0] = 1
-    for part in parts or range(1, prec):
+    for part in parts if parts is not None else range(1, prec):
         for w in range(part, prec):
             dp[w] += dp[w - part]
     return dp
@@ -69,19 +69,52 @@ def test_add_on_overlap_window():
     assert (f + g).coeffs == (0, 1, 2)
 
 
-def test_add_takes_overlap_of_mismatched_windows():
+def test_add_window_runs_from_the_lower_low_to_the_lower_prec():
+    # below its low a series is zero, so the lower low is sound
     f = LaurentSeries(ZZ, -2, [5, 5, 5, 5, 5])   # [-2, 3)
     g = LaurentSeries(ZZ, 0, [1, 1, 1, 1, 1])    # [0, 5)
-    h = f + g
-    assert (h.low, h.prec) == (0, 3)
-    assert h.coeffs == (6, 6, 6)
+    for h in (f + g, g + f):
+        assert (h.low, h.prec) == (-2, 3)
+        assert h.coeffs == (5, 5, 6, 6, 6)
+    d = g - f
+    assert (d.low, d.prec) == (-2, 3)
+    assert d.coeffs == (-5, -5, -4, -4, -4)
 
 
-def test_add_empty_overlap_is_an_error():
+def test_add_of_disjoint_windows_keeps_the_lower_one():
     f = LaurentSeries(ZZ, 0, [1, 2])
     g = LaurentSeries(ZZ, 5, [1])
-    with pytest.raises(WindowError):
-        f + g
+    for h in (f + g, g + f):
+        assert (h.low, h.prec) == (0, 2)
+        assert h.coeffs == (1, 2)
+    assert (g - f).coeffs == (-1, -2)
+
+
+def test_add_and_sub_against_zero_padded_coefficients():
+    rng = random.Random(11)
+    for _ in range(200):
+        f, g = (LaurentSeries(ZZ, rng.randrange(-6, 7),
+                              [rng.randrange(-9, 10)
+                               for _ in range(rng.randrange(1, 9))])
+                for _ in range(2))
+
+        def at(s, n):
+            return s.coeff(n) if n >= s.low else 0
+
+        lo, hi = min(f.low, g.low), min(f.prec, g.prec)
+        for h, sign in ((f + g, 1), (f - g, -1)):
+            assert (h.low, h.prec) == (lo, hi)
+            assert list(h.coeffs) == [at(f, n) + sign * at(g, n)
+                                      for n in range(lo, hi)]
+
+
+def test_one_minus_a_series_keeps_the_constant_term():
+    f = LaurentSeries(ZZ, 1, [1, 0, 0, 0])       # q on [1, 5)
+    h = LaurentSeries.one(ZZ, 5) - f
+    assert (h.low, h.prec) == (0, 5)
+    assert h.coeffs == (1, -1, 0, 0, 0)
+    h7 = LaurentSeries.one(Zmod(7), 5) - f.reduce_mod(7)
+    assert h7.coeffs == (1, 6, 0, 0, 0)
 
 
 def test_ring_mismatch_is_an_error():
@@ -185,6 +218,11 @@ def test_invert_with_valuation():
     g = f.invert()
     assert g.low == -1
     assert g.coeffs == (1, 1, 1, 1)
+
+
+def test_partition_counts_oracle_with_no_part_left():
+    assert partition_counts(6) == [1, 1, 2, 3, 5, 7]
+    assert partition_counts(6, range(6, 6)) == [1, 0, 0, 0, 0, 0]
 
 
 def test_invert_euler_sub5_counts_multiples_of_5_partitions():
