@@ -141,9 +141,6 @@ class LaurentSeries:
                 return self.low + i
         return None
 
-    def max_abs(self):
-        return _kernel.max_abs(self.coeffs)
-
     def overlap(self, other):
         lo = max(self.low, other.low)
         hi = min(self.prec, other.prec)
@@ -251,20 +248,17 @@ class LaurentSeries:
         """Inverse; the first nonzero coefficient must be a ring unit.
         Window: [-v, -v + L) where v is the valuation and L the number of
         stored coefficients from v up."""
-        idx = None
-        for i, c in enumerate(self.coeffs):
-            if c:
-                idx = i
-                break
-        if idx is None:
+        v = self.valuation()
+        if v is None:
             raise NonUnitError("cannot invert a series with all-zero window")
+        idx = v - self.low
         lead = self.coeffs[idx]
         if not self.ring.is_unit(lead):
             raise NonUnitError(f"leading coefficient {lead} not a unit in {self.ring}")
         unit = list(self.coeffs[idx:])
         inv = _kernel.newton_invert(unit, self.ring.unit_inverse(lead),
                                     self.ring.modulus)
-        return LaurentSeries(self.ring, -(self.low + idx), inv)
+        return LaurentSeries(self.ring, -v, inv)
 
     def divide_exact(self, k):
         """Divide every coefficient by k over ZZ; any remainder is an error."""

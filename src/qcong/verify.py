@@ -15,13 +15,13 @@ power, inverse and group product is 1/ell as long as in q), and
 interleaves the class sums into one q-series.  Within a class it factors
 shared powers out of the terms (a sparse Horner scheme), so each distinct
 power multiplies a partial sum once instead of every term, and it adds the
-terms into one packed integer that is decoded once.  In the theorem 2
-forms the P-sum carries the prefactor E(ell^2)^k / E(ell), with k = 2 for
-ell = 3, 5 and k = 4 for ell = 7, 13; the prefactors, the Lambert (T)
-terms and the comparisons stay in q.  The S_ell(b) representations (the
-lemma layer, _lemma_rhs) go through the same evaluator, one call per ell:
-each theta [q^{ell y}; q^{ell^2}] there is sign * q^shift * P(a), by the
-theta normalization followed by the fold P(a) = P(ell - a) (_pjac).
+parts as plain series.  In the theorem 2 forms the P-sum carries the
+prefactor E(ell^2)^k / E(ell), with k = 2 for ell = 3, 5 and k = 4 for
+ell = 7, 13; the prefactors, the Lambert (T) terms and the comparisons
+stay in q.  The S_ell(b) representations (the lemma layer, _lemma_rhs)
+go through the same evaluator, one call per ell: each theta
+[q^{ell y}; q^{ell^2}] there is sign * q^shift * P(a), by the theta
+normalization followed by the fold P(a) = P(ell - a) (_pjac).
 
 Windows come from the real q-shifts, not from fixed padding.  Each term
 starts at a support bound: a P-monomial at its qpow, a Lambert sum at its
@@ -41,7 +41,6 @@ from importlib import resources
 from operator import add
 from time import perf_counter
 
-from . import _kernel
 from .lambert import s_series, t_series
 from .partitions import u_count, uv_series_def, uv_series_lambert, v_count
 from .products import (_theta_normalize, cap_P, euler_E, jacobi_theta,
@@ -87,8 +86,6 @@ class DissectionTable:
         return "\n".join([head] + [r.serialize() for r in self.rows]) + "\n"
 
     def validate(self):
-        if len(self.components()) != self.modulus:
-            raise TableError(f"{self.name}: component range is broken")
         empty = {"A13": 0, "B13": 10}.get(self.name)
         if empty is not None and self.components()[empty]:
             raise TableError(f"{self.name}: component {empty} must be empty")
@@ -160,55 +157,6 @@ def _power(basis, powers, key, e):
     return powers[key, e]
 
 
-class _PackedSum:
-    """Running sum of c * x^s * f terms (f a series), packed into one
-    integer and decoded and reduced once by series().  Its window is
-    [min low, min prec) over the terms.
-
-    A slot holds at most sum |c| max|f| over ZZ, and sum (c mod m) (m - 1)
-    over Z/m, where every f is canonical; the slot keeps one spare bit for
-    unpack_signed's sign.  When a term raises that bound past the slot
-    width, the sum so far is decoded and re-packed wider.
-    """
-
-    __slots__ = ("ring", "low", "prec", "bound", "nbytes", "value")
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.low = self.prec = None
-        self.bound = self.value = 0
-        self.nbytes = 1
-
-    def add(self, c, s, f):
-        lo, hi = s + f.low, s + f.prec
-        if self.low is None:
-            self.low, self.prec = lo, hi
-        elif lo < self.low:
-            self.value <<= 8 * self.nbytes * (self.low - lo)
-            self.low = lo
-        self.prec = min(self.prec, hi)
-        m = self.ring.modulus
-        if m is not None:
-            c %= m
-        if not c or lo >= self.prec:
-            return
-        self.bound += abs(c) * (f.max_abs() if m is None else m - 1)
-        nbytes = (self.bound.bit_length() + 8) // 8
-        if nbytes > self.nbytes:
-            if self.value:
-                self.value = _kernel.pack(self._coeffs(), nbytes)
-            self.nbytes = nbytes
-        self.value += (c * _kernel.pack(f.coeffs[:self.prec - lo], nbytes)
-                       << (8 * nbytes * (lo - self.low)))
-
-    def _coeffs(self):
-        return _kernel.unpack_signed(self.value, self.prec - self.low,
-                                     self.nbytes)
-
-    def series(self):
-        return LaurentSeries(self.ring, self.low, self._coeffs())
-
-
 def _monomial_sums(basis, step, prec, *term_lists):
     """Yield, per term list, the sum of coeff * q^qpow * prod B_key^e over
     its (coeff, qpow, {key: e}) terms, where B_key(q) = basis[key](q^step);
@@ -232,16 +180,13 @@ def _monomial_sums(basis, step, prec, *term_lists):
     call and shared by every class and every term list.
 
     A class sum is a sparse multivariate Horner scheme (_horner).  Terms
-    with at most one factor are a linear combination of cached powers and
-    go straight into the class's packed accumulator (_PackedSum), with no
-    product.  The other terms are grouped by their exponent of one key,
-    the key with the fewest distinct exponents among them (ties broken by
-    the repr of the key); each group with a nonzero exponent e is summed
-    recursively in its own accumulator and multiplied once by key^e, and
-    the group with e = 0 recurses into the same accumulator.  Every group
-    product is added as soon as it is built, so each level of the
-    recursion (at most one per key) holds only its accumulator and the one
-    product it is building, besides the cached powers.
+    with at most one factor are a linear combination of cached powers,
+    c * x^t * key^e, with no product.  The other terms are grouped by
+    their exponent of one key, the key with the fewest distinct exponents
+    among them (ties broken by the repr of the key); each group is summed
+    recursively and, for a nonzero exponent e, multiplied once by key^e.
+    The parts are added as series, so a class sum has the window
+    [min low, min prec) of its parts.
     """
     ref = next(iter(basis.values()))
     one = LaurentSeries.one(ref.ring, len(ref.coeffs))
@@ -253,7 +198,7 @@ def _monomial_sums(basis, step, prec, *term_lists):
         for c, qpow, exps in terms:
             t, r = divmod(qpow, step)
             classes.setdefault(r, []).append((c, t, exps))
-        parts = [(r, _horner_sum(basis, powers, one, cls, frozenset()))
+        parts = [(r, _horner(basis, powers, one, cls, frozenset()))
                  for r, cls in classes.items()]
         low = min(step * s.low + r for r, s in parts)
         top = min(min(qpow for _, qpow, _ in terms) + prec,
@@ -265,41 +210,30 @@ def _monomial_sums(basis, step, prec, *term_lists):
         yield LaurentSeries(one.ring, low, cs)
 
 
-def _horner_sum(basis, powers, one, terms, done):
-    acc = _PackedSum(one.ring)
-    _horner(basis, powers, one, terms, done, acc)
-    return acc.series()
-
-
-def _horner(basis, powers, one, terms, done, acc):
-    """Add into acc the sum of terms with the factors of the keys in done
-    left out.  Groups hold the class's term tuples themselves, never
-    copies."""
-    multi, keys = [], set()
+def _horner(basis, powers, one, terms, done):
+    """The sum of terms with the factors of the keys in done left out.
+    Groups hold the class's term tuples themselves, never copies."""
+    multi, keys, parts = [], set(), []
     for term in terms:
         c, s, exps = term
         left = [(k, e) for k, e in exps.items() if e and k not in done]
         if len(left) > 1:
             multi.append(term)
             keys.update(k for k, _ in left)
-        elif left:
-            acc.add(c, s, _power(basis, powers, *left[0]))
         else:
-            acc.add(c, s, one)
-    if not multi:
-        return
-    key = min(keys, key=lambda k: (
-        len({exps.get(k, 0) for _, _, exps in multi}), repr(k)))
-    groups = {}
-    for term in multi:
-        groups.setdefault(term[2].get(key, 0), []).append(term)
-    done = done | {key}
-    for e in sorted(groups):
-        if e == 0:
-            _horner(basis, powers, one, groups[e], done, acc)
-        else:
-            acc.add(1, 0, _power(basis, powers, key, e)
-                    * _horner_sum(basis, powers, one, groups[e], done))
+            f = _power(basis, powers, *left[0]) if left else one
+            parts.append(f.scale(c).shift(s))
+    if multi:
+        key = min(keys, key=lambda k: (
+            len({exps.get(k, 0) for _, _, exps in multi}), repr(k)))
+        groups = {}
+        for term in multi:
+            groups.setdefault(term[2].get(key, 0), []).append(term)
+        done = done | {key}
+        for e in sorted(groups):
+            part = _horner(basis, powers, one, groups[e], done)
+            parts.append(_power(basis, powers, key, e) * part if e else part)
+    return reduce(add, parts)
 
 
 def _p_basis(ell, prec, ring):
@@ -938,6 +872,16 @@ _TEN = (("u", 3, 0), ("u", 5, 0), ("u", 5, 3), ("u", 7, 0), ("u", 7, 5),
         ("u", 13, 0), ("v", 3, 1), ("v", 5, 1), ("v", 5, 4), ("v", 13, 10))
 
 
+def _first_nonzero_mod(s, res, step, n_max, modulus):
+    """(n, c, 0) for the first n = res, res + step, ... up to n_max whose
+    coefficient c of s is nonzero mod modulus (c reduced), or None."""
+    for n in range(res, n_max + 1, step):
+        c = s.coeff(n) % modulus
+        if c:
+            return n, c, 0
+    return None
+
+
 def check_theorem1(n_max=2000):
     """All ten vanishing progressions of u and v, coefficient by
     coefficient up to n_max."""
@@ -949,13 +893,12 @@ def check_theorem1(n_max=2000):
         s = pair.u if seq == "u" else pair.v
         name = f"{seq}({mod}n+{res})" if res else f"{seq}({mod}n)"
         names.append(name)
-        for n in range(res, n_max + 1, mod):
-            c = s.coeff(n) % mod
-            if c:
-                return Report("theorem1", "fail", n_max,
-                              params={"n_max": n_max, "congruence": name},
-                              first_failure=(n, c, 0),
-                              notes=f"{name} fails at n={n}")
+        bad = _first_nonzero_mod(s, res, mod, n_max, mod)
+        if bad is not None:
+            return Report("theorem1", "fail", n_max,
+                          params={"n_max": n_max, "congruence": name},
+                          first_failure=bad,
+                          notes=f"{name} fails at n={bad[0]}")
     return Report("theorem1", "pass", n_max,
                   params={"n_max": n_max, "congruences": names},
                   window=(0, n_max + 1))
@@ -1123,12 +1066,7 @@ def report_conjectures(n_max=1800, prec=2000):
              ("v(9n+1) mod 9", pair.v, 9, 1, 9),
              ("v(27n+1) mod 27", pair.v, 27, 1, 27))
     for name, s, modulus, res, step in scans:
-        bad = None
-        for n in range(res, n_max + 1, step):
-            c = s.coeff(n) % modulus
-            if c:
-                bad = (n, c, 0)
-                break
+        bad = _first_nonzero_mod(s, res, step, n_max, modulus)
         if bad is None:
             subs.append(Report(f"conj:{name}", "pass", n_max,
                                window=(0, n_max + 1),

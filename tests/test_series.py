@@ -214,10 +214,14 @@ def test_invert_one_minus_q():
 
 
 def test_invert_with_valuation():
-    f = LaurentSeries(ZZ, 1, [1, -1, 0, 0])  # q(1-q) on [1, 5)
-    g = f.invert()
-    assert g.low == -1
-    assert g.coeffs == (1, 1, 1, 1)
+    # q(1-q) on [1, 5), and stored on [-2, 5) with three leading zeros:
+    # either way v = 1 and L = 4
+    for ring, low, cs in ((ZZ, 1, [1, -1, 0, 0]),
+                          (ZZ, -2, [0, 0, 0, 1, -1, 0, 0]),
+                          (Zmod(7), -2, [0, 0, 0, 1, -1, 0, 0])):
+        g = LaurentSeries(ring, low, cs).invert()
+        assert (g.low, g.prec) == (-1, 3)
+        assert g.coeffs == (1, 1, 1, 1)
 
 
 def test_partition_counts_oracle_with_no_part_left():
