@@ -155,11 +155,11 @@ class LaurentSeries:
             raise WindowError(
                 f"windows [{self.low},{self.prec}) and "
                 f"[{other.low},{other.prec}) do not overlap")
-        for n in range(lo, hi):
-            a = self.coeffs[n - self.low]
-            b = other.coeffs[n - other.low]
-            if a != b:
-                return n, a, b
+        mine = self.coeffs[lo - self.low:hi - self.low]
+        theirs = other.coeffs[lo - other.low:hi - other.low]
+        if mine != theirs:
+            i = next(i for i, (a, b) in enumerate(zip(mine, theirs)) if a != b)
+            return lo + i, mine[i], theirs[i]
         return None
 
     def __eq__(self, other):

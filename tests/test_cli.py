@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +129,15 @@ def test_verify_exits_2_on_a_window_short_of_prec(capsys, monkeypatch):
     reports, rows = split_reports(out, 1)
     assert reports[0]["status"] == "skipped"
     assert rows == ["t_functional_eq,skipped,60,"]
+
+
+def test_suite_output_matches_the_golden_file(capsys):
+    # `qcong suite --deterministic` at the registered defaults, byte for
+    # byte; a change that means to alter a report regenerates the file
+    golden = Path(__file__).parent / "data" / "suite_deterministic.txt"
+    code, out, _ = run_cli(capsys, "suite", "--deterministic")
+    assert code == 0
+    assert out == golden.read_text(encoding="utf-8")
 
 
 def test_explore_never_gates(capsys):

@@ -72,8 +72,12 @@ def partition_counts(prec, parts=None):
 
 
 def q_basis(ell, prec, ring):
-    """{a: P(a)} for 0 < a < ell/2 in q itself, on [0, prec)."""
-    return {a: cap_P(a, ell, prec, ring) for a in range(1, (ell + 1) // 2)}
+    """_p_basis built in q itself, on [0, prec): {a: P(a)} for
+    0 < a < ell/2, "E": E(ell^2) and "e": E(ell)."""
+    basis = {a: cap_P(a, ell, prec, ring) for a in range(1, (ell + 1) // 2)}
+    basis["E"] = euler_E(ell * ell, prec, ring)
+    basis["e"] = euler_E(ell, prec, ring)
+    return basis
 
 
 def per_term_sums(basis, *term_lists):
@@ -373,9 +377,10 @@ def _rule_lists():
 
 def _random_lists(ell, ring, seed):
     """Term lists in which some residue classes mod ell are absent and the
-    present ones start at different x-lows, with qpow down to -2 ell."""
+    present ones start at different x-lows, with qpow down to -2 ell; the
+    factors are drawn from every key of _p_basis."""
     rng = random.Random(seed)
-    keys = range(1, (ell + 1) // 2)
+    keys = [*range(1, (ell + 1) // 2), "E", "e"]
 
     def coeff():
         if ring.modulus is None and rng.random() < 0.3:

@@ -108,6 +108,30 @@ def test_add_and_sub_against_zero_padded_coefficients():
                                       for n in range(lo, hi)]
 
 
+def test_first_difference_is_the_first_mismatch_on_the_overlap():
+    rng = random.Random(12)
+    for _ in range(300):
+        f, g = (LaurentSeries(ZZ, rng.randrange(-6, 7),
+                              [rng.randrange(-1, 2)
+                               for _ in range(rng.randrange(1, 12))])
+                for _ in range(2))
+        lo, hi = max(f.low, g.low), min(f.prec, g.prec)
+        if hi <= lo:
+            with pytest.raises(WindowError, match="do not overlap"):
+                f.first_difference(g)
+            continue
+        want = next(((n, f.coeff(n), g.coeff(n)) for n in range(lo, hi)
+                     if f.coeff(n) != g.coeff(n)), None)
+        assert f.first_difference(g) == want
+        assert (f == g) == (want is None)
+    # outside the overlap nothing is compared; a mismatch at its last
+    # coefficient is still found
+    f = LaurentSeries(ZZ, -2, [7, 1, 2, 3])      # [-2, 2)
+    g = LaurentSeries(ZZ, 0, [2, 4, 9])          # [0, 3)
+    assert f.first_difference(g) == (1, 3, 4)
+    assert f.first_difference(LaurentSeries(ZZ, 0, [2, 3, 9])) is None
+
+
 def test_one_minus_a_series_keeps_the_constant_term():
     f = LaurentSeries(ZZ, 1, [1, 0, 0, 0])       # q on [1, 5)
     h = LaurentSeries.one(ZZ, 5) - f

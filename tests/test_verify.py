@@ -3,11 +3,11 @@ from operator import add
 
 import pytest
 
-from qcong import verify
+from qcong import _kernel, products, verify
 from qcong.lambert import t_series
 from qcong.products import euler_E, jacobi_theta
 from qcong.report import Report, merge_reports, series_compare_report
-from qcong.series import ZZ, LaurentSeries, Zmod
+from qcong.series import ZZ, LaurentSeries, WindowError, Zmod
 from qcong.verify import (
     REGISTRY,
     SUITE,
@@ -300,6 +300,43 @@ def test_theorem2_window_from_q_shifts(monkeypatch):
     rhs = verify._theorem2_rhs("U13", 400)
     assert lengths == [408]
     assert (rhs.low, rhs.prec) == (-8, 400)
+
+
+@pytest.mark.parametrize("check_id, head", [
+    ("lemma_main", "V"), ("lemma_second", "V"), ("cross_lemma", "VVs")])
+def test_small_prec_reports_or_names_the_least_prec(check_id, head):
+    # a T window asked to end at or below its first term once raised
+    # WindowError here, for prec up to 25, 26 and 13; now every prec
+    # gives a report, or a ValueError that names the least prec accepted.
+    # Per prec from 1: V for that ValueError, then s(kipped) or p(ass)
+    got = []
+    for prec in range(1, 41):
+        try:
+            got.append(run_check(check_id, {"prec": prec}).status[0])
+        except WindowError:
+            got.append("W")
+        except ValueError as exc:
+            assert f"at least {prec + 1}" in str(exc), (prec, exc)
+            got.append("V")
+    assert "".join(got) == head + "p" * (40 - len(head))
+
+
+def test_product_rules_convolve_on_x_length_only(monkeypatch):
+    # every prefactor is a basis key built in x = q^ell, so no product is
+    # longer than the ceil(2000 / 5) = 400 of the mod-5 blocks; the
+    # (E(25)^2)^-1 built in q once reached 2000
+    lengths = []
+    real = _kernel.convolve
+
+    def recording(a, b, out_len, modulus=None):
+        lengths.append(out_len)
+        return real(a, b, out_len, modulus)
+
+    monkeypatch.setattr(_kernel, "convolve", recording)
+    monkeypatch.setattr(products, "convolve", recording)
+    products._jacobi_unit_coeffs.cache_clear()
+    assert check_product_rules(prec=2000).status == "pass"
+    assert lengths and max(lengths) <= 400
 
 
 def test_lemma_family_counts_exclusions():
