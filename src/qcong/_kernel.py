@@ -199,11 +199,10 @@ class PackedSeries:
     """Mutable packed window [0, length) for the u/v recurrence
     (partitions.uv_series_def).
 
-    Only linear operations are provided; they are exact mod q**length for
-    any slot width.  The width only matters at decode time (to_coeffs,
-    widen) and must then dominate every true coefficient, plus the
-    transient headroom that div_one_minus's doubling steps need (see
-    uv_series_def for the bound).
+    Only linear operations are provided; at any slot width they are exact
+    modulo 2**(slot_bits * length), so a transient needs no headroom.  The
+    width only matters where a window is decoded (to_coeffs, widen): there
+    it must hold every true coefficient (see uv_series_def for the bound).
     """
 
     __slots__ = ("length", "nbytes", "slot_bits", "mask", "value")

@@ -112,8 +112,6 @@ def uv_series_def(prec):
     - Every exact intermediate of core is prod_{m>=n} (1-q^m)^-e_m with
       all e_m <= 4; the two mul_one_minus calls only cancel factors of
       core_{n+1}.  So its coefficients lie in [0, B(n)].
-    - A doubling transient inside div_one_minus is P - q^M P for such a
-      P, so it lies within +-B(n).
     - A U or V partial sum adds fewer than prec such series.
     - B(n) = min(1 + sum_{j>=1, jn<prec} C(prec-jn+j, j) 4^j, 2^cap - 1)
       with cap = 2 pbb(prec) + 3 bitlen(prec+2), pbb being
@@ -124,6 +122,10 @@ def uv_series_def(prec):
       cap follows from p_4(w) <= C(w+3, 3) exp(2 pi sqrt(2w/3)), which
       p(a) <= exp(pi sqrt(2a/3)) and sum sqrt(a_i) <= 2 sqrt(w) give.
       The sum stops once it reaches 2^cap.
+
+    Only decoded values need that room: the packed passes are exact modulo
+    2^(bits * prec) at any width (PackedSeries), and only widen, at the
+    start of a step, and the final to_coeffs decode.
 
     B only falls as n grows, so the loop starts narrow and, whenever a
     step needs more, widens core, U and V to twice the width (at least

@@ -1,9 +1,9 @@
 """Identity checks behind the u/v congruence results.
 
 Each check builds its two sides through independent routes and grades the
-comparison into a Report.  The A13/B13 term tables are loaded from data
-files and re-validated on every load; the end-to-end theorem2 checks are
-the final word on their transcription.
+comparison into a Report.  The A13/B13 term tables are data files, parsed
+and checked into the evaluator's terms (below) on every load; the
+end-to-end theorem2 checks are the final word on their transcription.
 
 Every dissection is a sum of (coeff, qpow, {a: e}) terms, each standing for
 coeff * q^qpow * prod P(a)^e with P(a) = [q^{ell a}; q^{ell^2}], built by the
@@ -58,45 +58,12 @@ class TableError(ValueError):
 # dissection term tables
 
 
-@dataclass(frozen=True)
-class TableRow:
-    component: int
-    coeff: int
-    qpow: int
-    p_exps: tuple  # exponents of P(1)..P(6)
-
-    def serialize(self):
-        fields = (self.component, self.coeff, self.qpow) + self.p_exps
-        return " ".join(str(x) for x in fields)
-
-
-@dataclass(frozen=True)
-class DissectionTable:
-    name: str
-    modulus: int
-    rows: tuple
-
-    def components(self):
-        out = {i: [] for i in range(self.modulus)}
-        for r in self.rows:
-            out[r.component].append(r)
-        return out
-
-    def serialize(self):
-        head = f"# {self.name}: <component> <coeff> <qpow> <e1> .. <e6>"
-        return "\n".join([head] + [r.serialize() for r in self.rows]) + "\n"
-
-    def validate(self):
-        empty = {"A13": 0, "B13": 10}.get(self.name)
-        if empty is not None and self.components()[empty]:
-            raise TableError(f"{self.name}: component {empty} must be empty")
-        for r in self.rows:
-            if len(r.p_exps) != 6:
-                raise TableError(f"{self.name}: row needs six P exponents")
-
-
-def parse_table(text, name, modulus=13):
-    rows = []
+def parse_table(text, name):
+    """A13 or B13 .terms text as evaluator terms (coeff, qpow + component,
+    {1: e1, ..., 6: e6}) in file order; component i carries the outer
+    factor q^i.  Each row is checked as it is read."""
+    empty = {"A13": 0, "B13": 10}.get(name)
+    terms = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -106,23 +73,24 @@ def parse_table(text, name, modulus=13):
             raise TableError(f"{name} line {ln}: expected 9 fields, "
                              f"got {len(parts)}")
         try:
-            vals = [int(p) for p in parts]
+            comp, coeff, qpow, *exps = (int(p) for p in parts)
         except ValueError:
             raise TableError(f"{name} line {ln}: non-integer field") from None
-        comp, coeff, qpow = vals[0], vals[1], vals[2]
-        if not 0 <= comp < modulus:
+        if not 0 <= comp < 13:
             raise TableError(f"{name} line {ln}: component {comp} out of range")
-        if not 1 <= coeff < modulus:
+        if not 1 <= coeff < 13:
             raise TableError(f"{name} line {ln}: coefficient {coeff} "
                              f"out of range")
-        rows.append(TableRow(comp, coeff, qpow, tuple(vals[3:])))
-    table = DissectionTable(name, modulus, tuple(rows))
-    table.validate()
-    return table
+        if comp == empty:
+            raise TableError(f"{name} line {ln}: component {empty} "
+                             f"must be empty")
+        terms.append((coeff, qpow + comp, dict(enumerate(exps, 1))))
+    return tuple(terms)
 
 
 def load_table(name):
-    """Load A13 or B13 from QCONG_DATA_DIR if set, else the package data."""
+    """The terms of A13 or B13 (parse_table), read from QCONG_DATA_DIR if
+    set, else from the package data, and parsed anew on every call."""
     fname = name.lower() + ".terms"
     override = os.environ.get("QCONG_DATA_DIR")
     if override:
@@ -366,7 +334,7 @@ def check_finite_jtp(n_max=10, prec=200, t_values=(-3, -2, -1, 1, 2, 3)):
         starts.append(sum(min(e, 0) for e in range(-t, n - t))
                       + sum(min(e, 0) for e in range(1 + t, 1 + t + n)))
         starts += [shift for _, shift, _ in sym + paired]
-    wprec = prec - min(starts)
+    wprec = _length(prec, starts)
     pinv = [pochhammer_finite(1, k, wprec).invert()
             for k in range(2 * n_max + 1)]
     subs = []
@@ -399,6 +367,8 @@ def check_beta_second_derivatives(n_max=8, prec=120):
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if prec < 2:
+        raise ValueError(f"prec {prec} needs to be at least 2")
     one = LaurentSeries.one(ZZ, prec)
 
     def one_minus(x, k):
@@ -565,10 +535,28 @@ def check_ecubed_family(ells=(3, 5, 7, 9, 11, 13), prec=500):
 # eta-product dissections
 
 
+# E(1)^4 mod 7 is E(49)^2 times the nine-term sum, and E(1)^10 mod 13 is
+# E(169)^2 times the fifteen-term one; their classes q^1 mod 7 and q^5
+# mod 13 are the two quotient conjectures of report_conjectures
+_E4_MOD7 = ((1, 0, {2: 1, 3: 1, 1: -1}), (4, 1, {2: 2, 1: -1}),
+            (6, 1, {3: 2, 2: -1}), (5, 8, {1: 2, 3: -1}), (2, 2, {3: 1}),
+            (1, 3, {2: 1}), (2, 4, {3: 1, 1: 1, 2: -1}), (3, 5, {1: 1}),
+            (4, 6, {1: 1, 2: 1, 3: -1}))
+# rows written as (coeff, qpow, the four a of prod P(a))
+_E10_MOD13 = tuple((c, e, _folded(13, ms)) for c, e, ms in (
+    (1, 0, (2, 4, 5, 6)), (3, 1, (3, 3, 4, 6)), (9, 2, (1, 5, 6, 6)),
+    (9, 3, (2, 3, 5, 6)), (12, 4, (2, 3, 5, 5)), (11, 5, (2, 3, 4, 6)),
+    (6, 5, (1, 4, 5, 6)), (5, 18, (1, 2, 3, 5)), (1, 32, (1, 1, 2, 3)),
+    (9, 20, (1, 2, 3, 4)), (4, 8, (1, 4, 4, 5)), (10, 9, (2, 2, 4, 6)),
+    (1, 10, (1, 3, 4, 6)), (10, 11, (1, 3, 4, 5)), (3, 12, (1, 2, 5, 6))))
+
+
 def check_eta_dissections(prec=2000):
     """The exact 5- and 7-dissections of E(1) with the powers of them the
     congruence pipeline uses, and E(1)^10 mod 13 in both the fifteen-term
-    and the merged fourteen-term shape."""
+    and the merged fourteen-term shape, with its q^7 coefficient."""
+    if prec < 8:
+        raise ValueError(f"prec {prec} needs to be at least 8")
     subs = []
     E1 = euler_E(1, prec, ZZ)
 
@@ -595,47 +583,29 @@ def check_eta_dissections(prec=2000):
     subs.append(_cmp("eta:d7", E1, d7, prec))
 
     # fourth power mod 7, nine-term and eight-term shapes plus the quotient
-    # trade that links them
+    # trade that links them: it turns the q^8 row into two q^1 rows, and
+    # the eight-term shape is the nine-term one with its class q^1 merged
     r7 = Zmod(7)
     e14 = euler_E(1, prec, r7) ** 4
-    nine = ((1, 0, {2: 1, 3: 1, 1: -1}), (4, 1, {2: 2, 1: -1}),
-            (6, 1, {3: 2, 2: -1}), (5, 8, {1: 2, 3: -1}), (2, 2, {3: 1}),
-            (1, 3, {2: 1}), (2, 4, {3: 1, 1: 1, 2: -1}), (3, 5, {1: 1}),
-            (4, 6, {1: 1, 2: 1, 3: -1}))
-    bridge_l = ((5, 8, {1: 2, 3: -1}),)
+    bridge_l = [t for t in _E4_MOD7 if t[1] == 8]
     bridge_r = ((5, 1, {2: 2, 1: -1}), (2, 1, {3: 2, 2: -1}))
-    eight = ((1, 0, {2: 1, 3: 1, 1: -1}), (2, 1, {2: 2, 1: -1}),
-             (1, 1, {3: 2, 2: -1}), (2, 2, {3: 1}), (1, 3, {2: 1}),
-             (2, 4, {3: 1, 1: 1, 2: -1}), (3, 5, {1: 1}),
-             (4, 6, {1: 1, 2: 1, 3: -1}))
+    eight = [t for t in _E4_MOD7 if t[1] % 7 != 1] + [
+        (2, 1, {2: 2, 1: -1}), (1, 1, {3: 2, 2: -1})]
     sums = _monomial_sums(_p_basis(7, prec, r7), 7, prec,
-                          _times({"E": 2}, nine), bridge_l, bridge_r,
+                          _times({"E": 2}, _E4_MOD7), bridge_l, bridge_r,
                           _times({"E": 2}, eight))
     subs.append(_cmp("eta:e4_mod7_9term", e14, next(sums), prec))
     subs.append(_cmp("eta:mod7_bridge", next(sums), next(sums), prec))
     subs.append(_cmp("eta:e4_mod7_8term", e14, next(sums), prec))
 
-    # tenth power mod 13; rows are (coeff, qpow, the four a of prod P(a))
+    # tenth power mod 13; the fourteen-term shape merges the fifteen-term
+    # class q^5 (mod 13) into two q^5 rows
     r13 = Zmod(13)
     e110 = euler_E(1, prec, r13) ** 10
-    fifteen = ((1, 0, (2, 4, 5, 6)), (3, 1, (3, 3, 4, 6)),
-               (9, 2, (1, 5, 6, 6)), (9, 3, (2, 3, 5, 6)),
-               (12, 4, (2, 3, 5, 5)), (11, 5, (2, 3, 4, 6)),
-               (6, 5, (1, 4, 5, 6)), (5, 18, (1, 2, 3, 5)),
-               (1, 32, (1, 1, 2, 3)), (9, 20, (1, 2, 3, 4)),
-               (4, 8, (1, 4, 4, 5)), (10, 9, (2, 2, 4, 6)),
-               (1, 10, (1, 3, 4, 6)), (10, 11, (1, 3, 4, 5)),
-               (3, 12, (1, 2, 5, 6)))
-    fourteen = ((1, 0, (2, 4, 5, 6)), (3, 1, (3, 3, 4, 6)),
-                (9, 2, (1, 5, 6, 6)), (9, 3, (2, 3, 5, 6)),
-                (12, 4, (2, 3, 5, 5)), (3, 5, (2, 3, 4, 6)),
-                (1, 5, (1, 4, 5, 6)), (1, 32, (1, 1, 2, 3)),
-                (9, 20, (1, 2, 3, 4)), (4, 8, (1, 4, 4, 5)),
-                (10, 9, (2, 2, 4, 6)), (1, 10, (1, 3, 4, 6)),
-                (10, 11, (1, 3, 4, 5)), (3, 12, (1, 2, 5, 6)))
+    fourteen = [t for t in _E10_MOD13 if t[1] % 13 != 5] + [
+        (3, 5, _folded(13, (2, 3, 4, 6))), (1, 5, _folded(13, (1, 4, 5, 6)))]
     sums = _monomial_sums(_p_basis(13, prec, r13), 13, prec, *(
-        _times({"E": 2}, [(c, e, _folded(13, ms)) for c, e, ms in rows])
-        for rows in (fifteen, fourteen)))
+        _times({"E": 2}, terms) for terms in (_E10_MOD13, fourteen)))
     for name, s in zip(("eta:e10_mod13_15term", "eta:e10_mod13_14term"),
                        sums):
         subs.append(_cmp(name, e110, s, prec))
@@ -811,7 +781,7 @@ _PRODUCTS = {
 _VANISHING = {"U3": (0,), "V3": (1,), "U5": (0, 3), "V5": (1, 4),
               "U7": (0, 5), "V7": (), "U13": (0,), "V13": (10,)}
 
-CASES = ("U3", "V3", "U5", "V5", "U7", "V7", "U13", "V13")
+CASES = tuple(_LAMBERT)
 
 
 def _theorem2_rhs(case, prec):
@@ -822,13 +792,8 @@ def _theorem2_rhs(case, prec):
     lamberts = [(coeff, qpow, t_series(a, b, c, max(prec - qpow, 1),
                                        ring=ring))
                 for coeff, qpow, (a, b, c) in _LAMBERT[case]]
-    if ell == 13:
-        # component i of the table carries the outer factor q^i
-        table = load_table("A13" if kind == "U" else "B13")
-        pterms = [(r.coeff, r.qpow + r.component,
-                   dict(enumerate(r.p_exps, start=1))) for r in table.rows]
-    else:
-        pterms = _PRODUCTS[case]
+    pterms = (load_table("A13" if kind == "U" else "B13") if ell == 13
+              else _PRODUCTS[case])
     N = _length(prec, [qpow + t.low for _, qpow, t in lamberts]
                 + [qpow for _, qpow, _ in pterms])
     epow = 4 if ell in (7, 13) else 2
@@ -944,12 +909,12 @@ def check_chan_identity(prec=200):
             tterms = []
             for Bi, Bj in ((B1, B2), (B2, B1)):
                 sh = shift(A - Bi) - shift(Bj - Bi)
-                t = t_series(Bi, A - Bj, M, prec - sh, ring=ZZ)
+                t = t_series(Bi, A - Bj, M, max(prec - sh, 1), ring=ZZ)
                 tterms.append((A - Bi, Bj - Bi, t))
                 starts.append(sh + t.low)
             starts.append(shift(A) - shift(B1) - shift(B2))
             points.append((A, B1, B2, tterms))
-        N = prec - min(starts)
+        N = _length(prec, starts)
         EM2 = euler_E(M, N, ZZ) ** 2
 
         def jac(x):
@@ -1039,6 +1004,9 @@ def check_cross_lemma(ells=(5, 7, 13), prec=200):
         for idx in range(ell):
             b, second = (idx, False) if idx <= half else (ell - 1 - idx, True)
             specs.append((b, 1 if _valid_m(ell, b, 1) else 2, second))
+        # theorem2 sides first: V5's lowest start, q^2, is the check's
+        # highest, so a prec too small gets the least accepted prec named
+        rhs = {kind: _theorem2_rhs(f"{kind}{ell}", prec) for kind in "VU"}
         S = list(_lemma_rhs(ell, specs, prec, ring))
         uterms = [S[0], S[half].scale(inv2)]
         for b in range(1, (ell - 3) // 2 + 1):
@@ -1048,12 +1016,12 @@ def check_cross_lemma(ells=(5, 7, 13), prec=200):
         for b in range((ell - 5) // 2 + 1):
             vterms.append(S[b + 1].scale(b + 1))
             vterms.append(S[ell - 2 - b].scale(-(b + 2)))
-        NE = prec - min(s.low for s in S)  # every S reaches prec
+        NE = _length(prec, [s.low for s in S])  # every S reaches prec
         inv_e3 = (euler_E(1, NE, ring) ** 3).invert()
         for kind, terms in (("U", uterms), ("V", vterms)):
             assembled = (reduce(add, terms) * inv_e3).scale(-inv2)
-            rhs = _theorem2_rhs(f"{kind}{ell}", prec)
-            subs.append(_cmp(f"cross:{kind}{ell}", assembled, rhs, prec))
+            subs.append(_cmp(f"cross:{kind}{ell}", assembled, rhs[kind],
+                             prec))
     return merge_reports("cross_lemma", prec, subs,
                          {"ells": list(ells), "prec": prec})
 
@@ -1078,15 +1046,16 @@ def report_conjectures(n_max=1800, prec=2000):
                                first_failure=bad))
 
     r7 = Zmod(7)
-    lhs7, rhs7 = _monomial_sums(_p_basis(7, prec, r7), 7, prec, [
-        (4, 1, {2: 2, 1: -1}), (6, 1, {3: 2, 2: -1}), (5, 8, {1: 2, 3: -1})],
-        [(3, 1, {"e": 4, "E": -2})])
+    lhs7, rhs7 = _monomial_sums(
+        _p_basis(7, prec, r7), 7, prec,
+        [t for t in _E4_MOD7 if t[1] % 7 == 1], [(3, 1, {"e": 4, "E": -2})])
     subs.append(_cmp("conj:mod7_quotient", lhs7, rhs7, prec))
 
     r13 = Zmod(13)
-    lhs13, rhs13 = _monomial_sums(_p_basis(13, prec, r13), 13, prec, [
-        (11, 5, _folded(13, (2, 3, 4, 6))), (6, 5, _folded(13, (1, 4, 5, 6))),
-        (5, 18, _folded(13, (1, 2, 3, 5)))], [(1, 0, {"e": 10, "E": -2})])
+    lhs13, rhs13 = _monomial_sums(
+        _p_basis(13, prec, r13), 13, prec,
+        [t for t in _E10_MOD13 if t[1] % 13 == 5],
+        [(1, 0, {"e": 10, "E": -2})])
     printed = _cmp("conj:mod13_quotient", lhs13, rhs13, prec)
     subs.append(printed)
     rescale = None

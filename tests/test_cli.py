@@ -4,7 +4,6 @@ from pathlib import Path
 import pytest
 
 from qcong import cli, verify
-from qcong.verify import load_table
 
 
 def run_cli(capsys, *argv):
@@ -178,11 +177,13 @@ def test_missing_table_dir_exits_2(tmp_path, monkeypatch, capsys):
 def test_wrong_table_row_fails_check(tmp_path, monkeypatch, capsys):
     # a well-formed table with one corrupted coefficient must be caught by
     # the end-to-end comparison, not by the parser
-    table = load_table("A13")
-    first = table.rows[0]
-    bad = first.serialize().split()
-    bad[1] = str(int(bad[1]) % 12 + 1)
-    lines = [" ".join(bad)] + [r.serialize() for r in table.rows[1:]]
+    data = Path(verify.__file__).parent / "data" / "a13.terms"
+    lines = data.read_text(encoding="utf-8").splitlines()
+    row = next(i for i, ln in enumerate(lines)
+               if ln.strip() and not ln.startswith("#"))
+    fields = lines[row].split()
+    fields[1] = str(int(fields[1]) % 12 + 1)
+    lines[row] = " ".join(fields)
     (tmp_path / "a13.terms").write_text("\n".join(lines) + "\n")
     monkeypatch.setenv("QCONG_DATA_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "verify", "--check", "theorem2_u13",
