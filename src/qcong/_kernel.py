@@ -26,6 +26,9 @@ Every codec step is linear in the packed size, and for slots of up to
   filled from the slots' sign bytes through ``bytes.translate``, and read
   with ``array('q').frombytes``.  Slots wider than 8 bytes are read one
   at a time with ``int.from_bytes(..., signed=True)``.
+- Widening a packed window (``PackedSeries.widen``) decodes nothing: the
+  same bias makes every slot nonnegative, one strided copy per old byte
+  moves the slots apart, and one subtraction takes the bias off again.
 
 Slot widths stay the tight byte counts the bounds give.  Strided copies
 decode a 3-byte slot as cheaply per byte as an 8-byte one, so rounding
@@ -34,7 +37,6 @@ slots up to 4 or 8 bytes would only make every product larger.
 
 from __future__ import annotations
 
-import math
 import sys
 from array import array
 
@@ -201,8 +203,9 @@ class PackedSeries:
 
     Only linear operations are provided; at any slot width they are exact
     modulo 2**(slot_bits * length), so a transient needs no headroom.  The
-    width only matters where a window is decoded (to_coeffs, widen): there
-    it must hold every true coefficient (see uv_series_def for the bound).
+    width only matters where the slots are read (to_coeffs, and widen,
+    which re-strides them without decoding): there it must hold every true
+    coefficient (see uv_series_def for the bound).
     """
 
     __slots__ = ("length", "nbytes", "slot_bits", "mask", "value")
@@ -240,21 +243,22 @@ class PackedSeries:
         return unpack_signed(self.value, self.length, self.nbytes)
 
     def widen(self, slot_bits):
-        """Re-pack at slot_bits; the current width must hold every
-        coefficient, since the window is decoded at it first."""
-        coeffs = self.to_coeffs()
+        """Re-stride into slots of slot_bits (rounded up to whole bytes), in
+        linear time and without decoding.  The current width must hold
+        every coefficient c as |c| < 2**(bits - 1).  Adding that half-range
+        to every slot, as unpack_signed does, leaves each slot c plus the
+        half-range, a nonnegative value; those bytes are copied into the
+        wider slots with zeros above, and the same half-range, now at the
+        wider stride, is taken off again."""
+        old = self.nbytes
+        half = bytes(old - 1) + b"\x80"
+        biased = (self.value + int.from_bytes(half * self.length, "little")) & self.mask
+        raw = biased.to_bytes(old * self.length, "little")
         self.__init__(self.length, slot_bits)
-        self.value = pack(coeffs, self.nbytes) & self.mask
+        new = self.nbytes
+        slots = bytearray(new * self.length)
+        for j in range(old):
+            slots[j::new] = raw[j::old]
+        bias = int.from_bytes((half + bytes(new - old)) * self.length, "little")
+        self.value = (int.from_bytes(slots, "little") - bias) & self.mask
 
-
-def partition_bound_bits(n):
-    """Overestimate of bits(p(n)) via p(n) < exp(pi*sqrt(2n/3)), integer-only.
-
-    log2 exp(pi*sqrt(2n/3)) = pi/(3*ln2) * sqrt(6n), and pi/(3*ln2) =
-    1.51078...; 15108/10000 with a ceiling sqrt keeps the bound safe
-    without floats.
-    """
-    if n <= 1:
-        return 2
-    root = math.isqrt(6 * n) + 1
-    return (15108 * root) // 10000 + 2

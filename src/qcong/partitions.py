@@ -16,7 +16,7 @@ compare them; nothing in here assumes they agree.
 import math
 from typing import NamedTuple
 
-from ._kernel import PackedSeries, convolve, partition_bound_bits
+from ._kernel import PackedSeries, convolve
 from .lambert import double_pole_sum
 from .products import euler_E
 from .series import LaurentSeries, ZZ
@@ -76,22 +76,54 @@ class UVPair(NamedTuple):
 _def_cache = {"prec": 0, "pair": None}
 
 
-def _uv_bound(n, prec):
-    """B(n): bounds the coefficients below q^prec of prod_{m>=n} (1-q^m)^-4
-    (derived in uv_series_def)."""
-    cap = 2 * partition_bound_bits(prec) + 3 * (prec + 2).bit_length()
-    limit = 1 << cap
+# fixed point: the integer v stands for v / 2^64
+_ONE = 1 << 64
+
+
+def _cauchy_bounds(prec, X):
+    """Bounds, index n, on the coefficients below q^prec of core_n, U_n and
+    V_n, from T_n at x = X/2^64 (derived in uv_series_def)."""
+    lo = _ONE
+    up = [0] * prec + [_ONE] * (prec + 2)   # up[k] >= 2^64 (1 - x^k), or 2^64
+    for k in range(1, prec):
+        lo = lo * X >> 64                   # 2^64 x^k in [lo, lo + k]
+        up[k] = _ONE - lo
+    inv = -(-_ONE * _ONE // X)              # >= 2^64 / x
+    t = _ONE
+    for bit in bin(prec - 1)[2:]:
+        t = -(-t * t >> 64)
+        if bit == "1":
+            t = -(-t * inv >> 64)
+    out = [0] * prec
+    for n in range(prec - 1, 0, -1):
+        d = up[n] - n
+        d *= d
+        t = -((-t * up[2 * n + 1] * up[2 * n + 2] << 128) // (d * d))
+        out[n] = (t >> 64) + 1
+    return out
+
+
+def _uv_bound(n, prec, limit):
+    """min(B(n), limit), B(n) bounding the coefficients below q^prec of
+    prod_{m>=n} (1-q^m)^-4 (derived in uv_series_def)."""
     bound = 1
     j = 1
     while j * n < prec and bound < limit:
         bound += math.comb(prec - j * n + j, j) * 4 ** j
         j += 1
-    return min(bound, limit - 1)
+    return min(bound, limit)
 
 
-def _uv_slot_bits(n, prec):
-    """Slot bits that hold every series uv_series_def carries at step n."""
-    return _uv_bound(n, prec).bit_length() + prec.bit_length() + 1
+def _uv_slot_bits(prec):
+    """Slot bits, index n, that hold every series uv_series_def decodes at
+    step n."""
+    root = math.isqrt(prec)
+    cauchy = [_cauchy_bounds(prec, _ONE - min(_ONE * c // (10 * root), _ONE // 2))
+              for c in (10, 17)]
+    limits = map(min, *cauchy)
+    next(limits)
+    return [0] + [_uv_bound(n, prec, limit).bit_length() + 1
+                  for n, limit in enumerate(limits, 1)]
 
 
 def uv_series_def(prec):
@@ -103,51 +135,75 @@ def uv_series_def(prec):
         core_n = core_{n+1} (1-q^{2n+1})(1-q^{2n+2}) / (1-q^n)^4,
 
     which starts from core_prec = 1 + O(q^prec) and costs a handful of
-    packed linear passes per n instead of a fresh inversion.
+    packed linear passes per n instead of a fresh inversion.  U_n and V_n
+    are the partial sums of q^k core_k and q^2k core_k over k >= n.
 
-    Slot width.  At step n every series the loop holds fits a slot of
-    bitlen(B(n)) + bitlen(prec) + 1 bits (_uv_slot_bits), where B(n)
-    bounds the coefficients below q^prec of prod_{m>=n} (1-q^m)^-4:
+    Slot width.  The packed passes are exact modulo 2^(bits * prec) at any
+    width (PackedSeries), so only the windows that are read need room: at
+    the start of step n, widen re-strides core_{n+1}, U_{n+1} and V_{n+1},
+    and after step 1 to_coeffs decodes U_1 and V_1.  So the width of step n
+    must hold every coefficient below q^prec of core_n, U_n and V_n.  They
+    lie in [0, M], and _uv_slot_bits gives bitlen(M) + 1 bits, with M the
+    smaller of a Cauchy bound and B(n):
 
-    - Every exact intermediate of core is prod_{m>=n} (1-q^m)^-e_m with
-      all e_m <= 4; the two mul_one_minus calls only cancel factors of
-      core_{n+1}.  So its coefficients lie in [0, B(n)].
-    - A U or V partial sum adds fewer than prec such series.
-    - B(n) = min(1 + sum_{j>=1, jn<prec} C(prec-jn+j, j) 4^j, 2^cap - 1)
-      with cap = 2 pbb(prec) + 3 bitlen(prec+2), pbb being
-      partition_bound_bits.  The j-th term bounds the 4-coloured
-      partitions of w < prec into j parts, all >= n: their shapes are at
-      most the C(w-jn+j-1, j-1) <= C(prec-jn+j, j) weak compositions of
-      w - jn into j parts, each with at most 4^j colourings.  The
-      cap follows from p_4(w) <= C(w+3, 3) exp(2 pi sqrt(2w/3)), which
-      p(a) <= exp(pi sqrt(2a/3)) and sum sqrt(a_i) <= 2 sqrt(w) give.
-      The sum stops once it reaches 2^cap.
+    - Nonnegativity, which the Cauchy bound needs.  Below q^prec, core_n
+      agrees with T_n = prod_{m=n}^{prec-1} (1-q^m)^-e_m, e_m in {3, 4},
+      the product the loop builds from core_prec = 1 (its factors
+      (1-q^k) with k >= prec act as 1).  So T_n, sum_{k>=n} q^k T_k
+      and sum_{k>=n} q^2k T_k have nonnegative coefficients and agree
+      with core_n, U_n and V_n below q^prec.
+    - Cauchy.  A series F with nonnegative coefficients has
+      c_w <= F(x) x^-w <= F(x) x^-(prec-1) for w < prec and any x in
+      (0, 1).  _cauchy_bounds evaluates the recurrence's own products,
+      T_n(x) = T_{n+1}(x) (1-x^{2n+1})(1-x^{2n+2}) / (1-x^n)^4 with
+      factors of exponent >= prec read as 1, and the bound is
+      T_n(x) x^-(prec-1).  It covers U_n and V_n as well, since
+      V_n(x) <= U_n(x) = sum_{k>=n} x^k T_k(x) <= T_n(x) - 1: by
+      induction down from U_prec = 0 = T_prec - 1, U_n(x) <= x^n T_n(x)
+      + T_{n+1}(x) - 1 <= T_n(x) - 1, as each numerator factor is at least
+      1 - x^n and so T_{n+1}(x) <= (1 - x^n) T_n(x).  It runs in
+      integers, 64 fraction bits, at x = X/2^64, and every rounding makes
+      the bound larger.  Truncating x^k k times gives lo_k with 2^64 x^k
+      in [lo_k, lo_k + k] (each truncation loses under 1, and multiplying
+      by x < 1 does not enlarge the loss), so each numerator factor
+      2^64 - lo_k rounds up and the denominator base 2^64 - lo_n - n
+      rounds down; it stays positive, as lo_n <= X and 2^64 - X >=
+      min(floor(2^64/isqrt(prec)), 2^63) > prec for prec < 2^42.  The
+      quotient, x^-(prec-1) (squarings of ceil(2^128/X)) and the final
+      shift by 64 bits all round up.  The two points x = 1 - c/isqrt(prec),
+      c = 1 and 1.7, capped at x >= 1/2, sit near the optimum for small
+      n, where slots are widest and the coefficients grow like p_3.
+    - B(n) = 1 + sum_{j>=1, jn<prec} C(prec-jn+j, j) 4^j bounds the
+      coefficients below q^prec of P_n = prod_{m>=n} (1-q^m)^-4.  The
+      j-th term counts the 4-coloured partitions of w < prec into j
+      parts, all >= n: their shapes are at most the C(w-jn+j-1, j-1) <=
+      C(prec-jn+j, j) weak compositions of w - jn into j parts, each with
+      at most 4^j colourings.  Why B(n) bounds all three series: core_n
+      <= P_n coefficientwise, since P_n is core_n times geometric
+      factors; and U_n, V_n <= P_n, since adding one (for V two) parts k
+      in the first colour to a partition counted by P_k gives one counted
+      by P_n whose least part is k, so pairs (k, partition) map
+      injectively.  B(n) is the tighter bound for large n, where no
+      Cauchy bound falls below x^-(prec-1).  Its sum stops once it
+      reaches the Cauchy bound, which then is the smaller.
 
-    Only decoded values need that room: the packed passes are exact modulo
-    2^(bits * prec) at any width (PackedSeries), and only widen, at the
-    start of a step, and the final to_coeffs decode.
-
-    B only falls as n grows, so the loop starts narrow and, whenever a
-    step needs more, widens core, U and V to twice the width (at least
-    the need, at most the n = 1 width).  A widening decodes at the old
-    width, which still holds the values of step n+1.
+    The schedule is computed once per call.  The loop starts at one byte
+    and widens core, U and V to the need of step n whenever that is more
+    bytes than they have, so the width of step n is at least its need.
     """
     if prec < 1:
         raise ValueError("prec must be positive")
     if _def_cache["prec"] >= prec:
         u, v = _def_cache["pair"]
         return UVPair(u.truncate(prec), v.truncate(prec))
-    full = _uv_slot_bits(1, prec)
-    bits = _uv_slot_bits(max(prec - 1, 1), prec)
-    core = PackedSeries(prec, bits, 1)
-    upk = PackedSeries(prec, bits)
-    vpk = PackedSeries(prec, bits)
+    need = _uv_slot_bits(prec)
+    core = PackedSeries(prec, 2, 1)   # core_prec = 1 needs bitlen(1) + 1 bits
+    upk = PackedSeries(prec, 2)
+    vpk = PackedSeries(prec, 2)
     for n in range(prec - 1, 0, -1):
-        need = _uv_slot_bits(n, prec)
-        if need > core.slot_bits:
-            bits = min(max(need, 2 * core.slot_bits), full)
+        if need[n] > core.slot_bits:
             for ps in (core, upk, vpk):
-                ps.widen(bits)
+                ps.widen(need[n])
         core.mul_one_minus(2 * n + 1)
         core.mul_one_minus(2 * n + 2)
         for _ in range(4):

@@ -90,6 +90,16 @@ class LaurentSeries:
         self.low = low
         self.coeffs = cs
 
+    @classmethod
+    def _canonical(cls, ring, low, coeffs):
+        """Trusted constructor: coeffs is a non-empty tuple already reduced
+        to the ring's canonical reps, so __init__'s second pass is skipped."""
+        out = object.__new__(cls)
+        out.ring = ring
+        out.low = low
+        out.coeffs = coeffs
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -217,7 +227,7 @@ class LaurentSeries:
 
     def shift(self, s):
         """Multiply by q^s: window moves to [low+s, prec+s)."""
-        return LaurentSeries(self.ring, self.low + s, self.coeffs)
+        return LaurentSeries._canonical(self.ring, self.low + s, self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -227,8 +237,8 @@ class LaurentSeries:
         self._want_ring(other)
         out_len = min(len(self.coeffs), len(other.coeffs))
         cs = _kernel.convolve(self.coeffs, other.coeffs, out_len,
-                              self.ring.modulus)
-        return LaurentSeries(self.ring, self.low + other.low, cs)
+                              self.ring.modulus)   # mod m: already reduced
+        return LaurentSeries._canonical(self.ring, self.low + other.low, tuple(cs))
 
     __rmul__ = __mul__
 
@@ -301,16 +311,16 @@ class LaurentSeries:
         if not self.low < new_prec <= self.prec:
             raise WindowError(
                 f"cannot truncate [{self.low},{self.prec}) to prec {new_prec}")
-        return LaurentSeries(self.ring, self.low,
-                             self.coeffs[:new_prec - self.low])
+        return LaurentSeries._canonical(self.ring, self.low,
+                                        self.coeffs[:new_prec - self.low])
 
     def with_low(self, new_low):
         """Extend the window downward with explicit zeros (sound: low is a
         support bound)."""
         if new_low > self.low:
             raise WindowError(f"with_low({new_low}) would raise low {self.low}")
-        return LaurentSeries(self.ring, new_low,
-                             (0,) * (self.low - new_low) + self.coeffs)
+        return LaurentSeries._canonical(self.ring, new_low,
+                                        (0,) * (self.low - new_low) + self.coeffs)
 
 
 class EpsPoly:

@@ -1,9 +1,10 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from qcong import cli, verify
+from qcong import cli, partitions, verify
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +138,20 @@ def test_suite_output_matches_the_golden_file(capsys):
     code, out, _ = run_cli(capsys, "suite", "--deterministic")
     assert code == 0
     assert out == golden.read_text(encoding="utf-8")
+
+
+def test_sequence_output_matches_the_benchmark_digests(capsys, monkeypatch):
+    # the 2000-term sequences the benchmark's `sequence` workload prints,
+    # by SHA-256 of stdout; a cold cache makes v come from the same
+    # recurrence run as u
+    recorded = json.loads((Path(__file__).parent.parent / "perfbench"
+                           / "expected.json").read_text(encoding="utf-8"))
+    monkeypatch.setattr(partitions, "_def_cache", {"prec": 0, "pair": None})
+    for seq in ("u", "v"):
+        code, out, _ = run_cli(capsys, "coeffs", "--seq", seq, "--n-max", "2000")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == recorded["sequence_sha256"][f"{seq}:2000"], seq
 
 
 def test_explore_never_gates(capsys):

@@ -1,9 +1,11 @@
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from qcong import partitions
-from qcong._kernel import PackedSeries, partition_bound_bits
+from qcong._kernel import PackedSeries
 from qcong.partitions import (
     sequence_lines,
     u_count,
@@ -109,8 +111,10 @@ def cold_def_cache(monkeypatch):
 
 
 def fixed_width_uv(prec):
-    """The recurrence at one slot width for all steps, 4*pbb(prec) + 24."""
-    bits = 4 * partition_bound_bits(prec) + 24
+    """The recurrence at one slot width for all steps.  12 isqrt(prec) + 64
+    bits is about twice what the coefficients reach (193 bits at prec 1001);
+    too narrow a width would break the comparison, not hide a fault."""
+    bits = 12 * math.isqrt(prec) + 64
     core = PackedSeries(prec, bits, 1)
     upk = PackedSeries(prec, bits)
     vpk = PackedSeries(prec, bits)
@@ -152,25 +156,6 @@ def test_series_def_matches_fixed_width_recurrence(cold_def_cache, prec):
     assert [pair.v.coeff(n) for n in range(prec)] == v
 
 
-def test_uv_bound_dominates_exact_coefficients():
-    # prod_{m>=n} (1-q^m)^-4 on [0, prec) by a plain list DP, for every n
-    prec = 120
-    coeffs = [1] + [0] * (prec - 1)
-    for n in range(prec - 1, 0, -1):
-        for _ in range(4):
-            for w in range(n, prec):
-                coeffs[w] += coeffs[w - n]
-        assert max(coeffs) <= partitions._uv_bound(n, prec), n
-    assert partitions._uv_bound(1, prec) == (1 << 105) - 1   # capped at n = 1
-
-
-def test_uv_slot_bits_grow_as_n_falls():
-    bits = [partitions._uv_slot_bits(n, 2001) for n in range(2000, 0, -1)]
-    assert bits == sorted(bits)
-    assert bits[-1] == 381
-    assert bits[-1] < 4 * partition_bound_bits(2001) + 24
-
-
 def _shift(cs, k, sign):
     return [c + sign * (cs[i - k] if i >= k else 0) for i, c in enumerate(cs)]
 
@@ -182,9 +167,62 @@ def _list_div_one_minus(cs, k):
     return out
 
 
-def test_series_def_agrees_with_list_shadow_after_every_op(cold_def_cache, monkeypatch):
-    """Each PackedSeries op of the recurrence, replayed on plain lists, must
-    decode to the same coefficients at the width the op left behind."""
+def exact_step_maxima(prec):
+    """Largest coefficient below q^prec of core_n, U_n and V_n, index n, by
+    the recurrence on plain lists; every one must be nonnegative."""
+    core = [1] + [0] * (prec - 1)
+    u = [0] * prec
+    v = [0] * prec
+    out = [0] * prec
+    for n in range(prec - 1, 0, -1):
+        core = _shift(_shift(core, 2 * n + 1, -1), 2 * n + 2, -1)
+        for _ in range(4):
+            core = _list_div_one_minus(core, n)
+        u = [c + (core[i - n] if i >= n else 0) for i, c in enumerate(u)]
+        v = [c + (core[i - 2 * n] if i >= 2 * n else 0) for i, c in enumerate(v)]
+        assert min(core + u + v) >= 0, n
+        out[n] = max(core + u + v)
+    return out
+
+
+@pytest.mark.parametrize("prec", [40, 120, 300])
+def test_uv_slot_bits_hold_every_decoded_value(prec):
+    bits = partitions._uv_slot_bits(prec)
+    for n, top in enumerate(exact_step_maxima(prec)[1:], 1):
+        assert top < 1 << (bits[n] - 1), (n, top.bit_length(), bits[n])
+
+
+@pytest.mark.parametrize("prec, X", [
+    (prec, X) for prec in (2, 3, 17, 40) for X in (1 << 63, (1 << 64) - (1 << 58))
+] + [(17, (1 << 64) - 12345)])   # x = 1 - 12345/2^64: rationals grow, keep it short
+def test_cauchy_bounds_round_up(prec, X):
+    # the same products in exact rationals; every fixed-point bound must lie
+    # at or above them, so no rounding went the wrong way
+    x = Fraction(X, 1 << 64)
+    one_minus = lambda k: 1 - x ** k if k < prec else 1
+    got = partitions._cauchy_bounds(prec, X)
+    t, u = Fraction(1), Fraction(0)
+    for n in range(prec - 1, 0, -1):
+        t *= one_minus(2 * n + 1) * one_minus(2 * n + 2) / (1 - x ** n) ** 4
+        u += x ** n * t
+        assert u <= t - 1, n   # why T_n(x) bounds U_n(x) and V_n(x) too
+        assert got[n] >= t / x ** (prec - 1), n
+
+
+def test_uv_slot_schedule_at_2001():
+    # the widest real coefficient at n = 1 has 275 bits (exact_step_maxima)
+    bits = partitions._uv_slot_bits(2001)
+    nbytes = [(b + 7) // 8 for b in bits[1:]]
+    assert nbytes == sorted(nbytes, reverse=True)
+    assert max(nbytes) == 37
+    assert len(set(nbytes) - {1}) == 35   # widenings, from one byte
+    assert bits[1] - (275 + 1) == 17
+
+
+def replay_with_list_shadow(monkeypatch, prec):
+    """Run uv_series_def(prec), replaying each PackedSeries op on plain lists;
+    every op must decode to the same coefficients at the width it left
+    behind.  Returns the pair and the ops in order."""
     shadow = {}
     ops = []
     orig = {name: getattr(PackedSeries, name) for name in
@@ -227,11 +265,30 @@ def test_series_def_agrees_with_list_shadow_after_every_op(cold_def_cache, monke
                      ("div_one_minus", div_one_minus),
                      ("add_shifted", add_shifted), ("widen", widen)):
         monkeypatch.setattr(PackedSeries, name, fn)
-    pair = uv_series_def(150)
+    return uv_series_def(prec), ops
+
+
+def test_series_def_agrees_with_list_shadow_after_every_op(cold_def_cache, monkeypatch):
+    pair, ops = replay_with_list_shadow(monkeypatch, 150)
     assert [ops.count(op) for op in ("mul_one_minus", "div_one_minus",
                                      "add_shifted")] == [2 * 149, 4 * 149, 149 + 74]
-    assert ops.count("widen") >= 3
+    # core, U and V widen once for every byte the schedule adds
+    nbytes = {(b + 7) // 8 for b in partitions._uv_slot_bits(150)[1:]} | {1}
+    assert ops.count("widen") == 3 * (len(nbytes) - 1) >= 3
     assert pair.u.coeff(149) == u_count(149)
+
+
+@pytest.mark.parametrize("short", [0, 8])
+def test_list_shadow_fails_one_byte_below_the_exact_need(cold_def_cache, monkeypatch, short):
+    # the exact need passes, so the shadow test is sharp; a byte less fails
+    exact = [top.bit_length() + 1 - short for top in exact_step_maxima(150)]
+    monkeypatch.setattr(partitions, "_uv_slot_bits", lambda prec: exact)
+    if short:
+        with pytest.raises(AssertionError):
+            replay_with_list_shadow(monkeypatch, 150)
+    else:
+        pair, _ = replay_with_list_shadow(monkeypatch, 150)
+        assert pair.u.coeff(149) == u_count(149)
 
 
 def test_def_and_lambert_routes_agree():

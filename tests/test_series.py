@@ -340,6 +340,28 @@ def test_truncate_and_with_low():
         f.with_low(1)
 
 
+@pytest.mark.parametrize("m", [7, 13])
+def test_unreduced_paths_match_the_reducing_constructor(m):
+    # shift, with_low, truncate and * build their results without a second
+    # reduction; each must equal the series the reducing __init__ gives
+    ring = Zmod(m)
+    rng = random.Random(m)
+    raw_f = [rng.randint(-3 * m, 3 * m) for _ in range(40)]
+    raw_g = [rng.randint(-3 * m, 3 * m) for _ in range(90)]   # packed path
+    f = LaurentSeries(ring, -2, raw_f)
+    g = LaurentSeries(ring, 5, raw_g)
+    cases = [
+        (f.shift(7), LaurentSeries(ring, 5, raw_f)),
+        (f.with_low(-6), LaurentSeries(ring, -6, [0] * 4 + raw_f)),
+        (f.truncate(20), LaurentSeries(ring, -2, raw_f[:22])),
+        (f * g, LaurentSeries(ring, 3, naive_convolve(raw_f, raw_g, 40))),
+        (g * g, LaurentSeries(ring, 10, naive_convolve(raw_g, raw_g, 90))),
+    ]
+    for got, want in cases:
+        assert isinstance(got.coeffs, tuple)
+        assert (got.low, got.coeffs) == (want.low, want.coeffs)
+
+
 def test_valuation_skips_stored_zeros():
     f = LaurentSeries(ZZ, -3, [0, 0, 7, 1])
     assert f.valuation() == -1
@@ -412,14 +434,6 @@ def test_packed_series_roundtrip():
     ps.mul_one_minus(3)
     ps.div_one_minus(3)
     assert ps.to_coeffs() == cs
-
-
-def test_partition_bound_bits_dominates_known_values():
-    p100 = 190569292           # 28 bits
-    p1000 = 24061467864032622473692149727991  # 104 bits
-    assert _kernel.partition_bound_bits(100) >= p100.bit_length()
-    assert _kernel.partition_bound_bits(1000) >= p1000.bit_length()
-    assert _kernel.partition_bound_bits(1000) < 140
 
 
 # algebraic laws -------------------------------------------------------------
