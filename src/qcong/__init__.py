@@ -12,7 +12,6 @@ from .partitions import (
 from .products import p_count
 from .report import CSV_FIELDS, Report, merge_reports, series_compare_report
 from .series import (
-    EpsPoly,
     LaurentSeries,
     NonUnitError,
     Ring,
@@ -34,7 +33,6 @@ from .verify import (
 
 __all__ = [
     "CSV_FIELDS",
-    "EpsPoly",
     "LaurentSeries",
     "NonUnitError",
     "REGISTRY",

@@ -103,7 +103,9 @@ def _sequence_cmd(args, enumerated):
 def _run_checks(ids, args):
     overrides = {"prec": args.prec, "n_max": args.n_max}
     if args.jobs > 1 and len(ids) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks every worker at the first submit: cap it at the
+        # number of checks
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(ids))) as pool:
             futures = [pool.submit(run_check, cid, overrides) for cid in ids]
             return [f.result() for f in futures]
     return [run_check(cid, overrides) for cid in ids]

@@ -2,12 +2,9 @@
 
 All three builders share the same discipline: a term index bound chosen
 so every term whose leading exponent lands below prec is included, and a
-window floor that extends itself below the requested low rather than
-discard a contribution.  So low=0 is exact: the window then starts at
-min(0, least term exponent), a support bound, and no padding below it is
-needed.  The widen parameter adds extra term indices on
-top of the bound; results must not change under widening, and the tests
-hold each builder to that.
+window that starts at min(0, least term exponent), a support bound: no
+contribution is discarded, and a caller that reads below q^0 may extend
+the result with with_low.
 """
 
 import math
@@ -27,9 +24,9 @@ def _normalize_pole(sign, e0, d, square=False):
     return -sign, e0 - d, -d
 
 
-def _accumulate(entries, low, prec, ring, square=False):
+def _accumulate(entries, prec, ring, square=False):
     """Dense sum of val * q^e0 / (1-q^d)^(1 or 2) over [out_low, prec)."""
-    out_low = min([low] + [e0 for _, e0, _ in entries])
+    out_low = min([0] + [e0 for _, e0, _ in entries])
     acc = [0] * (prec - out_low)
     for val, e0, d in entries:
         e, j = e0, 1
@@ -40,7 +37,7 @@ def _accumulate(entries, low, prec, ring, square=False):
     return LaurentSeries(ring, out_low, acc)
 
 
-def t_series(a, b, c, prec, low=0, widen=0, ring=ZZ):
+def t_series(a, b, c, prec, ring=ZZ):
     """T(q^a, q^b, q^c) = sum over n of (-1)^n q^{c n(n+1)/2 + bn} / (1 - q^{cn+a}).
 
     Raises when a is divisible by c: the n = -a/c term divides by zero and
@@ -50,8 +47,7 @@ def t_series(a, b, c, prec, low=0, widen=0, ring=ZZ):
         raise ValueError("c must be >= 1")
     if a % c == 0:
         raise ValueError(f"pole: the n={-a // c} term of T({a},{b},{c}) divides by zero")
-    span = max(prec - low, 0)
-    n_max = 2 + (abs(b) + abs(a) + math.isqrt(2 * c * span) + c) // c + widen
+    n_max = 2 + (abs(b) + abs(a) + math.isqrt(2 * c * max(prec, 0)) + c) // c
     entries = []
     for n in range(-n_max, n_max + 1):
         sign = -1 if n % 2 else 1
@@ -59,15 +55,14 @@ def t_series(a, b, c, prec, low=0, widen=0, ring=ZZ):
         d = c * n + a
         sign, e0, d = _normalize_pole(sign, e0, d)
         entries.append((sign, e0, d))
-    return _accumulate(entries, low, prec, ring)
+    return _accumulate(entries, prec, ring)
 
 
-def s_series(ell, b, prec, low=0, widen=0, ring=ZZ):
+def s_series(ell, b, prec, ring=ZZ):
     """S_ell(b) = sum over n != 0 of (-1)^n q^{n(n+1)/2 + bn} n(n+1) / (1 - q^{ell n})."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    span = max(prec - low, 0)
-    n_max = 2 * (abs(b) + ell) + 3 + math.isqrt(2 * span) + widen
+    n_max = 2 * (abs(b) + ell) + 3 + math.isqrt(2 * max(prec, 0))
     entries = []
     for n in range(-n_max, n_max + 1):
         w = n * (n + 1)
@@ -77,10 +72,10 @@ def s_series(ell, b, prec, low=0, widen=0, ring=ZZ):
         e0 = n * (n + 1) // 2 + b * n
         sign, e0, d = _normalize_pole(sign, e0, ell * n)
         entries.append((sign * w, e0, d))
-    return _accumulate(entries, low, prec, ring)
+    return _accumulate(entries, prec, ring)
 
 
-def double_pole_sum(weight, prec, low=0, widen=0, ring=ZZ):
+def double_pole_sum(weight, prec, ring=ZZ):
     """sum over n != 0 of (-1)^n q^{n(n+1)/2} w(n) / (1 - q^n)^2.
 
     weight "u" takes w(n) = n(n+1), weight "v" takes w(n) = n(n-1); these
@@ -88,8 +83,7 @@ def double_pole_sum(weight, prec, low=0, widen=0, ring=ZZ):
     """
     if weight not in ("u", "v"):
         raise ValueError("weight must be 'u' or 'v'")
-    span = max(prec - low, 0)
-    n_max = math.isqrt(2 * span) + 4 + widen
+    n_max = math.isqrt(2 * max(prec, 0)) + 4
     entries = []
     for n in range(-n_max, n_max + 1):
         w = n * (n + 1) if weight == "u" else n * (n - 1)
@@ -98,4 +92,4 @@ def double_pole_sum(weight, prec, low=0, widen=0, ring=ZZ):
         sign = -1 if n % 2 else 1
         sign, e0, d = _normalize_pole(sign, n * (n + 1) // 2, n, square=True)
         entries.append((sign * w, e0, d))
-    return _accumulate(entries, low, prec, ring, square=True)
+    return _accumulate(entries, prec, ring, square=True)

@@ -322,71 +322,3 @@ class LaurentSeries:
         return LaurentSeries._canonical(self.ring, new_low,
                                         (0,) * (self.low - new_low) + self.coeffs)
 
-
-class EpsPoly:
-    """R[eps]/(eps^3) with R = LaurentSeries; holds x near a point x0 for
-    second-derivative extraction: f(x0 + eps) carries f''(x0)/2 in its eps^2
-    part."""
-
-    __slots__ = ("e0", "e1", "e2")
-
-    def __init__(self, e0, e1, e2):
-        if not (e0.ring == e1.ring == e2.ring):
-            raise RingMismatchError("EpsPoly parts must share one ring")
-        self.e0 = e0
-        self.e1 = e1
-        self.e2 = e2
-
-    @classmethod
-    def constant(cls, s):
-        z = LaurentSeries.zeros(s.ring, s.low, s.prec)
-        return cls(s, z, z)
-
-    @classmethod
-    def variable(cls, x0):
-        """x0 + eps."""
-        one = LaurentSeries.one(x0.ring, x0.prec)
-        zero = LaurentSeries.zeros(x0.ring, x0.low, x0.prec)
-        return cls(x0, one, zero)
-
-    def __add__(self, other):
-        return EpsPoly(self.e0 + other.e0, self.e1 + other.e1, self.e2 + other.e2)
-
-    def __sub__(self, other):
-        return EpsPoly(self.e0 - other.e0, self.e1 - other.e1, self.e2 - other.e2)
-
-    def __neg__(self):
-        return EpsPoly(-self.e0, -self.e1, -self.e2)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, LaurentSeries)):
-            return EpsPoly(self.e0 * other, self.e1 * other, self.e2 * other)
-        a0, a1, a2 = self.e0, self.e1, self.e2
-        b0, b1, b2 = other.e0, other.e1, other.e2
-        return EpsPoly(a0 * b0,
-                       a0 * b1 + a1 * b0,
-                       a0 * b2 + a1 * b1 + a2 * b0)
-
-    __rmul__ = __mul__
-
-    def invert(self):
-        """Unit inverse; needs an invertible eps^0 part."""
-        c0 = self.e0.invert()
-        c0sq = c0 * c0
-        p1 = -(self.e1 * c0sq)
-        p2 = (self.e1 * self.e1 * c0sq - self.e2 * c0) * c0
-        return EpsPoly(c0, p1, p2)
-
-    def second_derivative(self):
-        """2 * eps^2 part = d^2/dx^2 at the expansion point."""
-        return self.e2.scale(2)
-
-    def __eq__(self, other):
-        if not isinstance(other, EpsPoly):
-            return NotImplemented
-        return self.e0 == other.e0 and self.e1 == other.e1 and self.e2 == other.e2
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"EpsPoly({self.e0!r}, {self.e1!r}, {self.e2!r})"

@@ -26,12 +26,12 @@ normalization followed by the fold P(a) = P(ell - a) (_pjac).
 
 Windows come from the real q-shifts, not from fixed padding.  Each term
 starts at a support bound: a P-monomial at its qpow, a Lambert sum at its
-prefactor shift plus the low that t_series or s_series returns when asked
-for low=0 (their floor drops to the least term exponent).  The term lists
-do not depend on the working length, so they are built first, and the
-length shared by one check's products is prec minus the lowest start; every
-side then reaches prec.  A comparison whose window ends below prec reports
-skipped, never pass (series_compare_report).
+prefactor shift plus the low that t_series or s_series returns (min(0,
+least term exponent)).  The term lists do not depend on the working
+length, so they are built first, and the length shared by one check's
+products is prec minus the lowest start; every side then reaches prec.
+A comparison whose window ends below prec reports skipped, never pass
+(series_compare_report).
 """
 
 import os
@@ -47,7 +47,7 @@ from .partitions import u_count, uv_series_def, uv_series_lambert, v_count
 from .products import (_theta_normalize, euler_E, jacobi_theta,
                        pochhammer_finite)
 from .report import Report, merge_reports, series_compare_report
-from .series import ZZ, EpsPoly, LaurentSeries, Zmod
+from .series import ZZ, LaurentSeries, Zmod
 
 
 class TableError(ValueError):
@@ -355,45 +355,50 @@ def check_finite_jtp(n_max=10, prec=200, t_values=(-3, -2, -1, 1, 2, 3)):
     return rep
 
 
-def check_beta_second_derivatives(n_max=8, prec=120):
-    """d^2/dx^2 of (xq, 1/x; q)_n / (q;q)_{2n} at x0 = 1 and x0 = 1/q,
-    via order-2 epsilon arithmetic, against the closed forms
-    -2 (q;q)_{n-1}^2/(q;q)_{2n} and its q^{n+2} multiple.
+def _x_coeffs(factors, prec):
+    """prod (1 - q^s x^d) over factors (s, d), d = +-1, as a polynomial in
+    x: {k: c_k} with c_k a series in q.  A factor maps c_k to
+    c_k - q^s c_{k-d}, one shift and one subtraction.  Every c_k starts at
+    its own support (a sum of shifts) and reaches at least prec."""
+    c = {0: LaurentSeries.one(ZZ, prec)}
+    for s, d in factors:
+        out = dict(c)
+        for k, ck in c.items():
+            t = ck.shift(s)
+            out[k + d] = out[k + d] - t if k + d in out else -t
+        c = out
+    return c
 
-    The q-powers of the factors 1 - x q^{1+i} and 1 - q^i / x are shifts,
-    not products, so each factor keeps every part's true start, q^0 or
-    above; only x0 = 1/q itself starts at q^-1.  No product then starts
-    below q^0 or loses its top, and the length is prec itself.
+
+def check_beta_second_derivatives(n_max=8, prec=120):
+    """d^2/dx^2 of (xq, 1/x; q)_n / (q;q)_{2n} at x0 = 1 and x0 = 1/q
+    against the closed forms -2 (q;q)_{n-1}^2/(q;q)_{2n} and its q^{n+2}
+    multiple.
+
+    The numerator is sum_k c_k x^k (_x_coeffs), so its second derivative
+    at x0 is sum_k k(k-1) c_k x0^{k-2}: the c_k themselves at x0 = 1, each
+    shifted by 2 - k at x0 = 1/q.  That shift moves c_k down by at most
+    n - 2, so the c_k are built on prec + max(n - 2, 0); every term still
+    starts at q^0 or above, and every side reaches prec.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if prec < 2:
         raise ValueError(f"prec {prec} needs to be at least 2")
-    one = LaurentSeries.one(ZZ, prec)
-
-    def one_minus(x, k):
-        """1 - q^k x for an EpsPoly x whose parts start at q^-k or above."""
-        return EpsPoly(one - x.e0.shift(k), -x.e1.shift(k), -x.e2.shift(k))
-
     pinv2 = [pochhammer_finite(1, 2 * n, prec).invert()
              for n in range(n_max + 1)]
     poch = [pochhammer_finite(1, n, prec) for n in range(n_max)]
-    points = (("1", one, 0), ("1/q", one.shift(-1), 1))
     subs = []
     for n in range(1, n_max + 1):
-        base = (poch[n - 1] ** 2) * pinv2[n]
-        for label, x0, at_qinv in points:
-            x = EpsPoly.variable(x0)
-            xinv = x.invert()
-            acc = EpsPoly.constant(one)
-            for i in range(n):
-                acc = acc * one_minus(x, 1 + i)
-                acc = acc * one_minus(xinv, i)
-            lhs = (acc * pinv2[n]).second_derivative()
-            closed = base.scale(-2)
-            if at_qinv:
-                closed = closed.shift(n + 2)
-            subs.append(_cmp(f"beta2:x0={label},n={n}", lhs, closed, prec))
+        c = _x_coeffs([(1 + i, 1) for i in range(n)]
+                      + [(i, -1) for i in range(n)], prec + max(n - 2, 0))
+        closed = ((poch[n - 1] ** 2) * pinv2[n]).scale(-2)
+        for label, at_qinv in (("1", 0), ("1/q", 1)):
+            lhs = reduce(add, (ck.scale(k * (k - 1)).shift(at_qinv * (2 - k))
+                               for k, ck in c.items() if k * (k - 1)))
+            rhs = closed.shift(n + 2) if at_qinv else closed
+            subs.append(_cmp(f"beta2:x0={label},n={n}", lhs * pinv2[n],
+                             rhs, prec))
     return merge_reports("beta_second_derivative", prec, subs,
                          {"n_max": n_max, "prec": prec})
 

@@ -84,6 +84,38 @@ def test_verify_jobs_pool(capsys):
                                                 "pole_split"]
 
 
+def test_jobs_pool_is_capped_at_the_number_of_checks(monkeypatch, capsys):
+    # a fake pool records max_workers and runs each task inline, so no
+    # worker process is started whatever --jobs asks for
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            class Done:
+                result = staticmethod(lambda: fn(*args))
+            return Done()
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    for jobs, want in (("5000", 2), ("2", 2)):
+        code, out, _ = run_cli(capsys, "verify", "--check", "t_functional_eq",
+                               "--check", "pole_split", "--prec", "60",
+                               "--jobs", jobs)
+        assert code == 0
+        reports, _ = split_reports(out, 2)
+        assert [r["check_id"] for r in reports] == ["t_functional_eq",
+                                                    "pole_split"]
+        assert sizes.pop() == want
+
+
 def test_verify_unknown_check_rejected_before_work(capsys):
     code, out, err = run_cli(capsys, "verify", "--check", "theorem1",
                              "--check", "nope")

@@ -85,17 +85,20 @@ def test_t_series_against_inversion_oracle():
 
 def test_t_series_with_negative_low():
     for a, b, c in [(1, 0, 2), (-5, 2, 3), (13, 13, 169)]:
-        got = t_series(a, b, c, 30, low=-12)
+        got = t_series(a, b, c, 30).with_low(-12)
         want = t_oracle(a, b, c, 30, low=-12)
-        assert got.low <= -12
+        assert got.low == -12
         assert got == want
 
 
 def test_t_series_widen_is_inert():
+    # a wider window takes more term indices; below the narrower prec they
+    # must add nothing, and the floor stays the least term exponent
     for a, b, c in T_CASES:
-        base = t_series(a, b, c, 35, low=-6)
-        assert t_series(a, b, c, 35, low=-6, widen=5) == base
-        assert t_series(a, b, c, 35, low=-6, widen=5).low == base.low
+        base = t_series(a, b, c, 35)
+        wide = t_series(a, b, c, 35 + 4 * c)
+        assert wide.truncate(35) == base
+        assert wide.low == base.low
 
 
 def test_t_series_pole_raises():
@@ -124,22 +127,20 @@ def test_s_series_against_inversion_oracle():
 
 
 def test_s_series_low_extension():
-    f = s_series(3, 0, 50, low=-5)
+    f = s_series(3, 0, 50).with_low(-5)
     assert f.low == -5
     for e in range(-5, 0):
         assert f.coeff(e) == 0
-    assert f == s_series(3, 0, 50, low=-5, widen=5)
 
 
 def test_s_series_widen_is_inert():
     for ell, b in [(3, 0), (5, 2), (13, 6)]:
-        assert s_series(ell, b, 40) == s_series(ell, b, 40, widen=5)
+        assert s_series(ell, b, 200).truncate(40) == s_series(ell, b, 40)
 
 
 def test_double_pole_against_inversion_oracle():
     for weight in ("u", "v"):
         assert double_pole_sum(weight, 40) == double_pole_oracle(weight, 40)
-        assert double_pole_sum(weight, 40) == double_pole_sum(weight, 40, widen=5)
 
 
 def test_double_pole_rejects_unknown_weight():

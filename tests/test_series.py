@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from qcong import _kernel
 from qcong.series import (
-    EpsPoly,
     LaurentSeries,
     NonUnitError,
     Ring,
@@ -366,45 +365,6 @@ def test_valuation_skips_stored_zeros():
     f = LaurentSeries(ZZ, -3, [0, 0, 7, 1])
     assert f.valuation() == -1
     assert LaurentSeries.zeros(ZZ, 0, 4).valuation() is None
-
-
-# eps ring ------------------------------------------------------------------
-
-def _eps_const(c, prec=8):
-    return EpsPoly.constant(LaurentSeries.monomial(ZZ, c, 0, prec))
-
-
-def test_eps_product():
-    one_plus = EpsPoly.variable(LaurentSeries.one(ZZ, 8))
-    one_minus = _eps_const(2) - one_plus
-    prod = one_plus * one_minus  # (1+eps)(1-eps) = 1 - eps^2
-    assert prod.e0.coeff(0) == 1
-    assert not any(prod.e1.coeffs)
-    assert prod.e2.coeff(0) == -1
-
-
-def test_eps_invert():
-    x = EpsPoly.variable(LaurentSeries.one(ZZ, 8))  # 1 + eps
-    inv = x.invert()
-    assert inv.e0.coeff(0) == 1
-    assert inv.e1.coeff(0) == -1
-    assert inv.e2.coeff(0) == 1
-    ident = x * inv
-    assert ident.e0.coeff(0) == 1
-    assert not any(ident.e1.coeffs) and not any(ident.e2.coeffs)
-
-
-def test_eps_second_derivative_of_cube():
-    x = EpsPoly.variable(LaurentSeries.one(ZZ, 8))
-    cube = x * x * x
-    d2 = cube.second_derivative()
-    assert d2.coeff(0) == 6  # (x^3)'' at 1
-
-
-def test_eps_invert_needs_unit_part():
-    z = EpsPoly.constant(LaurentSeries.zeros(ZZ, 0, 4))
-    with pytest.raises(NonUnitError):
-        z.invert()
 
 
 # kernel crosschecks ---------------------------------------------------------

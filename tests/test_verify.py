@@ -1,5 +1,5 @@
 import re
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 import pytest
@@ -119,7 +119,7 @@ _ALL_DISPLAY_TRIPLES = sorted({abc for rows in verify._LAMBERT.values()
 def test_t_series_matches_direct_encoding(a, b, c):
     lo, hi = -30, 80
     want = direct_T(a, b, c, lo, hi)
-    got = t_series(a, b, c, hi, low=lo)
+    got = t_series(a, b, c, hi).with_low(lo)
     for e in range(lo, hi):
         assert got.coeff(e) == want.get(e, 0), (a, b, c, e)
 
@@ -197,7 +197,7 @@ def _lemma_rhs_reference(ell, b, m, prec, ring, second):
     tc = (2 * (b + 1) if second else 2 * b) * (-1) ** ((b + 1) % 2 if second
                                                        else b % 2)
     if tc % ell:
-        t0 = t_series(a0, ell * m, L2, N, low=-L2 - 80, ring=ring)
+        t0 = t_series(a0, ell * m, L2, N, ring=ring).with_low(-L2 - 80)
         pref = (EL2 * jac(ell * m)).invert()
         terms.append((t0 * euler_E(1, N, ring) ** 3 * pref).scale(tc)
                      .shift(ell * m - b * (b + 1) // 2))
@@ -425,6 +425,73 @@ def test_finite_jtp_skips_degenerate_points():
 
 def test_beta_second_derivative_small():
     assert check_beta_second_derivatives(n_max=4, prec=60).status == "pass"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_x_coeffs_are_the_finite_triple_product_terms(n):
+    # (xq, 1/x; q)_n = sum_k (-1)^k q^{k(k+1)/2} (q;q)_{2n}
+    #                  / ((q;q)_{n-|k|} (q;q)_{n+|k|}) x^k,  -n <= k <= n
+    prec = 40
+
+    def qq(k):
+        return products.pochhammer_finite(1, k, prec)
+
+    c = verify._x_coeffs([(1 + i, 1) for i in range(n)]
+                         + [(i, -1) for i in range(n)], prec)
+    assert sorted(c) == list(range(-n, n + 1))
+    for k, ck in c.items():
+        want = (qq(2 * n) * (qq(n - abs(k)) * qq(n + abs(k))).invert())
+        want = want.scale((-1) ** k).shift(k * (k + 1) // 2)
+        assert ck.low == k * (k + 1) // 2   # its own support, no padding
+        assert ck.prec >= prec
+        assert ck == want, k
+
+
+def _mutate_bailey(monkeypatch):
+    real = verify._alpha
+
+    def alpha(pair, k, prec, ring=ZZ):
+        out = real(pair, k, prec, ring)
+        return out.scale(2) if (pair, k) == ("v", 2) else out
+    monkeypatch.setattr(verify, "_alpha", alpha)
+
+
+def _mutate_jtp(monkeypatch):
+    real = verify._jtp_sums
+
+    def jtp_sums(t, n):
+        sym, paired = real(t, n)
+        if n == 3:
+            sign, shift, j = paired[1]
+            paired = paired[:1] + [(-sign, shift, j)] + paired[2:]
+        return sym, paired
+    monkeypatch.setattr(verify, "_jtp_sums", jtp_sums)
+
+
+def _mutate_beta(monkeypatch):
+    real = verify._x_coeffs
+
+    def x_coeffs(factors, prec):
+        (s, d), *rest = factors
+        return real([(s + 1, d)] + rest, prec)
+    monkeypatch.setattr(verify, "_x_coeffs", x_coeffs)
+
+
+@pytest.mark.parametrize("mutate, check, first", [
+    (_mutate_bailey, partial(check_bailey_uv, n_max=4, prec=20), 1),
+    (_mutate_jtp, partial(check_finite_jtp, n_max=3, prec=20), -1),
+    (_mutate_beta, partial(check_beta_second_derivatives, n_max=3,
+                           prec=20), 2),
+], ids=["bailey_uv", "finite_jtp", "beta_second_derivative"])
+def test_finite_product_checks_fail_on_one_wrong_term(monkeypatch, mutate,
+                                                      check, first):
+    # negative control: one term of the check's own construction changed
+    # must give fail inside the window, never pass or skipped
+    assert check().status == "pass"
+    mutate(monkeypatch)
+    rep = check()
+    assert rep.status == "fail"
+    assert rep.first_failure[0] == first
 
 
 def test_t_functional_eq_small():
