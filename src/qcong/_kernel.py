@@ -30,9 +30,19 @@ Every codec step is linear in the packed size, and for slots of up to
   same bias makes every slot nonnegative, one strided copy per old byte
   moves the slots apart, and one subtraction takes the bias off again.
 
-Slot widths stay the tight byte counts the bounds give.  Strided copies
-decode a 3-byte slot as cheaply per byte as an 8-byte one, so rounding
-slots up to 4 or 8 bytes would only make every product larger.
+Over ZZ, slot widths stay the tight byte counts the bounds give.  Strided
+copies decode a 3-byte slot as cheaply per byte as an 8-byte one, so
+rounding slots up to 4 or 8 bytes would only make every product larger.
+
+Over Z/m the slots are whole native lanes of 2, 4 or 8 bytes instead.
+Canonical inputs make every output sum nonnegative and at most (m-1)**2
+times the shorter operand's length, so in the narrowest lane that holds
+that bound no carry crosses a lane.  The operands are ``array`` buffers
+read as ints and the product's lanes are read back with
+``array.frombytes``: no strided copy, sign fill or bias, which saves more
+than the byte or two a tight slot would on the short x = q^ell products
+the mod-ell checks make.  Moduli whose bound outgrows 8 bytes (above
+about 2**32) multiply over ZZ and reduce.
 """
 
 from __future__ import annotations
@@ -40,8 +50,11 @@ from __future__ import annotations
 import sys
 from array import array
 
-# below this many coefficient products, plain loops beat packing overhead
+# over ZZ, below this many coefficient products plain loops beat packing
 _SCHOOLBOOK_AREA = 4096
+
+# (bytes, unsigned array typecode) of the Z/m lanes, narrowest first
+_LANES = [(array(code).itemsize, code) for code in "HIQ"]
 
 # byte -> its sign fill (0xff if the top bit is set, else 0), and -> sign bit
 _SIGN_FILL = bytes(0xFF if b & 0x80 else 0 for b in range(256))
@@ -101,36 +114,32 @@ def pack(coeffs, nbytes):
     return value
 
 
-def _decode(raw, nbytes, signed):
-    """Read the little-endian slots of nbytes each that fill raw."""
+def unpack_signed(value, count, nbytes):
+    """Decode count slots; requires |true coefficient| < 2**(8*nbytes-1)."""
+    size = nbytes * count
+    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
+    raw = (((value + bias) & ((1 << (8 * size)) - 1)) ^ bias).to_bytes(
+        size, "little")
     if nbytes > 8:
-        return [int.from_bytes(raw[i:i + nbytes], "little", signed=signed)
-                for i in range(0, len(raw), nbytes)]
-    lanes = bytearray(8 * (len(raw) // nbytes))
+        return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+                for i in range(0, size, nbytes)]
+    lanes = bytearray(8 * count)
     for j in range(nbytes):
         lanes[j::8] = raw[j::nbytes]
-    if signed:
-        fill = raw[nbytes - 1::nbytes].translate(_SIGN_FILL)
-        for j in range(nbytes, 8):
-            lanes[j::8] = fill
-    out = array("q" if signed else "Q")
+    fill = raw[nbytes - 1::nbytes].translate(_SIGN_FILL)
+    for j in range(nbytes, 8):
+        lanes[j::8] = fill
+    out = array("q")
     out.frombytes(lanes)
     if _BIG_ENDIAN:
         out.byteswap()
     return out.tolist()
 
 
-def unpack_signed(value, count, nbytes):
-    """Decode count slots; requires |true coefficient| < 2**(8*nbytes-1)."""
-    size = nbytes * count
-    bias = int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
-    unbiased = ((value + bias) & ((1 << (8 * size)) - 1)) ^ bias
-    return _decode(unbiased.to_bytes(size, "little"), nbytes, signed=True)
-
-
-def _unpack_unsigned(value, count, nbytes):
-    return _decode(value.to_bytes(nbytes * count, "little"), nbytes,
-                   signed=False)
+def _lane_int(lanes):
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
 
 
 def convolve(a, b, out_len, modulus=None):
@@ -138,7 +147,9 @@ def convolve(a, b, out_len, modulus=None):
 
     Entries of a and b beyond out_len cannot contribute and are ignored.
     With a modulus, inputs must already be canonical and the output is
-    reduced.
+    reduced, and the product runs in native lanes (see the module
+    docstring).  Over ZZ, short products run a schoolbook loop and the
+    rest tight packed slots.
     """
     if out_len <= 0:
         return []
@@ -150,6 +161,21 @@ def convolve(a, b, out_len, modulus=None):
         a.pop()
     if not a or not any(b):
         return [0] * out_len
+    if modulus is not None:
+        # each output sums at most len(a) products, each <= (m-1)**2
+        bound = (modulus - 1) ** 2 * len(a)
+        for width, code in _LANES:
+            if bound >> (8 * width) == 0:
+                break
+        else:
+            return [c % modulus for c in convolve(a, b, out_len)]
+        size = width * out_len
+        p = _lane_int(array(code, a)) * _lane_int(array(code, b))
+        out = array(code)
+        out.frombytes((p & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+        if _BIG_ENDIAN:
+            out.byteswap()
+        return [c % modulus for c in out]
     nonzero = sum(1 for c in a if c)
     if nonzero * len(b) <= _SCHOOLBOOK_AREA:
         out = [0] * out_len
@@ -158,19 +184,9 @@ def convolve(a, b, out_len, modulus=None):
                 for j, bj in enumerate(b[:out_len - i]):
                     if bj:
                         out[i + j] += ai * bj
-        if modulus is not None:
-            out = [c % modulus for c in out]
         return out
 
     terms = min(len(a), len(b))
-    if modulus is not None:
-        # products are < modulus^2 * terms, all nonnegative
-        bits = 2 * (modulus - 1).bit_length() + terms.bit_length() + 1
-        nbytes = (bits + 7) // 8
-        p = pack(a, nbytes) * pack(b, nbytes)
-        p &= (1 << (8 * nbytes * out_len)) - 1
-        return [c % modulus for c in _unpack_unsigned(p, out_len, nbytes)]
-
     bits = (max_abs(a).bit_length() + max_abs(b).bit_length()
             + terms.bit_length() + 2)
     nbytes = (bits + 7) // 8

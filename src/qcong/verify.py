@@ -255,20 +255,23 @@ def _zero_cmp(check_id, combo, prec, params=None):
 # Bailey pair machinery
 
 
-def _alpha(pair, k, prec, ring=ZZ):
-    """alpha_k for the u and v pairs; k >= 1."""
+def _alpha(pair, k):
+    """alpha_k for the u and v pairs, k >= 1, as its two (coeff, exponent)
+    terms; a zero coefficient is kept, so k = 1 always has a term at q^0."""
     base = k * (k - 1) // 2
     hi, lo = k * (k + 1) // 2, k * (k - 1) // 2
     sign = 1 if (k + 1) % 2 == 0 else -1
     if pair == "u":
-        terms = {base: sign * hi, base + k: sign * lo}
-    else:
-        terms = {base + k: sign * hi, base: sign * lo}
-    return LaurentSeries.from_terms(ring, terms, 0, prec)
+        return [(sign * hi, base), (sign * lo, base + k)]
+    return [(sign * hi, base + k), (sign * lo, base)]
 
 
 def check_bailey_uv(n_max=12, prec=150):
-    """beta_n = sum_k alpha_k / ((q;q)_{n-k} (q;q)_{n+k}) for both pairs."""
+    """beta_n = sum_k alpha_k / ((q;q)_{n-k} (q;q)_{n+k}) for both pairs.
+
+    Both pairs share beta_n up to a shift and every block
+    1/((q;q)_{n-k} (q;q)_{n+k}), so each is built once per n and dropped
+    before the next n; alpha_k times a block is two shifted scales of it."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if prec <= n_max * (n_max + 1) // 2:
@@ -276,16 +279,16 @@ def check_bailey_uv(n_max=12, prec=150):
     pinv = [pochhammer_finite(1, k, prec).invert()
             for k in range(2 * n_max + 1)]
     poch = [pochhammer_finite(1, k, prec) for k in range(n_max)]
-    subs = []
-    for pair in ("u", "v"):
-        for n in range(1, n_max + 1):
-            beta = (poch[n - 1] ** 2) * pinv[2 * n]
-            if pair == "v":
-                beta = beta.shift(n)
-            rhs = reduce(add, (_alpha(pair, k, prec) * pinv[n - k]
-                               * pinv[n + k] for k in range(1, n + 1)))
-            subs.append(_cmp(f"bailey:{pair},n={n}", beta, rhs, prec))
-    rep = merge_reports("bailey_uv", prec, subs,
+    subs = {"u": [], "v": []}
+    for n in range(1, n_max + 1):
+        beta = (poch[n - 1] ** 2) * pinv[2 * n]
+        blocks = [pinv[n - k] * pinv[n + k] for k in range(1, n + 1)]
+        for pair, lhs in (("u", beta), ("v", beta.shift(n))):
+            rhs = reduce(add, (block.scale(c).shift(e)
+                               for k, block in enumerate(blocks, 1)
+                               for c, e in _alpha(pair, k)))
+            subs[pair].append(_cmp(f"bailey:{pair},n={n}", lhs, rhs, prec))
+    rep = merge_reports("bailey_uv", prec, subs["u"] + subs["v"],
                         {"n_max": n_max, "prec": prec})
     if rep.status == "pass":
         rep.notes = "n=0 entries of both pairs are 0 by definition"
@@ -337,15 +340,23 @@ def check_finite_jtp(n_max=10, prec=200, t_values=(-3, -2, -1, 1, 2, 3)):
     wprec = _length(prec, starts)
     pinv = [pochhammer_finite(1, k, wprec).invert()
             for k in range(2 * n_max + 1)]
-    subs = []
-    for t, n, sym, paired in cases:
+    # the blocks depend on n alone: visit the cases by n, so every t shares
+    # one n's blocks and only those are held, and report in case order
+    reports = [None] * len(cases)
+    blocks_n = None
+    for i, (t, n, sym, paired) in sorted(enumerate(cases),
+                                         key=lambda c: c[1][1]):
+        if n != blocks_n:
+            blocks_n = n
+            blocks = [pinv[n - j] * pinv[n + j] for j in range(n + 1)]
         lhs = (pochhammer_finite(1 + t, n, wprec)
                * pochhammer_finite(-t, n, wprec) * pinv[2 * n])
-        blocks = [pinv[n - j] * pinv[n + j] for j in range(n + 1)]
-        for form, terms in (("sym", sym), ("paired", paired)):
-            rhs = reduce(add, (blocks[abs(j)].shift(shift).scale(sign)
-                               for sign, shift, j in terms))
-            subs.append(_cmp(f"jtp:{form},t={t},n={n}", lhs, rhs, prec))
+        reports[i] = [
+            _cmp(f"jtp:{form},t={t},n={n}", lhs,
+                 reduce(add, (blocks[abs(j)].shift(shift).scale(sign)
+                              for sign, shift, j in terms)), prec)
+            for form, terms in (("sym", sym), ("paired", paired))]
+    subs = [r for pair in reports for r in pair]
     params = {"n_max": n_max, "prec": prec,
               "skipped_params": [list(x) for x in skipped]}
     rep = merge_reports("finite_jtp", prec, subs, params)

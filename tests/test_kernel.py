@@ -3,6 +3,8 @@
 The fixtures force convolve onto its packed path and compare against a
 naive convolution, with coefficients at the slot-width bounds, on both the
 array codec (slots of up to 8 bytes) and the per-slot path (wider slots).
+Over Z/m they record which native lane convolve picks, and the tests put
+the largest output sum just below and just above each lane's limit.
 """
 
 import random
@@ -28,17 +30,29 @@ def slot_value(cs, nbytes):
 
 @pytest.fixture
 def packed(monkeypatch):
-    """Force the packed path and record the slot width of every decode."""
+    """Force the packed ZZ path and record the slot width of every decode."""
     monkeypatch.setattr(_kernel, "_SCHOOLBOOK_AREA", 0)
     widths = []
-    for name in ("unpack_signed", "_unpack_unsigned"):
-        decode = getattr(_kernel, name)
+    decode = _kernel.unpack_signed
 
-        def spy(value, count, nbytes, decode=decode):
-            widths.append(nbytes)
-            return decode(value, count, nbytes)
-        monkeypatch.setattr(_kernel, name, spy)
+    def spy(value, count, nbytes):
+        widths.append(nbytes)
+        return decode(value, count, nbytes)
+    monkeypatch.setattr(_kernel, "unpack_signed", spy)
     return widths
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Record the array typecode of every Z/m lane operand."""
+    codes = []
+    read = _kernel._lane_int
+
+    def spy(buf):
+        codes.append(buf.typecode)
+        return read(buf)
+    monkeypatch.setattr(_kernel, "_lane_int", spy)
+    return codes
 
 
 # convolve on the packed path -----------------------------------------------
@@ -90,7 +104,7 @@ def test_convolve_trailing_zeros_and_short_output(packed):
 
 
 @pytest.mark.parametrize("modulus", [2, 3, 13, 255, 257, 65537])
-def test_convolve_mod(packed, modulus):
+def test_convolve_mod(lanes, modulus):
     rng = random.Random(modulus)
     top = modulus - 1
     cases = [
@@ -103,6 +117,52 @@ def test_convolve_mod(packed, modulus):
         for out_len in (1, 33, 64, 130):
             want = naive_convolve(a, b, out_len, modulus)
             assert _kernel.convolve(a, b, out_len, modulus) == want
+    assert lanes
+
+
+# convolve over Z/m: lane choice at its edges ---------------------------------
+
+def out_lens(a, b):
+    """Output lengths below, at and above len(a) + len(b) - 1."""
+    full = len(a) + len(b) - 1
+    return [n for n in (1, full - 1, full, full + 3) if n > 0]
+
+
+@pytest.mark.parametrize("modulus,length,code", [
+    (13, 455, "H"),         # 12**2 * 455 = 65520 < 2**16
+    (13, 456, "I"),         # 12**2 * 456 = 65664
+    (65536, 1, "I"),        # 65535**2 < 2**32
+    (65536, 2, "Q"),        # 2 * 65535**2 > 2**32
+    (2 ** 32 + 1, 1, None),  # (2**32)**2 = 2**64 needs the ZZ path
+])
+def test_convolve_mod_lane_edges(lanes, modulus, length, code):
+    rng = random.Random(length)
+    top = [modulus - 1] * length
+    mixed = [rng.randrange(modulus) for _ in range(length)] + [modulus - 1]
+    for a, b in ((top, top), (top, mixed), (mixed, top)):
+        for out_len in out_lens(a, b):
+            lanes.clear()
+            want = naive_convolve(a, b, out_len, modulus)
+            assert _kernel.convolve(a, b, out_len, modulus) == want
+            if out_len >= length:
+                assert set(lanes) == ({code} if code else set())
+
+
+@pytest.mark.parametrize("nbytes", WIDTHS)
+def test_convolve_mod_full_range(lanes, nbytes):
+    # (m-1)**2 < 2**(8*nbytes) <= m**2: one product of top values fills
+    # nbytes, so it takes the narrowest lane of at least nbytes
+    modulus = 1 << (4 * nbytes)
+    top = modulus - 1
+    assert _kernel.convolve([top], [top], 1, modulus) == [1]
+    want = [code for width, code in _kernel._LANES if width >= nbytes][:1]
+    assert lanes == 2 * want
+    rng = random.Random(200 + nbytes)
+    a = [top] * 5 + [rng.randrange(modulus) for _ in range(30)]
+    b = [rng.randrange(modulus) for _ in range(30)] + [top] * 5
+    for out_len in out_lens(a, b):
+        want = naive_convolve(a, b, out_len, modulus)
+        assert _kernel.convolve(a, b, out_len, modulus) == want
 
 
 # codec round trips ---------------------------------------------------------
@@ -146,20 +206,9 @@ def test_pack_beyond_64_bits():
         assert _kernel.unpack_signed(value, len(cs), nbytes) == cs
 
 
-@pytest.mark.parametrize("nbytes", WIDTHS)
-def test_unpack_unsigned_full_range(nbytes):
-    rng = random.Random(200 + nbytes)
-    full = (1 << (8 * nbytes)) - 1
-    cs = [full, 0, 1 << (8 * nbytes - 1), full] + [
-        rng.randrange(full + 1) for _ in range(30)]
-    assert _kernel._unpack_unsigned(slot_value(cs, nbytes),
-                                    len(cs), nbytes) == cs
-
-
 def test_empty_vectors():
     assert _kernel.pack([], 3) == 0
     assert _kernel.unpack_signed(12345, 0, 3) == []
-    assert _kernel._unpack_unsigned(0, 0, 3) == []
 
 
 @pytest.mark.parametrize("coeffs,want", [
@@ -195,6 +244,16 @@ def test_newton_invert(monkeypatch, length, modulus, force_packed):
     g = _kernel.newton_invert(f, lead_inverse, modulus)
     assert len(g) == length
     assert naive_convolve(f, g, length, modulus) == [1] + [0] * (length - 1)
+
+
+def test_newton_invert_mod_crosses_lanes(lanes):
+    # the last Newton step multiplies by a 512-term g, and 12**2 * 512
+    # outgrows 2-byte lanes, so the earlier steps run in H and the last in I
+    rng = random.Random(600)
+    f = [rng.randrange(1, 13)] + [rng.randrange(13) for _ in range(599)]
+    g = _kernel.newton_invert(f, pow(f[0], -1, 13), 13)
+    assert naive_convolve(f, g, 600, 13) == [1] + [0] * 599
+    assert set(lanes) == {"H", "I"}
 
 
 # PackedSeries ------------------------------------------------------------------

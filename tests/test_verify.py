@@ -450,9 +450,9 @@ def test_x_coeffs_are_the_finite_triple_product_terms(n):
 def _mutate_bailey(monkeypatch):
     real = verify._alpha
 
-    def alpha(pair, k, prec, ring=ZZ):
-        out = real(pair, k, prec, ring)
-        return out.scale(2) if (pair, k) == ("v", 2) else out
+    def alpha(pair, k):
+        out = real(pair, k)
+        return [(2 * c, e) for c, e in out] if (pair, k) == ("v", 2) else out
     monkeypatch.setattr(verify, "_alpha", alpha)
 
 
