@@ -81,8 +81,9 @@ _ONE = 1 << 64
 
 
 def _cauchy_bounds(prec, X):
-    """Bounds, index n, on the coefficients below q^prec of core_n, U_n and
-    V_n, from T_n at x = X/2^64 (derived in uv_series_def)."""
+    """Fixed-point values t, index n = 1..prec, each at or above
+    2^64 T_n(x) x^-(prec-1) at x = X/2^64 (derived in uv_series_def):
+    t[prec] is x^-(prec-1), and each step down rounds its quotient up."""
     lo = _ONE
     up = [0] * prec + [_ONE] * (prec + 2)   # up[k] >= 2^64 (1 - x^k), or 2^64
     for k in range(1, prec):
@@ -94,12 +95,12 @@ def _cauchy_bounds(prec, X):
         t = -(-t * t >> 64)
         if bit == "1":
             t = -(-t * inv >> 64)
-    out = [0] * prec
+    out = [0] * prec + [t]
     for n in range(prec - 1, 0, -1):
         d = up[n] - n
         d *= d
-        t = -((-t * up[2 * n + 1] * up[2 * n + 2] << 128) // (d * d))
-        out[n] = (t >> 64) + 1
+        out[n] = -((-out[n + 1] * up[2 * n + 1] * up[2 * n + 2] << 128)
+                   // (d * d))
     return out
 
 
@@ -122,8 +123,8 @@ def _uv_slot_bits(prec):
               for c in (10, 17)]
     limits = map(min, *cauchy)
     next(limits)
-    return [0] + [_uv_bound(n, prec, limit).bit_length() + 1
-                  for n, limit in enumerate(limits, 1)]
+    return [0] + [_uv_bound(n, prec, (limit >> 64) + 1).bit_length() + 1
+                  for n, limit in zip(range(1, prec), limits)]
 
 
 def uv_series_def(prec):

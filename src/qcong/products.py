@@ -135,8 +135,3 @@ def jacobi_theta(a, m, prec, ring=ZZ):
     if sign < 0:
         unit = unit.scale(-1)
     return unit.shift(shift) if shift else unit
-
-
-def cap_P(a, ell, prec, ring=ZZ):
-    """P(a) = [q^{ell*a}; q^{ell^2}], the building block of the mod-ell tables."""
-    return jacobi_theta(ell * a, ell * ell, prec, ring)

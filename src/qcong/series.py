@@ -118,19 +118,6 @@ class LaurentSeries:
             raise WindowError(f"prec {prec} does not cover exponent {exponent}")
         return cls(ring, exponent, (coeff,) + (0,) * (prec - exponent - 1))
 
-    @classmethod
-    def from_terms(cls, ring, terms, low, prec):
-        """Dense series on [low, prec) from {exponent: coeff}; terms outside
-        the window must not exist (that would silently lose support)."""
-        if prec <= low:
-            raise WindowError(f"window [{low},{prec}) is empty")
-        cs = [0] * (prec - low)
-        for e, c in terms.items():
-            if not low <= e < prec:
-                raise WindowError(f"term q^{e} outside window [{low},{prec})")
-            cs[e - low] = c
-        return cls(ring, low, cs)
-
     # -- inspection --------------------------------------------------------
 
     @property

@@ -24,6 +24,12 @@ layer, _lemma_rhs) go through the same evaluator, one call per ell: each
 theta [q^{ell y}; q^{ell^2}] there is sign * q^shift * P(a), by the theta
 normalization followed by the fold P(a) = P(ell - a) (_pjac).
 
+The identities of ecubed_dissect, eta_dissections and product_rules are
+data, module-level (name, ell, modulus, lhs, rhs) tuples over ZZ (modulus
+None) or Z/modulus.  A side is a term list over _p_basis(ell), an int k
+for E(1)^k in q, or, on the right, None for 0; the checks select from
+these tables, and _identity_reports evaluates them.
+
 Windows come from the real q-shifts, not from fixed padding.  Each term
 starts at a support bound: a P-monomial at its qpow, a Lambert sum at its
 prefactor shift plus the low that t_series or s_series returns (min(0,
@@ -213,7 +219,7 @@ def _p_basis(ell, prec, ring):
 
 def _times(pre, terms):
     """terms times the prefactor pre = {key: e}, a key no term has."""
-    return [(c, qpow, {**exps, **pre}) for c, qpow, exps in terms]
+    return tuple((c, qpow, {**exps, **pre}) for c, qpow, exps in terms)
 
 
 def _length(prec, starts):
@@ -246,9 +252,30 @@ def _cmp(check_id, lhs, rhs, prec, params=None):
                                  rhs.with_low(lo), prec, params)
 
 
-def _zero_cmp(check_id, combo, prec, params=None):
-    zero = LaurentSeries.zeros(combo.ring, combo.low, combo.prec)
-    return series_compare_report(check_id, combo, zero, prec, params)
+def _identity_reports(idents, prec):
+    """Per (name, ell, modulus, lhs, rhs) identity, in input order, the
+    report comparing its sides at prec.  The identities of one (ell,
+    modulus) share one basis, one _monomial_sums call and each E(1)^k, and
+    a group's series are dropped before the next group's are built."""
+    groups = {}
+    for i, (name, ell, modulus, lhs, rhs) in enumerate(idents):
+        groups.setdefault((ell, modulus), []).append((i, name, lhs, rhs))
+    reports = [None] * len(idents)
+    for (ell, modulus), group in groups.items():
+        ring = ZZ if modulus is None else Zmod(modulus)
+        sides = [s for _, _, *pair in group for s in pair]
+        sums = _monomial_sums(_p_basis(ell, prec, ring), ell, prec, *(
+            s for s in sides if s is not None and not isinstance(s, int)))
+        epow = {k: euler_E(1, prec, ring) ** k
+                for k in {s for s in sides if isinstance(s, int)}}
+        for i, name, *pair in group:
+            lhs, rhs = [epow[s] if isinstance(s, int)
+                        else None if s is None else next(sums) for s in pair]
+            if rhs is None:
+                rhs = LaurentSeries.zeros(ring, lhs.low, lhs.prec)
+            reports[i] = _cmp(name, lhs, rhs, prec)
+        del sums, epow
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -517,28 +544,33 @@ def check_lemma_family(second=False, ells=(3, 5, 7, 9, 13), prec=300,
     return merge_reports(name, prec, subs, params)
 
 
+# the two-term and three-term collapsed forms of the k-sums for ell = 5, 7
+_ECUBED_SHORT = {5: ((2, 1, {1: 1}), (1, 0, {2: 1})),
+                 7: ((5, 3, {1: 1}), (4, 1, {2: 1}), (1, 0, {3: 1}))}
+
+
+def _ecubed(ell):
+    """E(1)^3 = E(ell^2) times the theta k-sum mod ell, and for ell = 5
+    and 7 the k-sum against its collapsed form, as identities."""
+    s0 = -1 if ((1 + ell) // 2) % 2 else 1
+    # q-powers (ell^2 - 1)/8 + k(k - ell)/2 are never negative
+    ksum = _times({"E": 1}, [
+        (s0 * (-1) ** (k % 2) * k, (ell * ell - 1) // 8 + k * (k - ell) // 2,
+         _folded(ell, (k,))) for k in range(1, ell)])
+    idents = [(f"ecubed:l={ell}", ell, ell, 3, ksum)]
+    if ell in _ECUBED_SHORT:
+        idents.append((f"ecubed:short,l={ell}", ell, ell, ksum,
+                       _times({"E": 1}, _ECUBED_SHORT[ell])))
+    return idents
+
+
 def check_ecubed_dissect(ell=3, prec=300):
     """E(1)^3 mod ell against its theta k-sum; for ell = 5 and 7 the sum
     is also matched to the two-term and three-term collapsed forms."""
     if ell < 3 or ell % 2 == 0:
         raise ValueError("ell must be odd and >= 3")
-    ring = Zmod(ell)
-    L2 = ell * ell
-    lhs = euler_E(1, prec, ring) ** 3
-    s0 = -1 if ((1 + ell) // 2) % 2 else 1
-    # q-powers (L2 - 1)/8 + k(k - ell)/2 are never negative
-    ksum = [(s0 * (-1) ** (k % 2) * k, (L2 - 1) // 8 + k * (k - ell) // 2,
-             _folded(ell, (k,))) for k in range(1, ell)]
-    short = {5: ((2, 1, {1: 1}), (1, 0, {2: 1})),
-             7: ((5, 3, {1: 1}), (4, 1, {2: 1}), (1, 0, {3: 1}))}
-    sums = _monomial_sums(_p_basis(ell, prec, ring), ell, prec, *(
-        _times({"E": 1}, terms)
-        for terms in [ksum] + ([short[ell]] if ell in short else [])))
-    rhs = next(sums)
-    subs = [_cmp(f"ecubed:l={ell}", lhs, rhs, prec)]
-    if ell in short:
-        subs.append(_cmp(f"ecubed:short,l={ell}", rhs, next(sums), prec))
-    return merge_reports("ecubed_dissect", prec, subs,
+    return merge_reports("ecubed_dissect", prec,
+                         _identity_reports(_ecubed(ell), prec),
                          {"ell": ell, "prec": prec})
 
 
@@ -567,95 +599,126 @@ _E10_MOD13 = tuple((c, e, _folded(13, ms)) for c, e, ms in (
     (1, 10, (1, 3, 4, 6)), (10, 11, (1, 3, 4, 5)), (3, 12, (1, 2, 5, 6))))
 
 
+# base q^25: E(1) = E(25) (X - q - q^2/X) with X = P(2)/P(1), squared and
+# cubed; powers of X have smaller ZZ coefficients than powers of 1/P(1), so
+# the right sides are sums over the basis {X, E(25)}, not over _p_basis(5)
+_ETA_D5 = tuple((name, 5, None, k, _times({"E": k}, terms))
+                for k, (name, terms) in enumerate((
+    ("eta:d5", ((1, 0, {"X": 1}), (-1, 1, {}), (-1, 2, {"X": -1}))),
+    ("eta:d5_square", ((1, 0, {"X": 2}), (-2, 1, {"X": 1}), (-1, 2, {}),
+                       (2, 3, {"X": -1}), (1, 4, {"X": -2}))),
+    ("eta:d5_cube", ((1, 0, {"X": 3}), (-3, 1, {"X": 2}), (5, 3, {}),
+                     (-3, 5, {"X": -2}), (-1, 6, {"X": -3})))), 1))
+
+_ETA_DISSECTIONS = (
+    # base q^49: E(1) = E(49) (P(2)/P(1) - q P(3)/P(2) - q^2 + q^5 P(1)/P(3))
+    ("eta:d7", 7, None, 1, _times({"E": 1}, (
+        (1, 0, {2: 1, 1: -1}), (-1, 1, {3: 1, 2: -1}), (-1, 2, {}),
+        (1, 5, {1: 1, 3: -1})))),
+    # fourth power mod 7, nine-term and eight-term shapes plus the quotient
+    # trade that links them: it turns the q^8 row into two q^1 rows, and
+    # the eight-term shape is the nine-term one with its class q^1 merged
+    ("eta:e4_mod7_9term", 7, 7, 4, _times({"E": 2}, _E4_MOD7)),
+    ("eta:mod7_bridge", 7, 7, tuple(t for t in _E4_MOD7 if t[1] == 8),
+     ((5, 1, {2: 2, 1: -1}), (2, 1, {3: 2, 2: -1}))),
+    ("eta:e4_mod7_8term", 7, 7, 4, _times({"E": 2}, (
+        *(t for t in _E4_MOD7 if t[1] % 7 != 1),
+        (2, 1, {2: 2, 1: -1}), (1, 1, {3: 2, 2: -1})))),
+    # tenth power mod 13; the fourteen-term shape merges the fifteen-term
+    # class q^5 (mod 13) into two q^5 rows
+    ("eta:e10_mod13_15term", 13, 13, 10, _times({"E": 2}, _E10_MOD13)),
+    ("eta:e10_mod13_14term", 13, 13, 10, _times({"E": 2}, (
+        *(t for t in _E10_MOD13 if t[1] % 13 != 5),
+        (3, 5, _folded(13, (2, 3, 4, 6))), (1, 5, _folded(13, (1, 4, 5, 6)))))),
+)
+
+
 def check_eta_dissections(prec=2000):
     """The exact 5- and 7-dissections of E(1) with the powers of them the
     congruence pipeline uses, and E(1)^10 mod 13 in both the fifteen-term
     and the merged fourteen-term shape, with its q^7 coefficient."""
     if prec < 8:
         raise ValueError(f"prec {prec} needs to be at least 8")
-    subs = []
-    E1 = euler_E(1, prec, ZZ)
-
-    # base q^25: E(1) = E(25) (X - q - q^2/X) with X = P(2)/P(1), squared
-    # and cubed; powers of X have smaller ZZ coefficients than powers of
-    # 1/P(1), so X, built in x = q^5 like the P(a), and E(25) are the basis
     P5 = _p_basis(5, prec, ZZ)
-    X = P5[2] * P5[1].invert()
-    d5 = (("eta:d5", ((1, 0, {"X": 1}), (-1, 1, {}), (-1, 2, {"X": -1}))),
-          ("eta:d5_square", ((1, 0, {"X": 2}), (-2, 1, {"X": 1}),
-                             (-1, 2, {}), (2, 3, {"X": -1}),
-                             (1, 4, {"X": -2}))),
-          ("eta:d5_cube", ((1, 0, {"X": 3}), (-3, 1, {"X": 2}), (5, 3, {}),
-                           (-3, 5, {"X": -2}), (-1, 6, {"X": -3}))))
-    sums = _monomial_sums({"X": X, "E": P5["E"]}, 5, prec, *(
-        _times({"E": k}, terms) for k, (_, terms) in enumerate(d5, 1)))
-    for k, ((name, _), d5k) in enumerate(zip(d5, sums), 1):
-        subs.append(_cmp(name, E1 ** k, d5k, prec))
-
-    # base q^49: E(1) = E(49) (P(2)/P(1) - q P(3)/P(2) - q^2 + q^5 P(1)/P(3))
-    [d7] = _monomial_sums(_p_basis(7, prec, ZZ), 7, prec, _times({"E": 1}, [
-        (1, 0, {2: 1, 1: -1}), (-1, 1, {3: 1, 2: -1}), (-1, 2, {}),
-        (1, 5, {1: 1, 3: -1})]))
-    subs.append(_cmp("eta:d7", E1, d7, prec))
-
-    # fourth power mod 7, nine-term and eight-term shapes plus the quotient
-    # trade that links them: it turns the q^8 row into two q^1 rows, and
-    # the eight-term shape is the nine-term one with its class q^1 merged
-    r7 = Zmod(7)
-    e14 = euler_E(1, prec, r7) ** 4
-    bridge_l = [t for t in _E4_MOD7 if t[1] == 8]
-    bridge_r = ((5, 1, {2: 2, 1: -1}), (2, 1, {3: 2, 2: -1}))
-    eight = [t for t in _E4_MOD7 if t[1] % 7 != 1] + [
-        (2, 1, {2: 2, 1: -1}), (1, 1, {3: 2, 2: -1})]
-    sums = _monomial_sums(_p_basis(7, prec, r7), 7, prec,
-                          _times({"E": 2}, _E4_MOD7), bridge_l, bridge_r,
-                          _times({"E": 2}, eight))
-    subs.append(_cmp("eta:e4_mod7_9term", e14, next(sums), prec))
-    subs.append(_cmp("eta:mod7_bridge", next(sums), next(sums), prec))
-    subs.append(_cmp("eta:e4_mod7_8term", e14, next(sums), prec))
-
-    # tenth power mod 13; the fourteen-term shape merges the fifteen-term
-    # class q^5 (mod 13) into two q^5 rows
-    r13 = Zmod(13)
-    e110 = euler_E(1, prec, r13) ** 10
-    fourteen = [t for t in _E10_MOD13 if t[1] % 13 != 5] + [
-        (3, 5, _folded(13, (2, 3, 4, 6))), (1, 5, _folded(13, (1, 4, 5, 6)))]
-    sums = _monomial_sums(_p_basis(13, prec, r13), 13, prec, *(
-        _times({"E": 2}, terms) for terms in (_E10_MOD13, fourteen)))
-    for name, s in zip(("eta:e10_mod13_15term", "eta:e10_mod13_14term"),
-                       sums):
-        subs.append(_cmp(name, e110, s, prec))
-    params = {"prec": prec, "e10_q7_coeff": int(e110.coeff(7))}
+    E1 = euler_E(1, prec, ZZ)
+    sums = _monomial_sums({"X": P5[2] * P5[1].invert(), "E": P5["E"]}, 5,
+                          prec, *(rhs for *_, rhs in _ETA_D5))
+    subs = [_cmp(name, E1 ** k, d5k, prec)
+            for (name, _, _, k, _), d5k in zip(_ETA_D5, sums)]
+    subs += _identity_reports(_ETA_DISSECTIONS, prec)
+    params = {"prec": prec,
+              "e10_q7_coeff": (euler_E(1, 8, Zmod(13)) ** 10).coeff(7)}
     return merge_reports("eta_dissections", prec, subs, params)
 
 
 # ---------------------------------------------------------------------------
 # theta-product reduction rules
 
-# exact base-q^169 relations: term1 - term2 + term3 = 0, each term a q-power
-# times a product of four P(a)
-_RULES13 = (
-    (0, (3, 3, 3, 1), 0, (4, 2, 2, 2), 13, (5, 1, 1, 1)),
-    (0, (4, 4, 4, 2), 0, (5, 3, 3, 3), 26, (6, 1, 1, 1)),
-    (0, (5, 5, 5, 1), 0, (6, 3, 3, 3), 13, (5, 2, 2, 2)),
-    (0, (5, 5, 5, 3), 0, (6, 4, 4, 4), 39, (4, 1, 1, 1)),
-    (0, (6, 6, 6, 1), 0, (4, 4, 4, 3), 13, (3, 3, 3, 2)),
-    (0, (6, 6, 6, 2), 0, (5, 4, 4, 4), 26, (3, 2, 2, 2)),
-    (0, (6, 6, 6, 3), 0, (5, 5, 5, 4), 39, (2, 2, 2, 1)),
-    (0, (6, 6, 6, 4), 0, (6, 5, 5, 5), 52, (2, 1, 1, 1)),
-    (0, (4, 4, 3, 1), 0, (5, 3, 2, 2), 13, (6, 2, 1, 1)),
-    (0, (4, 4, 5, 1), 0, (6, 2, 3, 3), 13, (6, 1, 2, 2)),
-    (0, (5, 5, 3, 1), 0, (6, 2, 2, 4), 13, (6, 1, 1, 3)),
-    (0, (5, 5, 4, 2), 0, (6, 4, 3, 3), 26, (5, 2, 1, 1)),
-    (0, (5, 5, 6, 1), 0, (5, 2, 4, 4), 13, (4, 1, 3, 3)),
-    (0, (5, 5, 6, 2), 0, (6, 3, 4, 4), 26, (4, 1, 2, 2)),
-    (0, (6, 6, 3, 1), 0, (5, 2, 2, 6), 13, (4, 1, 1, 5)),
-    (0, (6, 6, 4, 1), 0, (5, 5, 2, 3), 13, (4, 4, 1, 2)),
-    (0, (6, 6, 4, 2), 0, (6, 3, 3, 5), 26, (4, 1, 1, 3)),
-    (0, (6, 6, 5, 1), 0, (5, 4, 3, 3), 13, (4, 3, 2, 2)),
-    (0, (6, 6, 5, 2), 0, (5, 5, 4, 3), 26, (3, 3, 2, 1)),
-    (0, (6, 6, 5, 3), 0, (6, 5, 4, 4), 39, (3, 2, 1, 1)),
-    (0, (6, 4, 5, 1), 0, (6, 3, 4, 2), 13, (5, 2, 3, 1)),
+# exact base-q^169 relations, rows written as (q1, m1, q2, m2, q3, m3):
+# q^q1 prod P(m1) - q^q2 prod P(m2) + q^q3 prod P(m3) = 0
+_RULES13 = tuple(
+    ((1, q1, _folded(13, m1)), (-1, q2, _folded(13, m2)),
+     (1, q3, _folded(13, m3)))
+    for q1, m1, q2, m2, q3, m3 in (
+        (0, (3, 3, 3, 1), 0, (4, 2, 2, 2), 13, (5, 1, 1, 1)),
+        (0, (4, 4, 4, 2), 0, (5, 3, 3, 3), 26, (6, 1, 1, 1)),
+        (0, (5, 5, 5, 1), 0, (6, 3, 3, 3), 13, (5, 2, 2, 2)),
+        (0, (5, 5, 5, 3), 0, (6, 4, 4, 4), 39, (4, 1, 1, 1)),
+        (0, (6, 6, 6, 1), 0, (4, 4, 4, 3), 13, (3, 3, 3, 2)),
+        (0, (6, 6, 6, 2), 0, (5, 4, 4, 4), 26, (3, 2, 2, 2)),
+        (0, (6, 6, 6, 3), 0, (5, 5, 5, 4), 39, (2, 2, 2, 1)),
+        (0, (6, 6, 6, 4), 0, (6, 5, 5, 5), 52, (2, 1, 1, 1)),
+        (0, (4, 4, 3, 1), 0, (5, 3, 2, 2), 13, (6, 2, 1, 1)),
+        (0, (4, 4, 5, 1), 0, (6, 2, 3, 3), 13, (6, 1, 2, 2)),
+        (0, (5, 5, 3, 1), 0, (6, 2, 2, 4), 13, (6, 1, 1, 3)),
+        (0, (5, 5, 4, 2), 0, (6, 4, 3, 3), 26, (5, 2, 1, 1)),
+        (0, (5, 5, 6, 1), 0, (5, 2, 4, 4), 13, (4, 1, 3, 3)),
+        (0, (5, 5, 6, 2), 0, (6, 3, 4, 4), 26, (4, 1, 2, 2)),
+        (0, (6, 6, 3, 1), 0, (5, 2, 2, 6), 13, (4, 1, 1, 5)),
+        (0, (6, 6, 4, 1), 0, (5, 5, 2, 3), 13, (4, 4, 1, 2)),
+        (0, (6, 6, 4, 2), 0, (6, 3, 3, 5), 26, (4, 1, 1, 3)),
+        (0, (6, 6, 5, 1), 0, (5, 4, 3, 3), 13, (4, 3, 2, 2)),
+        (0, (6, 6, 5, 2), 0, (5, 5, 4, 3), 26, (3, 3, 2, 1)),
+        (0, (6, 6, 5, 3), 0, (6, 5, 4, 4), 39, (3, 2, 1, 1)),
+        (0, (6, 4, 5, 1), 0, (6, 3, 4, 2), 13, (5, 2, 3, 1)),
+    ))
+
+
+def _mt(a, b, c, d):
+    """The three terms of the four-theta elimination identity at (a, b, c,
+    d); on the grid 6 >= a > b > c > d >= 1 every theta argument lies in
+    1..11, so no theta vanishes."""
+    return ((1, 0, _folded(13, (a + d, a - d, b + c, b - c))),
+            (-1, 0, _folded(13, (a + c, a - c, b + d, b - d))),
+            (1, 13 * (b - c), _folded(13, (a + b, a - b, c + d, c - d))))
+
+
+_PRODUCT_RULES = (
+    ("rules:as7", 7, None, ((1, 0, {3: 3, 1: 1}), (-1, 0, {2: 3, 3: 1}),
+                            (1, 7, {1: 3, 2: 1})), None),
+    ("rules:mod5_quotient", 5, 5, ((1, 0, {2: 2, 1: -3}),
+                                   (2, 5, {1: 2, 2: -3})),
+     ((1, 0, {"E": -2}),)),
+    *((f"rules:r{i}", 13, None, terms, None)
+      for i, terms in enumerate(_RULES13, 1)),
+    *((f"rules:mt({a},{b},{c},{d})", 13, None, _mt(a, b, c, d), None)
+      for a in range(1, 7) for b in range(1, a)
+      for c in range(1, b) for d in range(1, c)),
+    # the (5,3,2,1) grid point is term-for-term the last listed rule;
+    # P(7) = P(6) by the theta reflection, so the middle terms agree too
+    *((f"rules:mt_vs_r21,t{j}", 13, None, ((1, q, r),), ((1, p, m),))
+      for j, ((_, q, r), (_, p, m)) in enumerate(
+          zip(_RULES13[-1], _mt(5, 3, 2, 1)), 1)),
+)
+
+# the two mod-7 component combinations that the relations force to vanish
+_MOD7_CLASSES = (
+    ("rules:mod7_class0", 7, 7, (
+        (4, 7, {2: 2, 1: -1, 3: -1}), (3, 7, {3: 1, 2: -1}),
+        (3, 14, {1: 2, 3: -2})), None),
+    ("rules:mod7_class5", 7, 7, (
+        (2, 0, {2: 3, 1: -2, 3: -1}), (5, 0, {3: 3, 2: -3}),
+        (5, 7, {1: 2, 2: -2}), (5, 7, {1: 1, 2: 1, 3: -2})), None),
 )
 
 
@@ -664,64 +727,10 @@ def check_product_rules(prec=5000):
     the mod-5 quotient reduction, the 21 base-q^169 rules, the four-theta
     elimination identity over its parameter grid, and the two mod-7
     component combinations that those relations force to vanish."""
-    subs, skipped = [], []
-
-    [as7] = _monomial_sums(_p_basis(7, prec, ZZ), 7, prec, [
-        (1, 0, {3: 3, 1: 1}), (-1, 0, {2: 3, 3: 1}), (1, 7, {1: 3, 2: 1})])
-    subs.append(_zero_cmp("rules:as7", as7, prec))
-
-    r5 = Zmod(5)
-    lhs5, rhs5 = _monomial_sums(_p_basis(5, prec, r5), 5, prec, [
-        (1, 0, {2: 2, 1: -3}), (2, 5, {1: 2, 2: -3})], [(1, 0, {"E": -2})])
-    subs.append(_cmp("rules:mod5_quotient", lhs5, rhs5, prec))
-
-    # every base-q^169 combination below must vanish
-    zero13 = []
-    for idx, (q1, m1, q2, m2, q3, m3) in enumerate(_RULES13, 1):
-        zero13.append((f"rules:r{idx}", [
-            (1, q1, _folded(13, m1)), (-1, q2, _folded(13, m2)),
-            (1, q3, _folded(13, m3))]))
-    grid = [(a, b, c, d)
-            for a in range(1, 7) for b in range(1, a)
-            for c in range(1, b) for d in range(1, c)]
-    for a, b, c, d in grid:
-        args = (a + d, a - d, b + c, b - c, a + c, a - c, b + d, b - d,
-                a + b, a - b, c + d, c - d)
-        if any(v % 13 == 0 for v in args):
-            skipped.append((a, b, c, d))
-            continue
-        zero13.append((f"rules:mt({a},{b},{c},{d})", [
-            (1, 0, _folded(13, args[0:4])), (-1, 0, _folded(13, args[4:8])),
-            (1, 13 * (b - c), _folded(13, args[8:12]))]))
-
-    # the (5,3,2,1) grid point is term-for-term the last listed rule;
-    # P(7) = P(6) by the theta reflection, so the middle terms agree too
-    q1, m1, q2, m2, q3, m3 = _RULES13[-1]
-    pairs = (("t1", (q1, m1), (0, (5 + 1, 5 - 1, 3 + 2, 3 - 2))),
-             ("t2", (q2, m2), (0, (5 + 2, 5 - 2, 3 + 1, 3 - 1))),
-             ("t3", (q3, m3), (13 * (3 - 2), (5 + 3, 5 - 3, 2 + 1, 2 - 1))))
-    sums = _monomial_sums(_p_basis(13, prec, ZZ), 13, prec,
-                          *(t for _, t in zero13),
-                          *([(1, qp, _folded(13, ms))]
-                            for _, *sides in pairs for qp, ms in sides))
-    for name, _ in zero13:
-        subs.append(_zero_cmp(name, next(sums), prec))
-    for tag, *_ in pairs:
-        subs.append(_cmp(f"rules:mt_vs_r21,{tag}", next(sums), next(sums),
-                         prec))
-
-    r7 = Zmod(7)
     prec7 = min(prec, 600)
-    sums = _monomial_sums(_p_basis(7, prec7, r7), 7, prec7, (
-        (4, 7, {2: 2, 1: -1, 3: -1}), (3, 7, {3: 1, 2: -1}),
-        (3, 14, {1: 2, 3: -2})), (
-        (2, 0, {2: 3, 1: -2, 3: -1}), (5, 0, {3: 3, 2: -3}),
-        (5, 7, {1: 2, 2: -2}), (5, 7, {1: 1, 2: 1, 3: -2})))
-    subs.append(_zero_cmp("rules:mod7_class0", next(sums), prec7))
-    subs.append(_zero_cmp("rules:mod7_class5", next(sums), prec7))
-
-    params = {"prec": prec, "mod7_prec": prec7,
-              "skipped_params": [list(x) for x in skipped]}
+    subs = (_identity_reports(_PRODUCT_RULES, prec)
+            + _identity_reports(_MOD7_CLASSES, prec7))
+    params = {"prec": prec, "mod7_prec": prec7, "skipped_params": []}
     return merge_reports("product_rules", prec, subs, params)
 
 
@@ -1136,15 +1145,7 @@ REGISTRY = {
                             informational=True),
 }
 
-SUITE = (
-    "uv_oracle", "uv_dual", "theorem1",
-    "theorem2_u3", "theorem2_v3", "theorem2_u5", "theorem2_v5",
-    "theorem2_u7", "theorem2_v7", "theorem2_u13", "theorem2_v13",
-    "lemma_main", "lemma_second", "ecubed_dissect", "eta_dissections",
-    "product_rules", "bailey_uv", "finite_jtp", "beta_second_derivative",
-    "t_functional_eq", "chan_identity", "pole_split", "cross_lemma",
-    "conjectures",
-)
+SUITE = tuple(REGISTRY)
 
 
 def ensure_suite_covers_registry():

@@ -197,16 +197,32 @@ def test_uv_slot_bits_hold_every_decoded_value(prec):
 ] + [(17, (1 << 64) - 12345)])   # x = 1 - 12345/2^64: rationals grow, keep it short
 def test_cauchy_bounds_round_up(prec, X):
     # the same products in exact rationals; every fixed-point bound must lie
-    # at or above them, so no rounding went the wrong way
-    x = Fraction(X, 1 << 64)
+    # at or above them
+    one = 1 << 64
+    x = Fraction(X, one)
     one_minus = lambda k: 1 - x ** k if k < prec else 1
     got = partitions._cauchy_bounds(prec, X)
+    assert got[prec] >= one / x ** (prec - 1)
     t, u = Fraction(1), Fraction(0)
     for n in range(prec - 1, 0, -1):
         t *= one_minus(2 * n + 1) * one_minus(2 * n + 2) / (1 - x ** n) ** 4
         u += x ** n * t
         assert u <= t - 1, n   # why T_n(x) bounds U_n(x) and V_n(x) too
-        assert got[n] >= t / x ** (prec - 1), n
+        assert got[n] >= one * t / x ** (prec - 1), n
+    # and each rounding on its own, so no single one went the wrong way:
+    # the truncated powers lo_k give factors one - lo_k at or above
+    # one (1 - x^k) and denominator bases one - lo_k - k at or below it,
+    # and each step's quotient of those same integers is rounded up by
+    # less than one unit
+    up, lo = [0] * prec + [one] * (prec + 2), one
+    for k in range(1, prec):
+        lo = lo * X >> 64
+        up[k] = one - lo
+        assert up[k] - k <= one * (1 - x ** k) <= up[k], k
+    for n in range(prec - 1, 0, -1):
+        exact = Fraction(got[n + 1] * up[2 * n + 1] * up[2 * n + 2] << 128,
+                         (up[n] - n) ** 4)
+        assert exact <= got[n] < exact + 1, n
 
 
 def test_uv_slot_schedule_at_2001():

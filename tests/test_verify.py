@@ -494,6 +494,58 @@ def test_finite_product_checks_fail_on_one_wrong_term(monkeypatch, mutate,
     assert rep.first_failure[0] == first
 
 
+# every lifted identity, and the tables it comes from; the eta:d5* right
+# sides are over {X, E(25)}, so check_eta_dissections evaluates those
+_LIFTED = [*verify._PRODUCT_RULES, *verify._MOD7_CLASSES,
+           *verify._ETA_DISSECTIONS, *verify._ETA_D5,
+           *(ident for ell in range(3, 14, 2) for ident in verify._ecubed(ell))]
+
+
+def _plus_one(ident):
+    """ident with the first coefficient of its right side raised by 1, or
+    of its left side when the right side is 0."""
+    name, ell, modulus, lhs, rhs = ident
+    (c, qpow, exps), *rest = lhs if rhs is None else rhs
+    side = ((c + 1, qpow, exps), *rest)
+    return (name, ell, modulus, side, None) if rhs is None else (
+        name, ell, modulus, lhs, side)
+
+
+def _lifted_report(monkeypatch, ident):
+    d5 = verify._ETA_D5
+    if ident[0] in [name for name, *_ in d5]:
+        monkeypatch.setattr(verify, "_ETA_D5", tuple(
+            ident if old[0] == ident[0] else old for old in d5))
+        return check_eta_dissections(prec=60)
+    [rep] = verify._identity_reports([ident], 60)
+    return rep
+
+
+@pytest.mark.parametrize("ident", _LIFTED, ids=lambda ident: ident[0])
+def test_lifted_identity_fails_on_one_wrong_coefficient(monkeypatch, ident):
+    # negative control: the identity holds at prec 60, and with one
+    # coefficient off by 1 it gives fail there, never pass or skipped
+    assert _lifted_report(monkeypatch, ident).status == "pass"
+    assert _lifted_report(monkeypatch, _plus_one(ident)).status == "fail"
+
+
+def test_lifted_identities_cover_every_table_entry(monkeypatch):
+    # the identities the three checks evaluate are exactly _LIFTED
+    seen = []
+    real = verify._identity_reports
+
+    def recording(idents, prec):
+        seen.extend(name for name, *_ in idents)
+        return real(idents, prec)
+
+    monkeypatch.setattr(verify, "_identity_reports", recording)
+    for check_id in ("product_rules", "eta_dissections", "ecubed_dissect"):
+        assert run_check(check_id, {"prec": 60}).status == "pass"
+    seen += [name for name, *_ in verify._ETA_D5]
+    assert sorted(seen) == sorted(ident[0] for ident in _LIFTED)
+    assert len(set(seen)) == len(seen)
+
+
 def test_t_functional_eq_small():
     assert check_t_functional_eq(prec=60).status == "pass"
 
