@@ -26,9 +26,11 @@ Every codec step is linear in the packed size, and for slots of up to
   filled from the slots' sign bytes through ``bytes.translate``, and read
   with ``array('q').frombytes``.  Slots wider than 8 bytes are read one
   at a time with ``int.from_bytes(..., signed=True)``.
-- Widening a packed window (``PackedSeries.widen``) decodes nothing: the
-  same bias makes every slot nonnegative, one strided copy per old byte
-  moves the slots apart, and one subtraction takes the bias off again.
+- Re-striding a packed window (``PackedSeries.restride``: wider, narrower
+  or shorter) decodes nothing: the same bias, at the narrower of the two
+  widths, makes every slot nonnegative and small enough for both, one
+  strided copy per kept byte moves the slots, and one subtraction takes
+  the bias off again.  Only shortening at the same width is a mask.
 
 Over ZZ, slot widths stay the tight byte counts the bounds give.  Strided
 copies decode a 3-byte slot as cheaply per byte as an 8-byte one, so
@@ -219,7 +221,7 @@ class PackedSeries:
 
     Only linear operations are provided; at any slot width they are exact
     modulo 2**(slot_bits * length), so a transient needs no headroom.  The
-    width only matters where the slots are read (to_coeffs, and widen,
+    width only matters where the slots are read (to_coeffs, and restride,
     which re-strides them without decoding): there it must hold every true
     coefficient (see uv_series_def for the bound).
     """
@@ -252,29 +254,37 @@ class PackedSeries:
         self.value = v
 
     def add_shifted(self, other, k):
-        """+= q^k * other (same geometry required)."""
+        """+= q^k * other, cut to this window (same slot width required;
+        the lengths may differ)."""
         self.value = (self.value + (other.value << (k * self.slot_bits))) & self.mask
 
     def to_coeffs(self):
         return unpack_signed(self.value, self.length, self.nbytes)
 
-    def widen(self, slot_bits):
-        """Re-stride into slots of slot_bits (rounded up to whole bytes), in
-        linear time and without decoding.  The current width must hold
-        every coefficient c as |c| < 2**(bits - 1).  Adding that half-range
-        to every slot, as unpack_signed does, leaves each slot c plus the
-        half-range, a nonnegative value; those bytes are copied into the
-        wider slots with zeros above, and the same half-range, now at the
-        wider stride, is taken off again."""
+    def restride(self, length, slot_bits):
+        """Keep the first length slots (at most the current length), in
+        slots of slot_bits (rounded up to whole bytes), in linear time and
+        without decoding.  At the same width this is a mask.  Otherwise
+        every kept coefficient c must lie in [-2**(8h - 1), 2**(8h - 1)),
+        h the narrower of the two widths in bytes.  Adding 2**(8h - 1) to
+        every slot, as unpack_signed does, leaves each slot a nonnegative
+        value below 2**(8h); its low h bytes are copied into the new slots,
+        zeros above, and the same half-range at the new stride is taken off
+        again."""
         old = self.nbytes
-        half = bytes(old - 1) + b"\x80"
-        biased = (self.value + int.from_bytes(half * self.length, "little")) & self.mask
-        raw = biased.to_bytes(old * self.length, "little")
-        self.__init__(self.length, slot_bits)
+        value = self.value
+        self.__init__(length, slot_bits)
         new = self.nbytes
-        slots = bytearray(new * self.length)
-        for j in range(old):
+        if new == old:
+            self.value = value & self.mask
+            return
+        h = min(old, new)
+        half = bytes(h - 1) + b"\x80"
+        size = old * length
+        biased = value + int.from_bytes((half + bytes(old - h)) * length, "little")
+        raw = (biased & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        slots = bytearray(new * length)
+        for j in range(h):
             slots[j::new] = raw[j::old]
-        bias = int.from_bytes((half + bytes(new - old)) * self.length, "little")
+        bias = int.from_bytes((half + bytes(new - h)) * length, "little")
         self.value = (int.from_bytes(slots, "little") - bias) & self.mask
-

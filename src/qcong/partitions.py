@@ -14,6 +14,7 @@ compare them; nothing in here assumes they agree.
 """
 
 import math
+from itertools import accumulate
 from typing import NamedTuple
 
 from ._kernel import PackedSeries, convolve
@@ -127,37 +128,80 @@ def _uv_slot_bits(prec):
                   for n, limit in zip(range(1, prec), limits)]
 
 
+def _core_start(length):
+    """core_1 = 1/((q;q)_inf^3 (1-q)(1-q^2)) on [0, length), in plain ints."""
+    # Jacobi: (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2)
+    terms = []
+    k = 1
+    while k * (k + 1) // 2 < length:
+        terms.append((k * (k + 1) // 2, (-1) ** (k + 1) * (2 * k + 1)))
+        k += 1
+    c = [1] + [0] * (length - 1)
+    for m in range(1, length):
+        total = 0
+        for t, a in terms:
+            if t > m:
+                break
+            total += a * c[m - t]
+        c[m] = total
+    c = list(accumulate(c))              # / (1 - q)
+    c[0::2] = accumulate(c[0::2])        # / (1 - q^2), on each parity
+    c[1::2] = accumulate(c[1::2])
+    return c
+
+
+def _merge(total, seg, off):
+    """total += q^off * seg, widening seg to the total's slots first."""
+    if seg is not total:
+        seg.restride(seg.length, total.slot_bits)
+        total.add_shifted(seg, off)
+
+
 def uv_series_def(prec):
     """U(q) and V(q) on [0, prec), straight from the defining sums.
 
-    One downward pass keeps core_n = 1/((q^n;q)_inf^3 (q^n;q)_{n+1})
-    up to date through
+    One upward pass keeps core_n = 1/((q^n;q)_inf^3 (q^n;q)_{n+1}) up to
+    date through
 
-        core_n = core_{n+1} (1-q^{2n+1})(1-q^{2n+2}) / (1-q^n)^4,
+        core_{n+1} = core_n (1-q^n)^4 / ((1-q^{2n+1})(1-q^{2n+2})),
 
-    which starts from core_prec = 1 + O(q^prec) and costs a handful of
-    packed linear passes per n instead of a fresh inversion.  U_n and V_n
-    are the partial sums of q^k core_k and q^2k core_k over k >= n.
+    four packed passes for the numerator and, for each far denominator
+    factor, a doubling product of about log2(window / (2n+1)) passes,
+    instead of a fresh inversion.  Step n adds q^n core_n to U and q^2n
+    core_n to V.
 
-    Slot width.  The packed passes are exact modulo 2^(bits * prec) at any
-    width (PackedSeries), so only the windows that are read need room: at
-    the start of step n, widen re-strides core_{n+1}, U_{n+1} and V_{n+1},
-    and after step 1 to_coeffs decodes U_1 and V_1.  So the width of step n
-    must hold every coefficient below q^prec of core_n, U_n and V_n.  They
-    lie in [0, M], and _uv_slot_bits gives bitlen(M) + 1 bits, with M the
-    smaller of a Cauchy bound and B(n):
+    Start.  core_1 = 1/((q;q)_inf^3 (1-q)(1-q^2)) comes from Jacobi's
+    (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2): its inverse
+    obeys c_m = -sum_{k>=1} (-1)^k (2k+1) c_{m-k(k+1)/2}, about
+    sqrt(2 prec) terms each, and two prefix sums divide by 1-q and 1-q^2.
+    Its coefficients are nonnegative, so each packs with to_bytes, which
+    raises if one outgrows its slot.
+
+    Window and stop.  core_n is read only below q^(prec-n), so its packed
+    window is cut to prec - n whenever that is under 4/5 of its length.  Once 2n >= prec, q^2n core_n adds nothing
+    below q^prec, and core_n = 1 + O(q^n) with n >= prec - n, so U gains
+    just q^n for n in [ceil(prec/2), prec).  The loop stops there;
+    prec 1 and 2 run no step at all.
+
+    Slot width.  The packed passes are exact modulo 2^(bits * length) at
+    any width (PackedSeries), so only the windows that are read need room:
+    restride reads core_n when it narrows and a closed segment (below)
+    when it widens, and to_coeffs decodes the totals.  _uv_slot_bits gives
+    need[n], which holds every coefficient below q^prec of core_n and of
+    the tails U_n = sum_{k>=n} q^k core_k and V_n = sum_{k>=n} q^2k
+    core_k.  They lie in [0, M], and need[n] is bitlen(M) + 1 bits, with
+    M the smaller of a Cauchy bound and B(n):
 
     - Nonnegativity, which the Cauchy bound needs.  Below q^prec, core_n
       agrees with T_n = prod_{m=n}^{prec-1} (1-q^m)^-e_m, e_m in {3, 4},
-      the product the loop builds from core_prec = 1 (its factors
-      (1-q^k) with k >= prec act as 1).  So T_n, sum_{k>=n} q^k T_k
-      and sum_{k>=n} q^2k T_k have nonnegative coefficients and agree
-      with core_n, U_n and V_n below q^prec.
+      the product without its factors of exponent >= prec.  So T_n,
+      sum_{k>=n} q^k T_k and sum_{k>=n} q^2k T_k have nonnegative
+      coefficients and agree with core_n, U_n and V_n below q^prec.
     - Cauchy.  A series F with nonnegative coefficients has
       c_w <= F(x) x^-w <= F(x) x^-(prec-1) for w < prec and any x in
-      (0, 1).  _cauchy_bounds evaluates the recurrence's own products,
-      T_n(x) = T_{n+1}(x) (1-x^{2n+1})(1-x^{2n+2}) / (1-x^n)^4 with
-      factors of exponent >= prec read as 1, and the bound is
+      (0, 1).  _cauchy_bounds evaluates the products T_n(x) =
+      T_{n+1}(x) (1-x^{2n+1})(1-x^{2n+2}) / (1-x^n)^4, factors of
+      exponent >= prec read as 1, from T_prec = 1 down, and the bound is
       T_n(x) x^-(prec-1).  It covers U_n and V_n as well, since
       V_n(x) <= U_n(x) = sum_{k>=n} x^k T_k(x) <= T_n(x) - 1: by
       induction down from U_prec = 0 = T_prec - 1, U_n(x) <= x^n T_n(x)
@@ -188,32 +232,60 @@ def uv_series_def(prec):
       Cauchy bound falls below x^-(prec-1).  Its sum stops once it
       reaches the Cauchy bound, which then is the smaller.
 
-    The schedule is computed once per call.  The loop starts at one byte
-    and widens core, U and V to the need of step n whenever that is more
-    bytes than they have, so the width of step n is at least its need.
+    Segments.  As the need falls, the sums are kept in segments: the one
+    opened at step a holds sum_{k=a}^{b} q^(k-a) core_k (for V,
+    q^(2k-2a)) at the width of step a.  Every term is nonnegative below
+    q^prec, so the segment lies between 0 and U_a (V_a) shifted down by
+    a (2a), and need[a] holds it.  When the need of step n falls to at
+    most 3/4 of the current bytes, core narrows, the two segments close
+    and are at once widened and added into the totals at need[1] bits,
+    which hold U_1 and V_1 in the same way, and fresh segments open.  The
+    first segments are the totals themselves, so no list of segments is
+    kept.  need never rises with n, so the width of step a also holds
+    core_n for every n the segment spans: each Cauchy step multiplies by
+    (up_{2n+1}/d)(up_{2n+2}/d)(2^64/d)^2 >= 1, d = 2^64 - lo_n - n, as
+    lo_k falls with k, and B(n) falls with n term by term.  The schedule
+    is computed once per call.
     """
     if prec < 1:
         raise ValueError("prec must be positive")
     if _def_cache["prec"] >= prec:
         u, v = _def_cache["pair"]
         return UVPair(u.truncate(prec), v.truncate(prec))
-    need = _uv_slot_bits(prec)
-    core = PackedSeries(prec, 2, 1)   # core_prec = 1 needs bitlen(1) + 1 bits
-    upk = PackedSeries(prec, 2)
-    vpk = PackedSeries(prec, 2)
-    for n in range(prec - 1, 0, -1):
-        if need[n] > core.slot_bits:
-            for ps in (core, upk, vpk):
-                ps.widen(need[n])
-        core.mul_one_minus(2 * n + 1)
-        core.mul_one_minus(2 * n + 2)
-        for _ in range(4):
-            core.div_one_minus(n)
-        upk.add_shifted(core, n)
-        if 2 * n < prec:
-            vpk.add_shifted(core, 2 * n)
-    pair = UVPair(LaurentSeries(ZZ, 0, upk.to_coeffs()),
-                  LaurentSeries(ZZ, 0, vpk.to_coeffs()))
+    steps = (prec - 1) // 2              # the n with 2n < prec
+    u = v = [0] * prec
+    if steps:
+        need = _uv_slot_bits(prec)
+        nbytes = (need[1] + 7) // 8
+        core = PackedSeries(prec - 1, need[1], int.from_bytes(b"".join(
+            c.to_bytes(nbytes, "little", signed=True)
+            for c in _core_start(prec - 1)), "little"))
+        utot = useg = PackedSeries(prec, need[1])
+        vtot = vseg = PackedSeries(prec, need[1])
+        off = 0   # useg holds sum q^(k-off) core_k, vseg sum q^(2k-2off) core_k
+        for n in range(1, steps + 1):
+            window = prec - n
+            if 4 * ((need[n] + 7) // 8) <= 3 * core.nbytes:
+                core.restride(window, need[n])
+                _merge(utot, useg, off)
+                _merge(vtot, vseg, 2 * off)
+                useg = PackedSeries(window, need[n])
+                vseg = PackedSeries(prec - 2 * n, need[n])
+                off = n
+            elif 5 * window < 4 * core.length:
+                core.restride(window, core.slot_bits)
+            useg.add_shifted(core, n - off)
+            vseg.add_shifted(core, 2 * (n - off))
+            if n < steps:
+                for _ in range(4):
+                    core.mul_one_minus(n)
+                core.div_one_minus(2 * n + 1)
+                core.div_one_minus(2 * n + 2)
+        _merge(utot, useg, off)
+        _merge(vtot, vseg, 2 * off)
+        u, v = utot.to_coeffs(), vtot.to_coeffs()
+    u = u[:steps + 1] + [c + 1 for c in u[steps + 1:]]   # the q^n past the loop
+    pair = UVPair(LaurentSeries(ZZ, 0, u), LaurentSeries(ZZ, 0, v))
     _def_cache.update(prec=prec, pair=pair)
     return pair
 

@@ -704,11 +704,6 @@ _PRODUCT_RULES = (
     *((f"rules:mt({a},{b},{c},{d})", 13, None, _mt(a, b, c, d), None)
       for a in range(1, 7) for b in range(1, a)
       for c in range(1, b) for d in range(1, c)),
-    # the (5,3,2,1) grid point is term-for-term the last listed rule;
-    # P(7) = P(6) by the theta reflection, so the middle terms agree too
-    *((f"rules:mt_vs_r21,t{j}", 13, None, ((1, q, r),), ((1, p, m),))
-      for j, ((_, q, r), (_, p, m)) in enumerate(
-          zip(_RULES13[-1], _mt(5, 3, 2, 1)), 1)),
 )
 
 # the two mod-7 component combinations that the relations force to vanish

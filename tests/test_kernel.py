@@ -341,21 +341,48 @@ def test_packed_series_add_shifted(nbytes):
 
 @pytest.mark.parametrize("nbytes", WIDTHS)
 def test_packed_series_widen(nbytes):
+    # restride to wider slots at the same length
     rng = random.Random(700 + nbytes)
     top = (1 << (8 * nbytes - 1)) - 1
     x = [top, -top, 0, -1] + [rng.randint(-top, top) for _ in range(LENGTH - 4)]
     for wider in [w for w in WIDTHS if w > nbytes] + [48]:
         ps = packed_series(x, nbytes)
-        ps.widen(8 * wider)
+        ps.restride(LENGTH, 8 * wider)
         assert (ps.nbytes, ps.slot_bits) == (wider, 8 * wider)
         assert ps.value == slot_value(x, wider) & ps.mask
         assert ps.to_coeffs() == x
         ps.add_shifted(ps, 1)   # twice the old bound fits the wider slot
         assert ps.to_coeffs() == shifted(x, 1, 1)
     ps = packed_series(x, nbytes)
-    ps.widen(8 * nbytes + 1)   # slot bits round up to whole bytes
+    ps.restride(LENGTH, 8 * nbytes + 1)   # slot bits round up to whole bytes
     assert ps.nbytes == nbytes + 1
     assert ps.to_coeffs() == x
+
+
+@pytest.mark.parametrize("nbytes", WIDTHS)
+def test_packed_series_restride_narrows_and_shrinks(nbytes):
+    # nbytes is the narrower width; every kept slot lies in its range, with
+    # both ends -2^(b-1) and 2^(b-1) - 1 present, and every dropped high
+    # slot is negative, so a borrow from them must not reach a kept slot
+    rng = random.Random(900 + nbytes)
+    lo, hi = -(1 << (8 * nbytes - 1)), (1 << (8 * nbytes - 1)) - 1
+    kept = LENGTH - 7
+    x = [hi, lo, 0, -1, lo, hi] + [rng.randint(lo, hi) for _ in range(kept - 6)]
+    x += [rng.randint(lo, -1) for _ in range(LENGTH - kept)]
+    for wider in [w for w in WIDTHS if w > nbytes] + [48]:
+        for length in (LENGTH, kept):
+            ps = packed_series(x, wider)
+            ps.restride(length, 8 * nbytes)
+            assert (ps.length, ps.nbytes) == (length, nbytes)
+            assert ps.value == slot_value(x[:length], nbytes) & ps.mask
+            assert ps.to_coeffs() == x[:length]
+        ps = packed_series(x, nbytes)   # shorter and wider
+        ps.restride(kept, 8 * wider)
+        assert ps.value == slot_value(x[:kept], wider) & ps.mask
+    for length in (kept, 1):   # same width: a mask
+        ps = packed_series(x, nbytes)
+        ps.restride(length, 8 * nbytes)
+        assert (ps.length, ps.value) == (length, slot_value(x[:length], nbytes) & ps.mask)
 
 
 @pytest.mark.parametrize("nbytes", [1, 8, 9])

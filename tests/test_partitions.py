@@ -13,7 +13,8 @@ from qcong.partitions import (
     uv_series_lambert,
     v_count,
 )
-from qcong.products import p_count
+from qcong.products import euler_E, p_count, pochhammer_finite
+from qcong.series import ZZ, LaurentSeries
 
 
 # exhaustive enumeration oracle: build the actual part lists and count
@@ -130,13 +131,31 @@ def fixed_width_uv(prec):
 
 
 def test_series_def_matches_counters_at_every_small_prec(cold_def_cache):
-    # prec 1 runs no step and prec 2 one; the widenings happen in this range
+    # prec 1 and 2 run no step; the narrowings happen in this range
     for prec in range(1, 41):
         cold_def_cache()
         pair = uv_series_def(prec)
         assert pair.u.prec == prec
         assert [pair.u.coeff(n) for n in range(prec)] == [u_count(n) for n in range(prec)]
         assert [pair.v.coeff(n) for n in range(prec)] == [v_count(n) for n in range(prec)]
+
+
+@pytest.mark.parametrize("length", [1, 2, 300])
+def test_core_start_matches_the_inverted_product(length):
+    # Jacobi's sparse recurrence and two prefix sums against a dense
+    # inversion of E(1)^3 (1-q)(1-q^2)
+    want = (euler_E(1, length) ** 3 * pochhammer_finite(1, 2, length)).invert()
+    assert partitions._core_start(length) == [want.coeff(n) for n in range(length)]
+
+
+@pytest.mark.parametrize("prec, u", [(1, [0]), (2, [0, 1])])
+def test_series_def_runs_no_step_below_prec_3(cold_def_cache, monkeypatch, prec, u):
+    # 2n < prec has no solution n >= 1, so U is just q^n for n in [1, prec)
+    # and no slot schedule is needed
+    monkeypatch.setattr(partitions, "_uv_slot_bits", None)
+    pair = uv_series_def(prec)
+    assert pair.u == LaurentSeries(ZZ, 0, u)
+    assert pair.v == LaurentSeries.zeros(ZZ, 0, prec)
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -167,17 +186,34 @@ def _list_div_one_minus(cs, k):
     return out
 
 
+def list_core_start(length):
+    """core_1 = 1/((q;q)_inf^3 (1-q)(1-q^2)) on [0, length), one geometric
+    factor at a time."""
+    core = [1] + [0] * (length - 1)
+    for m in range(1, length):
+        for _ in range(3 + (m <= 2)):
+            core = _list_div_one_minus(core, m)
+    return core
+
+
 def exact_step_maxima(prec):
-    """Largest coefficient below q^prec of core_n, U_n and V_n, index n, by
-    the recurrence on plain lists; every one must be nonnegative."""
-    core = [1] + [0] * (prec - 1)
+    """Largest coefficient read at the width of step n, index n: core_n
+    below q^(prec-n) and the sums from step n on, sum_{k=n}^{steps} q^k
+    core_k and q^2k core_k below q^prec (steps the last n with 2n < prec),
+    by the recurrence on plain lists; every one must be nonnegative."""
+    steps = (prec - 1) // 2
+    core = list_core_start(prec)
+    cores = []
+    for n in range(1, steps + 1):
+        cores.append(core[:prec - n])
+        for _ in range(4):
+            core = _shift(core, n, -1)
+        core = _list_div_one_minus(_list_div_one_minus(core, 2 * n + 1), 2 * n + 2)
     u = [0] * prec
     v = [0] * prec
     out = [0] * prec
-    for n in range(prec - 1, 0, -1):
-        core = _shift(_shift(core, 2 * n + 1, -1), 2 * n + 2, -1)
-        for _ in range(4):
-            core = _list_div_one_minus(core, n)
+    for n in range(steps, 0, -1):
+        core = cores[n - 1]
         u = [c + (core[i - n] if i >= n else 0) for i, c in enumerate(u)]
         v = [c + (core[i - 2 * n] if i >= 2 * n else 0) for i, c in enumerate(v)]
         assert min(core + u + v) >= 0, n
@@ -188,6 +224,8 @@ def exact_step_maxima(prec):
 @pytest.mark.parametrize("prec", [40, 120, 300])
 def test_uv_slot_bits_hold_every_decoded_value(prec):
     bits = partitions._uv_slot_bits(prec)
+    # the width of a segment's first step must hold its later steps too
+    assert bits[1:] == sorted(bits[1:], reverse=True)
     for n, top in enumerate(exact_step_maxima(prec)[1:], 1):
         assert top < 1 << (bits[n] - 1), (n, top.bit_length(), bits[n])
 
@@ -231,27 +269,39 @@ def test_uv_slot_schedule_at_2001():
     nbytes = [(b + 7) // 8 for b in bits[1:]]
     assert nbytes == sorted(nbytes, reverse=True)
     assert max(nbytes) == 37
-    assert len(set(nbytes) - {1}) == 35   # widenings, from one byte
+    assert len(set(nbytes) - {1}) == 35   # byte drops, down to one byte
     assert bits[1] - (275 + 1) == 17
 
 
-def replay_with_list_shadow(monkeypatch, prec):
-    """Run uv_series_def(prec), replaying each PackedSeries op on plain lists;
-    every op must decode to the same coefficients at the width it left
-    behind.  Returns the pair and the ops in order."""
+def replay_with_list_shadow(prec):
+    """Run uv_series_def(prec), replaying each PackedSeries op on plain lists.
+    After every op the packed value must equal the shadow's modulo
+    2^(bits * length), which the packed passes keep at any width; every read
+    (restride, to_coeffs) must decode to the shadow, which needs the width.
+    Returns the pair and the ops in order."""
     shadow = {}
     ops = []
     orig = {name: getattr(PackedSeries, name) for name in
-            ("__init__", "mul_one_minus", "div_one_minus", "add_shifted", "widen")}
+            ("__init__", "mul_one_minus", "div_one_minus", "add_shifted",
+             "restride", "to_coeffs")}
 
     def check(ps, op):
         ops.append(op)
-        assert ps.to_coeffs() == shadow[id(ps)], (op, ps.slot_bits)
+        want = sum(c << (ps.slot_bits * i) for i, c in enumerate(shadow[id(ps)]))
+        assert ps.value == want & ps.mask, (op, ps.slot_bits)
+
+    def read(ps, op):
+        ops.append(op)
+        got = orig["to_coeffs"](ps)
+        assert got == shadow[id(ps)], (op, ps.slot_bits)
+        return got
 
     def init(self, length, slot_bits, value=0):
         orig["__init__"](self, length, slot_bits, value)
-        assert value in (0, 1)
-        shadow[id(self)] = [value] + [0] * (length - 1) if length else []
+        # the one series packed from values is core_1; the rest open at 0
+        shadow[id(self)] = list_core_start(length) if value else [0] * length
+        if value:
+            check(self, "start")
 
     def mul_one_minus(self, k):
         orig["mul_one_minus"](self, k)
@@ -267,31 +317,37 @@ def replay_with_list_shadow(monkeypatch, prec):
     def add_shifted(self, other, k):
         orig["add_shifted"](self, other, k)
         mine, theirs = shadow[id(self)], shadow[id(other)]
-        shadow[id(self)] = [c + (theirs[i - k] if i >= k else 0)
+        shadow[id(self)] = [c + (theirs[i - k] if 0 <= i - k < len(theirs) else 0)
                             for i, c in enumerate(mine)]
         check(self, "add_shifted")
 
-    def widen(self, slot_bits):
-        kept = shadow[id(self)]
-        orig["widen"](self, slot_bits)   # re-runs __init__, which resets
+    def restride(self, length, slot_bits):
+        kept = shadow[id(self)][:length]
+        orig["restride"](self, length, slot_bits)   # re-runs __init__, which resets
         shadow[id(self)] = kept
-        check(self, "widen")
+        read(self, "restride")
 
-    for name, fn in (("__init__", init), ("mul_one_minus", mul_one_minus),
-                     ("div_one_minus", div_one_minus),
-                     ("add_shifted", add_shifted), ("widen", widen)):
-        monkeypatch.setattr(PackedSeries, name, fn)
-    return uv_series_def(prec), ops
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in (("__init__", init), ("mul_one_minus", mul_one_minus),
+                         ("div_one_minus", div_one_minus),
+                         ("add_shifted", add_shifted), ("restride", restride),
+                         ("to_coeffs", lambda self: read(self, "to_coeffs"))):
+            mp.setattr(PackedSeries, name, fn)
+        return uv_series_def(prec), ops
 
 
-def test_series_def_agrees_with_list_shadow_after_every_op(cold_def_cache, monkeypatch):
-    pair, ops = replay_with_list_shadow(monkeypatch, 150)
-    assert [ops.count(op) for op in ("mul_one_minus", "div_one_minus",
-                                     "add_shifted")] == [2 * 149, 4 * 149, 149 + 74]
-    # core, U and V widen once for every byte the schedule adds
-    nbytes = {(b + 7) // 8 for b in partitions._uv_slot_bits(150)[1:]} | {1}
-    assert ops.count("widen") == 3 * (len(nbytes) - 1) >= 3
-    assert pair.u.coeff(149) == u_count(149)
+def test_series_def_agrees_with_list_shadow_after_every_op(cold_def_cache):
+    pair, ops = replay_with_list_shadow(150)
+    # steps n = 1..74 (2n < 150); the last one does not update core.  The
+    # need falls to at most 3/4 of the bytes four times (10 -> 7 -> 5 -> 3
+    # -> 2 bytes), each closing a U and a V segment, which are widened and
+    # added into the totals; the window is cut once more at one width
+    counts = {op: ops.count(op) for op in set(ops)}
+    assert counts == {"start": 1, "mul_one_minus": 4 * 73, "div_one_minus": 2 * 73,
+                      "add_shifted": 2 * 74 + 2 * 4, "restride": 4 + 2 * 4 + 1,
+                      "to_coeffs": 2}
+    assert pair.u == LaurentSeries(ZZ, 0, [u_count(n) for n in range(150)])
+    assert pair.v == LaurentSeries(ZZ, 0, [v_count(n) for n in range(150)])
 
 
 @pytest.mark.parametrize("short", [0, 8])
@@ -300,10 +356,15 @@ def test_list_shadow_fails_one_byte_below_the_exact_need(cold_def_cache, monkeyp
     exact = [top.bit_length() + 1 - short for top in exact_step_maxima(150)]
     monkeypatch.setattr(partitions, "_uv_slot_bits", lambda prec: exact)
     if short:
+        with pytest.raises(OverflowError):   # core_1 outgrows its slots as it is packed
+            replay_with_list_shadow(150)
+        # with the start and the totals at their exact need, a later read fails
+        exact[1] += short
+        cold_def_cache()
         with pytest.raises(AssertionError):
-            replay_with_list_shadow(monkeypatch, 150)
+            replay_with_list_shadow(150)
     else:
-        pair, _ = replay_with_list_shadow(monkeypatch, 150)
+        pair, _ = replay_with_list_shadow(150)
         assert pair.u.coeff(149) == u_count(149)
 
 

@@ -544,6 +544,15 @@ def test_lifted_identities_cover_every_table_entry(monkeypatch):
     seen += [name for name, *_ in verify._ETA_D5]
     assert sorted(seen) == sorted(ident[0] for ident in _LIFTED)
     assert len(set(seen)) == len(seen)
+    # a side compared with an identical one could only pass
+    assert all(lhs != rhs for _, _, _, lhs, rhs in _LIFTED)
+
+
+def test_last_base_169_rule_is_a_four_theta_grid_point():
+    # after the fold P(7) = P(6), P(8) = P(5), r21 is term for term the
+    # (5,3,2,1) grid point, so rules:r21 and rules:mt(5,3,2,1) state the
+    # same identity and no separate comparison of the two is needed
+    assert verify._RULES13[-1] == verify._mt(5, 3, 2, 1)
 
 
 def test_t_functional_eq_small():
