@@ -336,33 +336,32 @@ def _jtp_sums(t, n):
     return sym, paired
 
 
-def check_finite_jtp(n_max=10, prec=200, t_values=(-3, -2, -1, 1, 2, 3)):
-    """Finite triple product at x = q^t, both the symmetric bilateral sum
-    and the paired form with head 1/(q;q)_n^2 and per-term bracket
-    (x^-j + x^j q^j).
+def check_finite_jtp(n_max=10, prec=200):
+    """Finite triple product at x = q^t, t = 1, 2, 3, both the symmetric
+    bilateral sum and the paired form with head 1/(q;q)_n^2 and per-term
+    bracket (x^-j + x^j q^j).
 
-    Combinations where a numerator factor degenerates to 1-q^0 are listed
-    and not compared, except t = 1, which stays in as an exact zero = zero
+    x = q^(-1-t) states the same identity as x = q^t (the two numerator
+    factors swap, and j -> -j maps one sum onto the other), so no t < 0
+    is checked; t = 0 has the factor 1-q^0 at every n >= 1.  Points where
+    a numerator factor degenerates to 1-q^0 (n > t) are listed and not
+    compared, except t = 1, which stays in as an exact zero = zero
     polynomial identity.
 
     Every right-side term starts at its q-shift, and the left side at the
-    sum of its numerator's negative exponents (t != 0 leaves them all in
-    one factor), so the shared length is prec minus the lowest start.
+    sum of the negative exponents of (q^-t;q)_n, so the shared length is
+    prec minus the lowest start.
     """
     cases, skipped = [], []
-    for t in t_values:
-        if t == 0:
-            skipped.append((t, "all n"))
-            continue
+    for t in (1, 2, 3):
         for n in range(n_max + 1):
-            if (t < 0 and n >= -t) or (t > 1 and n >= t + 1):
+            if t > 1 and n > t:
                 skipped.append((t, n))
             else:
                 cases.append((t, n, *_jtp_sums(t, n)))
     starts = [0]
     for t, n, sym, paired in cases:
-        starts.append(sum(min(e, 0) for e in range(-t, n - t))
-                      + sum(min(e, 0) for e in range(1 + t, 1 + t + n)))
+        starts.append(sum(min(e, 0) for e in range(-t, n - t)))
         starts += [shift for _, shift, _ in sym + paired]
     wprec = _length(prec, starts)
     pinv = [pochhammer_finite(1, k, wprec).invert()
@@ -654,36 +653,6 @@ def check_eta_dissections(prec=2000):
 # ---------------------------------------------------------------------------
 # theta-product reduction rules
 
-# exact base-q^169 relations, rows written as (q1, m1, q2, m2, q3, m3):
-# q^q1 prod P(m1) - q^q2 prod P(m2) + q^q3 prod P(m3) = 0
-_RULES13 = tuple(
-    ((1, q1, _folded(13, m1)), (-1, q2, _folded(13, m2)),
-     (1, q3, _folded(13, m3)))
-    for q1, m1, q2, m2, q3, m3 in (
-        (0, (3, 3, 3, 1), 0, (4, 2, 2, 2), 13, (5, 1, 1, 1)),
-        (0, (4, 4, 4, 2), 0, (5, 3, 3, 3), 26, (6, 1, 1, 1)),
-        (0, (5, 5, 5, 1), 0, (6, 3, 3, 3), 13, (5, 2, 2, 2)),
-        (0, (5, 5, 5, 3), 0, (6, 4, 4, 4), 39, (4, 1, 1, 1)),
-        (0, (6, 6, 6, 1), 0, (4, 4, 4, 3), 13, (3, 3, 3, 2)),
-        (0, (6, 6, 6, 2), 0, (5, 4, 4, 4), 26, (3, 2, 2, 2)),
-        (0, (6, 6, 6, 3), 0, (5, 5, 5, 4), 39, (2, 2, 2, 1)),
-        (0, (6, 6, 6, 4), 0, (6, 5, 5, 5), 52, (2, 1, 1, 1)),
-        (0, (4, 4, 3, 1), 0, (5, 3, 2, 2), 13, (6, 2, 1, 1)),
-        (0, (4, 4, 5, 1), 0, (6, 2, 3, 3), 13, (6, 1, 2, 2)),
-        (0, (5, 5, 3, 1), 0, (6, 2, 2, 4), 13, (6, 1, 1, 3)),
-        (0, (5, 5, 4, 2), 0, (6, 4, 3, 3), 26, (5, 2, 1, 1)),
-        (0, (5, 5, 6, 1), 0, (5, 2, 4, 4), 13, (4, 1, 3, 3)),
-        (0, (5, 5, 6, 2), 0, (6, 3, 4, 4), 26, (4, 1, 2, 2)),
-        (0, (6, 6, 3, 1), 0, (5, 2, 2, 6), 13, (4, 1, 1, 5)),
-        (0, (6, 6, 4, 1), 0, (5, 5, 2, 3), 13, (4, 4, 1, 2)),
-        (0, (6, 6, 4, 2), 0, (6, 3, 3, 5), 26, (4, 1, 1, 3)),
-        (0, (6, 6, 5, 1), 0, (5, 4, 3, 3), 13, (4, 3, 2, 2)),
-        (0, (6, 6, 5, 2), 0, (5, 5, 4, 3), 26, (3, 3, 2, 1)),
-        (0, (6, 6, 5, 3), 0, (6, 5, 4, 4), 39, (3, 2, 1, 1)),
-        (0, (6, 4, 5, 1), 0, (6, 3, 4, 2), 13, (5, 2, 3, 1)),
-    ))
-
-
 def _mt(a, b, c, d):
     """The three terms of the four-theta elimination identity at (a, b, c,
     d); on the grid 6 >= a > b > c > d >= 1 every theta argument lies in
@@ -693,6 +662,28 @@ def _mt(a, b, c, d):
             (1, 13 * (b - c), _folded(13, (a + b, a - b, c + d, c - d))))
 
 
+# exact base-q^169 relations r1-r21: q^q1 prod P(m1) - q^q2 prod P(m2)
+# + q^q3 prod P(m3) = 0. r1-r8 are written as (q1, m1, q2, m2, q3, m3);
+# r9-r21 are _mt at the 13 grid points with distinct term lists, and the
+# other two, (6,4,3,2) and (6,5,4,1), fold onto r21's terms
+_RULES13 = (
+    *(((1, q1, _folded(13, m1)), (-1, q2, _folded(13, m2)),
+       (1, q3, _folded(13, m3)))
+      for q1, m1, q2, m2, q3, m3 in (
+          (0, (3, 3, 3, 1), 0, (4, 2, 2, 2), 13, (5, 1, 1, 1)),
+          (0, (4, 4, 4, 2), 0, (5, 3, 3, 3), 26, (6, 1, 1, 1)),
+          (0, (5, 5, 5, 1), 0, (6, 3, 3, 3), 13, (5, 2, 2, 2)),
+          (0, (5, 5, 5, 3), 0, (6, 4, 4, 4), 39, (4, 1, 1, 1)),
+          (0, (6, 6, 6, 1), 0, (4, 4, 4, 3), 13, (3, 3, 3, 2)),
+          (0, (6, 6, 6, 2), 0, (5, 4, 4, 4), 26, (3, 2, 2, 2)),
+          (0, (6, 6, 6, 3), 0, (5, 5, 5, 4), 39, (2, 2, 2, 1)),
+          (0, (6, 6, 6, 4), 0, (6, 5, 5, 5), 52, (2, 1, 1, 1)))),
+    *(_mt(*p) for p in (
+        (6, 5, 4, 3), (6, 5, 4, 2), (4, 3, 2, 1), (6, 5, 3, 2), (6, 3, 2, 1),
+        (6, 5, 3, 1), (5, 4, 3, 2), (5, 4, 3, 1), (5, 4, 2, 1), (6, 4, 3, 1),
+        (6, 4, 2, 1), (6, 5, 2, 1), (5, 3, 2, 1))),
+)
+
 _PRODUCT_RULES = (
     ("rules:as7", 7, None, ((1, 0, {3: 3, 1: 1}), (-1, 0, {2: 3, 3: 1}),
                             (1, 7, {1: 3, 2: 1})), None),
@@ -701,9 +692,6 @@ _PRODUCT_RULES = (
      ((1, 0, {"E": -2}),)),
     *((f"rules:r{i}", 13, None, terms, None)
       for i, terms in enumerate(_RULES13, 1)),
-    *((f"rules:mt({a},{b},{c},{d})", 13, None, _mt(a, b, c, d), None)
-      for a in range(1, 7) for b in range(1, a)
-      for c in range(1, b) for d in range(1, c)),
 )
 
 # the two mod-7 component combinations that the relations force to vanish
@@ -719,13 +707,14 @@ _MOD7_CLASSES = (
 
 def check_product_rules(prec=5000):
     """Exact theta-product relations: the base-q^49 three-term relation,
-    the mod-5 quotient reduction, the 21 base-q^169 rules, the four-theta
-    elimination identity over its parameter grid, and the two mod-7
-    component combinations that those relations force to vanish."""
+    the mod-5 quotient reduction, the 21 base-q^169 rules (r9-r21 being
+    the four-theta elimination identity over its 15-point grid, which
+    gives 13 distinct term lists), and the two mod-7 component
+    combinations that those relations force to vanish."""
     prec7 = min(prec, 600)
     subs = (_identity_reports(_PRODUCT_RULES, prec)
             + _identity_reports(_MOD7_CLASSES, prec7))
-    params = {"prec": prec, "mod7_prec": prec7, "skipped_params": []}
+    params = {"prec": prec, "mod7_prec": prec7}
     return merge_reports("product_rules", prec, subs, params)
 
 
@@ -911,8 +900,9 @@ def check_t_functional_eq(prec=200):
 
 def check_chan_identity(prec=200):
     """[A] E^2 / ([B1][B2]) splits into two T terms; 20 parameter points
-    over the bases 9, 25, 49, 169, exact."""
-    subs, skipped = [], []
+    over the bases 9, 25, 49, 169, exact.  No point has a theta argument
+    divisible by M; one that did would raise in the theta or T builder."""
+    subs = []
     for M in (9, 25, 49, 169):
 
         def shift(x):
@@ -921,10 +911,6 @@ def check_chan_identity(prec=200):
         points, starts = [], []
         for A, B1, B2 in ((1, 2, 3), (2, 3, 5), (M - 1, 1, 3),
                           (M + 2, 1, 5), (4, M - 1, 2)):
-            if any(v % M == 0 for v in
-                   (A, B1, B2, A - B1, A - B2, B1 - B2)):
-                skipped.append((A, B1, B2, M))
-                continue
             # each T term is [A - Bi] / [Bj - Bi] T(Bi, A - Bj, M)
             tterms = []
             for Bi, Bj in ((B1, B2), (B2, B1)):
@@ -946,8 +932,7 @@ def check_chan_identity(prec=200):
                                for x, y, t in tterms))
             subs.append(_cmp(f"chan:A={A},B1={B1},B2={B2},M={M}",
                              lhs, rhs, prec))
-    params = {"prec": prec, "skipped_params": [list(x) for x in skipped]}
-    return merge_reports("chan_identity", prec, subs, params)
+    return merge_reports("chan_identity", prec, subs, {"prec": prec})
 
 
 def pole_split_check(ell, prec=120, n_range=20):

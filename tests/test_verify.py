@@ -405,7 +405,7 @@ def test_eta_dissections_small():
 def test_product_rules_small():
     r = check_product_rules(prec=300)
     assert r.status == "pass"
-    assert r.params["skipped_params"] == []  # grid never hits a zero theta
+    assert r.params["subchecks"] == 25
 
 
 def test_bailey_small():
@@ -415,12 +415,28 @@ def test_bailey_small():
 
 
 def test_finite_jtp_skips_degenerate_points():
-    r = check_finite_jtp(n_max=4, prec=80, t_values=(-2, 1, 2))
+    r = check_finite_jtp(n_max=4, prec=80)
     assert r.status == "pass"
-    # t=-2 dies at n>=2, t=2 at n>=3, t=1 never (zero = zero is still exact)
-    assert [-2, 2] in r.params["skipped_params"]
-    assert [2, 3] in r.params["skipped_params"]
-    assert all(t != 1 for t, n in r.params["skipped_params"])
+    # t=2 dies at n>=3, t=3 at n>=4, t=1 never (zero = zero is still exact)
+    assert r.params["skipped_params"] == [[2, 3], [2, 4], [3, 4]]
+    assert r.params["subchecks"] == 2 * (5 + 3 + 4)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_finite_jtp_mirror_t_is_the_same_identity(t):
+    # x = q^(-1-t) restates x = q^t: the paired sums are equal, the
+    # symmetric sums equal after j -> -j, and the left side's two factors
+    # (q^(1+t);q)_n and (q^-t;q)_n swap, so the check keeps t > 0 only
+    u, prec = -1 - t, 80
+    for n in range(11):
+        sym, paired = verify._jtp_sums(t, n)
+        sym_u, paired_u = verify._jtp_sums(u, n)
+        assert sorted(paired) == sorted(paired_u)
+        assert sorted(sym) == sorted((s, e, -j) for s, e, j in sym_u)
+        lhs, lhs_u = ((products.pochhammer_finite(1 + x, n, prec)
+                       * products.pochhammer_finite(-x, n, prec))
+                      for x in (t, u))
+        assert lhs == lhs_u
 
 
 def test_beta_second_derivative_small():
@@ -548,11 +564,39 @@ def test_lifted_identities_cover_every_table_entry(monkeypatch):
     assert all(lhs != rhs for _, _, _, lhs, rhs in _LIFTED)
 
 
-def test_last_base_169_rule_is_a_four_theta_grid_point():
-    # after the fold P(7) = P(6), P(8) = P(5), r21 is term for term the
-    # (5,3,2,1) grid point, so rules:r21 and rules:mt(5,3,2,1) state the
-    # same identity and no separate comparison of the two is needed
-    assert verify._RULES13[-1] == verify._mt(5, 3, 2, 1)
+def test_four_theta_grid_gives_exactly_rules_r9_to_r21():
+    # the 15 grid points 6 >= a > b > c > d >= 1 of the four-theta
+    # elimination identity give 13 distinct term lists, which are r9-r21;
+    # after the fold P(7) = P(6), P(8) = P(5), three points give r21
+    grid = [(a, b, c, d) for a in range(1, 7) for b in range(1, a)
+            for c in range(1, b) for d in range(1, c)]
+    assert len(grid) == 15
+    lists = [verify._mt(*p) for p in grid]
+    distinct = [t for i, t in enumerate(lists) if t not in lists[:i]]
+    rules = verify._RULES13[8:]
+    assert len(rules) == len(distinct) == 13
+    assert all(r in distinct for r in rules)
+    assert all(d in rules for d in distinct)
+    assert [p for p in grid if verify._mt(*p) == rules[-1]] == [
+        (5, 3, 2, 1), (6, 4, 3, 2), (6, 5, 4, 1)]
+
+
+def _multiset(side):
+    """A side of a lifted identity with its term order and the key order of
+    its exponent maps forgotten."""
+    if side is None or isinstance(side, int):
+        return side
+    return tuple(sorted(repr((c, q, sorted(e.items(), key=repr)))
+                        for c, q, e in side))
+
+
+def test_lifted_identities_are_each_stated_once():
+    # two entries with the same (ell, modulus) and the same sides evaluate
+    # one identity twice, and give the negative control above two mutants
+    # for one mutation
+    keys = [(ell, modulus, _multiset(lhs), _multiset(rhs))
+            for _, ell, modulus, lhs, rhs in _LIFTED]
+    assert len(set(keys)) == len(keys)
 
 
 def test_t_functional_eq_small():
@@ -562,8 +606,7 @@ def test_t_functional_eq_small():
 def test_chan_identity_small():
     r = check_chan_identity(prec=60)
     assert r.status == "pass"
-    assert r.params["skipped_params"] == []
-    assert r.params["subchecks"] == 20
+    assert r.params == {"prec": 60, "subchecks": 20}
 
 
 def test_chan_identity_windows_reach_prec(monkeypatch):
