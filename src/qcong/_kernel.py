@@ -45,6 +45,13 @@ read as ints and the product's lanes are read back with
 than the byte or two a tight slot would on the short x = q^ell products
 the mod-ell checks make.  Moduli whose bound outgrows 8 bytes (above
 about 2**32) multiply over ZZ and reduce.
+
+Division by a series that is sparse by construction (Jacobi's E(1)**3, a
+triple-product sum, E(1) itself) packs nothing: ``sparse_divide`` runs
+the recurrence g_m = c_0**-1 (f_m - sum_{j>=1} d_j g_{m-j}) over the
+divisor's nonzero terms only, in length times terms plain-int steps.  A
+dense divisor goes through ``newton_invert`` and a product instead;
+nothing here chooses between the two, the call site does.
 """
 
 from __future__ import annotations
@@ -212,6 +219,31 @@ def newton_invert(coeffs, lead_inverse, modulus=None):
         if modulus is not None:
             w = [c % modulus for c in w]
         g = convolve(g, w, done, modulus)
+    return g
+
+
+def sparse_divide(coeffs, terms, lead_inverse, modulus=None):
+    """coeffs / d as a power series of the same length, d given by its
+    nonzero (exponent, coeff) terms in increasing exponent order, the
+    first at exponent 0 with coeff * lead_inverse == 1 in the ring.
+
+    g_m = lead_inverse * (f_m - sum_{j>=1} d_j g_{m-j}).  Between two
+    consecutive exponents of d the terms that reach back into g are the
+    same, so each stretch of m runs over a fixed list, with no bound test
+    per term.  With a modulus, inputs must be canonical and so is the
+    output.
+    """
+    rest = [(e, d * lead_inverse) for e, d in terms[1:]]
+    g = [c * lead_inverse for c in coeffs]
+    start = 0
+    for k, stop in enumerate([e for e, _ in rest if e < len(g)] + [len(g)]):
+        active = rest[:k]
+        for m in range(start, stop):
+            total = g[m]
+            for e, d in active:
+                total -= d * g[m - e]
+            g[m] = total if modulus is None else total % modulus
+        start = stop
     return g
 
 

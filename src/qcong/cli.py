@@ -15,10 +15,10 @@ import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .partitions import sequence_lines, u_count, uv_series_def, v_count
+from .partitions import count_table, sequence_lines, uv_series_def
 from .products import euler_E, p_count
 from .report import CSV_FIELDS
-from .series import ZZ
+from .series import ZZ, LaurentSeries
 from .verify import REGISTRY, SUITE, TableError, run_check
 
 EXIT_PASS = 0
@@ -77,12 +77,15 @@ def _sequence_cmd(args, enumerated):
         raise ValueError("--mod must be >= 1")
     ns = range(args.n_max + 1)
     if enumerated:
-        fn = {"u": u_count, "v": v_count, "p": p_count}[args.seq]
-        vals = [fn(n) for n in ns]
+        if args.seq == "p":
+            vals = [p_count(n) for n in ns]
+        else:
+            vals = count_table(args.seq, args.n_max)
         origin = "enumerate"
     else:
         if args.seq == "p":
-            series = euler_E(1, args.n_max + 1, ZZ).invert()
+            series = LaurentSeries.one(ZZ, args.n_max + 1).divide(
+                euler_E(1, args.n_max + 1, ZZ))
         else:
             pair = uv_series_def(args.n_max + 1)
             series = pair.u if args.seq == "u" else pair.v

@@ -75,18 +75,22 @@ def s_series(ell, b, prec, ring=ZZ):
     return _accumulate(entries, prec, ring)
 
 
+# w(n) of the two double-pole numerators, by weight name
+_WEIGHTS = {"u": lambda n: n * (n + 1), "v": lambda n: n * (n - 1)}
+
+
 def double_pole_sum(weight, prec, ring=ZZ):
     """sum over n != 0 of (-1)^n q^{n(n+1)/2} w(n) / (1 - q^n)^2.
 
     weight "u" takes w(n) = n(n+1), weight "v" takes w(n) = n(n-1); these
     are the two numerators behind the rank-style counting series.
     """
-    if weight not in ("u", "v"):
+    if weight not in _WEIGHTS:
         raise ValueError("weight must be 'u' or 'v'")
     n_max = math.isqrt(2 * max(prec, 0)) + 4
     entries = []
     for n in range(-n_max, n_max + 1):
-        w = n * (n + 1) if weight == "u" else n * (n - 1)
+        w = _WEIGHTS[weight](n)
         if n == 0 or w == 0:
             continue
         sign = -1 if n % 2 else 1

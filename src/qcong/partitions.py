@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from ._kernel import PackedSeries, convolve
 from .lambert import double_pole_sum
-from .products import euler_E
+from .products import euler_cube
 from .series import LaurentSeries, ZZ
 
 def _restricted_counts(min_part, max_part, width):
@@ -55,6 +55,13 @@ def _counts_upto(kind, n_max):
             vals[off + w] += c
     _counts_store[kind] = vals
     return vals
+
+
+def count_table(kind, n_max):
+    """[u(n) for n = 0..n_max] for kind "u", the same for "v", counted
+    directly in one build to n_max.  u_count and v_count build to their
+    own n, so a caller wanting many values asks here once."""
+    return _counts_upto(kind, n_max)[:n_max + 1]
 
 
 def u_count(n):
@@ -130,20 +137,7 @@ def _uv_slot_bits(prec):
 
 def _core_start(length):
     """core_1 = 1/((q;q)_inf^3 (1-q)(1-q^2)) on [0, length), in plain ints."""
-    # Jacobi: (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2)
-    terms = []
-    k = 1
-    while k * (k + 1) // 2 < length:
-        terms.append((k * (k + 1) // 2, (-1) ** (k + 1) * (2 * k + 1)))
-        k += 1
-    c = [1] + [0] * (length - 1)
-    for m in range(1, length):
-        total = 0
-        for t, a in terms:
-            if t > m:
-                break
-            total += a * c[m - t]
-        c[m] = total
+    c = LaurentSeries.one(ZZ, length).divide(euler_cube(1, length)).coeffs
     c = list(accumulate(c))              # / (1 - q)
     c[0::2] = accumulate(c[0::2])        # / (1 - q^2), on each parity
     c[1::2] = accumulate(c[1::2])
@@ -171,9 +165,10 @@ def uv_series_def(prec):
     core_n to V.
 
     Start.  core_1 = 1/((q;q)_inf^3 (1-q)(1-q^2)) comes from Jacobi's
-    (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2): its inverse
-    obeys c_m = -sum_{k>=1} (-1)^k (2k+1) c_{m-k(k+1)/2}, about
-    sqrt(2 prec) terms each, and two prefix sums divide by 1-q and 1-q^2.
+    (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2) (euler_cube): its
+    inverse obeys c_m = -sum_{k>=1} (-1)^k (2k+1) c_{m-k(k+1)/2}, about
+    sqrt(2 prec) terms each (LaurentSeries.divide), and two prefix sums
+    divide by 1-q and 1-q^2.
     Its coefficients are nonnegative, so each packs with to_bytes, which
     raises if one outgrows its slot.
 
@@ -291,11 +286,14 @@ def uv_series_def(prec):
 
 
 def uv_series_lambert(prec):
-    """U(q) and V(q) via the double-pole sums over 2 E(1)^3."""
-    inv_cube = (euler_E(1, prec) ** 3).invert()
-    u = double_pole_sum("u", prec).divide_exact(-2) * inv_cube
-    v = double_pole_sum("v", prec).divide_exact(-2) * inv_cube
-    return UVPair(u, v)
+    """U(q) and V(q) as the double-pole sums over -2 E(1)^3.
+
+    E(1)^3 is Jacobi's sparse sum (euler_cube), so each quotient is the
+    division recurrence over its sqrt(2 prec) terms (LaurentSeries.divide),
+    with no dense cube and no inverse."""
+    cube = euler_cube(1, prec)
+    return UVPair(*(double_pole_sum(w, prec).divide_exact(-2).divide(cube)
+                    for w in "uv"))
 
 
 def sequence_lines(name, values, origin):

@@ -1,19 +1,26 @@
 """Euler products, theta blocks and finite q-Pochhammer products.
 
 E(m) = (q^m; q^m)_inf comes from a pentagonal table, which the pentagonal
-number theorem keeps sparse.  A theta block comes from the Jacobi triple
-product over E(m):
+number theorem keeps sparse, and E(m)^3 from Jacobi's sparse
+sum_k (-1)^k (2k+1) q^{m k(k+1)/2}.  A theta block comes from the Jacobi
+triple product over E(m):
 
     (q^r;q^m)_inf (q^{m-r};q^m)_inf
         = sum_n (-1)^n q^{m n(n-1)/2 + r n} * sum_k p(k) q^{m k},
 
-a sparse sum of +-1 terms times 1/E(m), whose coefficients are the
-partition numbers.  Both integer tables are cached per (m, prec) and
-(r, m, prec) and reduced on construction when a modular ring is requested,
-so the work is shared between rings.
+a sparse sum of +-1 terms (triple_product) times 1/E(m), whose
+coefficients are the partition numbers.  Both integer tables are cached
+per (m, prec) and (r, m, prec) and reduced on construction when a modular
+ring is requested, so the work is shared between rings.
+
+The checks divide by sparse products and never invert them densely: a
+quotient by E(m)^3 or by a triple_product is LaurentSeries.divide, a
+recurrence over the divisor's nonzero terms, and 1/(q;q)_k comes from
+inverse_pochhammers, one prefix-sum pass per factor 1 - q^k.
 """
 
 from functools import lru_cache
+from itertools import accumulate
 
 from ._kernel import convolve
 from .series import LaurentSeries, ZZ
@@ -53,23 +60,30 @@ def _poch_inf_coeffs(m, prec):
     return tuple(cs)
 
 
-@lru_cache(maxsize=None)
-def _jacobi_unit_coeffs(r, m, prec):
-    """ZZ coefficients of (q^r;q^m)_inf (q^{m-r};q^m)_inf, 0 < r < m.
+def _jtp_coeffs(r, m, prec):
+    """ZZ coefficients of (q^r;q^m)_inf (q^{m-r};q^m)_inf E(m), 0 < r < m,
+    by the triple product.
 
-    The triple product's terms n >= 0 and n = -k, k >= 1, have exponents
-    m n(n-1)/2 + r n and m k(k-1)/2 + (m-r) k: one rule with r and m - r.
+    Its terms n >= 0 and n = -k, k >= 1, have exponents m n(n-1)/2 + r n
+    and m k(k-1)/2 + (m-r) k: one rule with r and m - r.
     """
     jtp = [0] * prec
     for a, n in ((r, 0), (m - r, 1)):
         while (e := m * n * (n - 1) // 2 + a * n) < prec:
             jtp[e] += -1 if n % 2 else 1
             n += 1
+    return jtp
+
+
+@lru_cache(maxsize=None)
+def _jacobi_unit_coeffs(r, m, prec):
+    """ZZ coefficients of (q^r;q^m)_inf (q^{m-r};q^m)_inf, 0 < r < m: the
+    triple-product sum times 1/E(m)."""
     top = (prec - 1) // m
     p_count(top)  # fills _pent through p(top)
     inv_euler = [0] * prec
     inv_euler[::m] = _pent[:top + 1]
-    return tuple(convolve(jtp, inv_euler, prec))
+    return tuple(convolve(_jtp_coeffs(r, m, prec), inv_euler, prec))
 
 
 def euler_E(m, prec, ring=ZZ):
@@ -79,6 +93,41 @@ def euler_E(m, prec, ring=ZZ):
     if prec < 1:
         raise ValueError("prec must be positive")
     return LaurentSeries(ring, 0, _poch_inf_coeffs(m, prec))
+
+
+def euler_cube(m, prec, ring=ZZ):
+    """E(m)^3 on [0, prec), by Jacobi:
+    (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}, in q^m."""
+    if m < 1:
+        raise ValueError(f"euler_cube needs m >= 1, got m={m}")
+    if prec < 1:
+        raise ValueError("prec must be positive")
+    cs = [0] * prec
+    k = 0
+    while (e := m * k * (k + 1) // 2) < prec:
+        cs[e] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+    return LaurentSeries(ring, 0, cs)
+
+
+def inverse_pochhammers(top, prec, ring=ZZ):
+    """[1/(q;q)_k for k = 0..top], each on [0, prec).
+
+    1/(q;q)_k is 1/(q;q)_{k-1} divided by 1 - q^k, and that division is a
+    prefix sum along each residue class mod k, so every entry costs one
+    pass over the window.
+    """
+    if top < 0:
+        raise ValueError("top must be >= 0")
+    if prec < 1:
+        raise ValueError("prec must be positive")
+    cs = [1] + [0] * (prec - 1)
+    out = [LaurentSeries(ring, 0, cs)]
+    for k in range(1, top + 1):
+        for r in range(min(k, prec)):
+            cs[r::k] = accumulate(cs[r::k])
+        out.append(LaurentSeries(ring, 0, cs))
+    return out
 
 
 def pochhammer_finite(a, n, prec, ring=ZZ):
@@ -120,6 +169,18 @@ def _theta_normalize(a, m):
     return sign, shift, r
 
 
+def _normalized(a, m, prec, ring, unit_coeffs):
+    """sign * q^shift * unit_coeffs(r, m, prec) for [q^a; q^m] folded to
+    [q^r; q^m] (_theta_normalize), r taken at most m/2 by symmetry."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    sign, shift, r = _theta_normalize(a, m)
+    unit = LaurentSeries(ring, 0, unit_coeffs(min(r, m - r), m, prec))
+    if sign < 0:
+        unit = unit.scale(-1)
+    return unit.shift(shift) if shift else unit
+
+
 def jacobi_theta(a, m, prec, ring=ZZ):
     """[q^a; q^m] = (q^a;q^m)_inf (q^{m-a};q^m)_inf, normalized for any a.
 
@@ -128,10 +189,12 @@ def jacobi_theta(a, m, prec, ring=ZZ):
     multiple of m raises: the product vanishes identically and no series
     window can represent that honestly.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    sign, shift, r = _theta_normalize(a, m)
-    unit = LaurentSeries(ring, 0, _jacobi_unit_coeffs(min(r, m - r), m, prec))
-    if sign < 0:
-        unit = unit.scale(-1)
-    return unit.shift(shift) if shift else unit
+    return _normalized(a, m, prec, ring, _jacobi_unit_coeffs)
+
+
+def triple_product(a, m, prec, ring=ZZ):
+    """[q^a; q^m] E(m), the sparse triple-product sum, folded and windowed
+    as jacobi_theta(a, m, prec, ring) is, and raising as it does when m
+    divides a.  A quotient of thetas of one base m is a quotient of these,
+    since the E(m) factors cancel."""
+    return _normalized(a, m, prec, ring, _jtp_coeffs)

@@ -8,6 +8,9 @@ operation returns the window its inputs actually determine:
   add/sub   [min low, min prec): below its low a series is zero, so the
             lower start is sound; above the lower prec nothing is known
   mul       [f.low + g.low, min(f.low + g.prec, g.low + f.prec))
+  invert    [-v, g.prec - 2v), v the valuation of g
+  divide    f / g: [f.low - v, f.low - v + min(f.prec - f.low, g.prec - v)),
+            the window of f * g.invert()
   equality  compared on the overlap only; an empty overlap is an error
 
 Out-of-window coefficient access raises.  All values are immutable; share
@@ -241,21 +244,41 @@ class LaurentSeries:
                 out = out * self
         return out
 
-    def invert(self):
-        """Inverse; the first nonzero coefficient must be a ring unit.
-        Window: [-v, -v + L) where v is the valuation and L the number of
-        stored coefficients from v up."""
+    def _unit_lead(self):
+        """(valuation v, inverse of the coefficient at q^v); raises
+        NonUnitError unless that coefficient is a ring unit."""
         v = self.valuation()
         if v is None:
             raise NonUnitError("cannot invert a series with all-zero window")
-        idx = v - self.low
-        lead = self.coeffs[idx]
+        lead = self.coeffs[v - self.low]
         if not self.ring.is_unit(lead):
             raise NonUnitError(f"leading coefficient {lead} not a unit in {self.ring}")
-        unit = list(self.coeffs[idx:])
-        inv = _kernel.newton_invert(unit, self.ring.unit_inverse(lead),
-                                    self.ring.modulus)
+        return v, self.ring.unit_inverse(lead)
+
+    def invert(self):
+        """Inverse by Newton iteration; the first nonzero coefficient must
+        be a ring unit.  Window: [-v, -v + L) where v is the valuation and
+        L the number of stored coefficients from v up."""
+        v, lead_inverse = self._unit_lead()
+        inv = _kernel.newton_invert(list(self.coeffs[v - self.low:]),
+                                    lead_inverse, self.ring.modulus)
         return LaurentSeries(self.ring, -v, inv)
+
+    def divide(self, other):
+        """self / other, with the coefficients, window and errors of
+        self * other.invert(), by the recurrence over other's nonzero terms
+        (_kernel.sparse_divide): length times terms steps and no Newton
+        iteration.  For divisors that are sparse by construction; a dense
+        one costs length squared."""
+        v, lead_inverse = other._unit_lead()
+        self._want_ring(other)
+        idx = v - other.low
+        out_len = min(len(self.coeffs), len(other.coeffs) - idx)
+        terms = [(e, c) for e, c in enumerate(other.coeffs[idx:idx + out_len])
+                 if c]
+        cs = _kernel.sparse_divide(self.coeffs[:out_len], terms, lead_inverse,
+                                   self.ring.modulus)
+        return LaurentSeries._canonical(self.ring, self.low - v, tuple(cs))
 
     def divide_exact(self, k):
         """Divide every coefficient by k over ZZ; any remainder is an error."""

@@ -49,9 +49,10 @@ from operator import add
 from time import perf_counter
 
 from .lambert import s_series, t_series
-from .partitions import u_count, uv_series_def, uv_series_lambert, v_count
-from .products import (_theta_normalize, euler_E, jacobi_theta,
-                       pochhammer_finite)
+from .partitions import count_table, uv_series_def, uv_series_lambert
+from .products import (_theta_normalize, euler_cube, euler_E,
+                       inverse_pochhammers, jacobi_theta, pochhammer_finite,
+                       triple_product)
 from .report import Report, merge_reports, series_compare_report
 from .series import ZZ, LaurentSeries, Zmod
 
@@ -303,8 +304,7 @@ def check_bailey_uv(n_max=12, prec=150):
         raise ValueError("n_max must be >= 1")
     if prec <= n_max * (n_max + 1) // 2:
         raise ValueError(f"prec {prec} too small for n_max {n_max}")
-    pinv = [pochhammer_finite(1, k, prec).invert()
-            for k in range(2 * n_max + 1)]
+    pinv = inverse_pochhammers(2 * n_max, prec)
     poch = [pochhammer_finite(1, k, prec) for k in range(n_max)]
     subs = {"u": [], "v": []}
     for n in range(1, n_max + 1):
@@ -364,8 +364,7 @@ def check_finite_jtp(n_max=10, prec=200):
         starts.append(sum(min(e, 0) for e in range(-t, n - t)))
         starts += [shift for _, shift, _ in sym + paired]
     wprec = _length(prec, starts)
-    pinv = [pochhammer_finite(1, k, wprec).invert()
-            for k in range(2 * n_max + 1)]
+    pinv = inverse_pochhammers(2 * n_max, wprec)
     # the blocks depend on n alone: visit the cases by n, so every t shares
     # one n's blocks and only those are held, and report in case order
     reports = [None] * len(cases)
@@ -422,8 +421,7 @@ def check_beta_second_derivatives(n_max=8, prec=120):
         raise ValueError("n_max must be >= 1")
     if prec < 2:
         raise ValueError(f"prec {prec} needs to be at least 2")
-    pinv2 = [pochhammer_finite(1, 2 * n, prec).invert()
-             for n in range(n_max + 1)]
+    pinv2 = inverse_pochhammers(2 * n_max, prec)[::2]
     poch = [pochhammer_finite(1, n, prec) for n in range(n_max)]
     subs = []
     for n in range(1, n_max + 1):
@@ -448,6 +446,17 @@ def _valid_m(ell, b, m):
     return 1 <= m <= ell - 1 and (2 * m - 2 * b - 1) % ell != 0
 
 
+def _lemma_weight(ell, b, k, second):
+    """The weight, mod ell, of the k-term of the S_ell(b) representation,
+    or of its reflected twin when second is true.  Half-integer weights
+    are realized through the inverses of 2 and 4, which exist for every
+    odd ell, prime or not."""
+    if second:
+        h = b - k + pow(2, -1, ell)
+        return h * (h + 1) % ell
+    return ((k - b) * (k - b) - pow(4, -1, ell)) % ell
+
+
 def _lemma_rhs(ell, specs, prec, ring):
     """Yield, per (b, m, second) in specs, the right side of the S_ell(b)
     representation, or of its reflected twin when second is true.
@@ -458,12 +467,9 @@ def _lemma_rhs(ell, specs, prec, ring):
     T * E(1)^3 times the one-term sum 1 / (P(m) E(ell^2)).  All sums of
     one ell come from one _monomial_sums call, so each power of a P(a) or
     E(ell^2) is built once per ell.  A T window is at least [., 1), which
-    ends past prec.  Half-integer weights are realized mod ell through the
-    inverses of 2 and 4, which exist for every odd ell, prime or not.
+    ends past prec.  The k-term weights come from _lemma_weight.
     """
     L2 = ell * ell
-    inv2 = pow(2, -1, ell)
-    inv4 = pow(4, -1, ell)
     plans, term_lists, starts = [], [], []
     for b, m, second in specs:
         a0 = ell * (ell - 1) // 2 + ell * m - ell * b
@@ -485,10 +491,7 @@ def _lemma_rhs(ell, specs, prec, ring):
                 continue  # excluded index: the C theta in the denominator poles
             if k == m or (a0 + ell * k) % L2 == 0:
                 continue  # a numerator theta vanishes, so the term is zero
-            if second:
-                w = ((b - k + inv2) * (b - k + inv2 + 1)) % ell
-            else:
-                w = ((k - b) * (k - b) - inv4) % ell
+            w = _lemma_weight(ell, b, k, second)
             if w == 0:
                 continue
             A = a0 + ell * k
@@ -506,7 +509,7 @@ def _lemma_rhs(ell, specs, prec, ring):
             starts.extend(qpow for _, qpow, _ in ks)
         plans.append((t0, bool(ks)))
     N = _length(prec, starts)
-    e3 = euler_E(1, N, ring) ** 3
+    e3 = euler_cube(1, N, ring)
     sums = _monomial_sums(_p_basis(ell, N, ring), ell, N, *term_lists)
     for t0, has_k in plans:
         terms = [t0 * e3 * next(sums)] if t0 is not None else []
@@ -899,9 +902,15 @@ def check_t_functional_eq(prec=200):
 
 
 def check_chan_identity(prec=200):
-    """[A] E^2 / ([B1][B2]) splits into two T terms; 20 parameter points
-    over the bases 9, 25, 49, 169, exact.  No point has a theta argument
-    divisible by M; one that did would raise in the theta or T builder."""
+    """[A] E^2 / ([B1][B2]) splits into two T terms [x]/[y] T; 20 parameter
+    points over the bases 9, 25, 49, 169, exact.  No point has a theta
+    argument divisible by M; one that did would raise in the theta or T
+    builder.
+
+    With J(x) = [x] E(M), the sparse triple-product sum (triple_product),
+    the sides are J(A) E(M)^3 / (J(B1) J(B2)) and sum J(x) T / J(y), with
+    E(M)^3 Jacobi's sparse sum: every quotient is a division by a sparse
+    series, and no theta is inverted."""
     subs = []
     for M in (9, 25, 49, 169):
 
@@ -921,15 +930,14 @@ def check_chan_identity(prec=200):
             starts.append(shift(A) - shift(B1) - shift(B2))
             points.append((A, B1, B2, tterms))
         N = _length(prec, starts)
-        EM2 = euler_E(M, N, ZZ) ** 2
+        EM3 = euler_cube(M, N)
 
-        def jac(x):
-            return jacobi_theta(x, M, N, ZZ)
+        def J(x):
+            return triple_product(x, M, N)
 
         for A, B1, B2, tterms in points:
-            lhs = jac(A) * EM2 * (jac(B1) * jac(B2)).invert()
-            rhs = reduce(add, (jac(x) * jac(y).invert() * t
-                               for x, y, t in tterms))
+            lhs = (J(A) * EM3).divide(J(B1)).divide(J(B2))
+            rhs = reduce(add, ((J(x) * t).divide(J(y)) for x, y, t in tterms))
             subs.append(_cmp(f"chan:A={A},B1={B1},B2={B2},M={M}",
                              lhs, rhs, prec))
     return merge_reports("chan_identity", prec, subs, {"prec": prec})
@@ -975,9 +983,10 @@ def check_pole_split(ells=(3, 5, 7, 13), prec=120, n_range=20):
 def check_uv_oracle(n_max=25):
     """Enumerated u(n), v(n) against the series coefficients."""
     pair = uv_series_def(n_max + 1)
+    counts = {kind: count_table(kind, n_max) for kind in "uv"}
     for n in range(n_max + 1):
-        for name, cnt, s in (("u", u_count(n), pair.u),
-                             ("v", v_count(n), pair.v)):
+        for name, s in zip("uv", pair):
+            cnt = counts[name][n]
             if cnt != s.coeff(n):
                 return Report("uv_oracle", "fail", n_max,
                               params={"n_max": n_max, "seq": name},
@@ -1022,9 +1031,9 @@ def check_cross_lemma(ells=(5, 7, 13), prec=200):
             vterms.append(S[b + 1].scale(b + 1))
             vterms.append(S[ell - 2 - b].scale(-(b + 2)))
         NE = _length(prec, [s.low for s in S])  # every S reaches prec
-        inv_e3 = (euler_E(1, NE, ring) ** 3).invert()
+        e3 = euler_cube(1, NE, ring)
         for kind, terms in (("U", uterms), ("V", vterms)):
-            assembled = (reduce(add, terms) * inv_e3).scale(-inv2)
+            assembled = reduce(add, terms).divide(e3).scale(-inv2)
             subs.append(_cmp(f"cross:{kind}{ell}", assembled, rhs[kind],
                              prec))
     return merge_reports("cross_lemma", prec, subs,

@@ -256,6 +256,31 @@ def test_newton_invert_mod_crosses_lanes(lanes):
     assert set(lanes) == {"H", "I"}
 
 
+# sparse_divide -------------------------------------------------------------------
+
+@pytest.mark.parametrize("length", [1, 2, 3, 200])
+@pytest.mark.parametrize("modulus", [None, 7, 13])
+def test_sparse_divide_undoes_the_product(length, modulus):
+    # g = f / d exactly when d * g = f on the window; d has terms past the
+    # window too, which cannot reach it
+    rng = random.Random(length)
+    m = modulus or 50
+    lead = rng.choice([1, -1]) if modulus is None else rng.randrange(1, m)
+    exps = sorted(rng.sample(range(1, 2 * length + 2), min(6, length + 1)))
+    terms = [(0, lead)] + [(e, rng.randrange(1, m)) for e in exps]
+    d = [0] * length
+    for e, c in terms:
+        if e < length:
+            d[e] = c
+    f = [rng.randrange(m) for _ in range(length)]
+    inv = lead if modulus is None else pow(lead, -1, modulus)
+    g = _kernel.sparse_divide(f, terms, inv, modulus)
+    assert len(g) == length
+    assert naive_convolve(d, g, length, modulus) == f
+    if modulus is not None:
+        assert all(0 <= c < modulus for c in g)
+
+
 # PackedSeries ------------------------------------------------------------------
 
 LENGTH = 29

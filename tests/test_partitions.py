@@ -4,9 +4,10 @@ from functools import lru_cache
 
 import pytest
 
-from qcong import partitions
+from qcong import cli, partitions, verify
 from qcong._kernel import PackedSeries
 from qcong.partitions import (
+    count_table,
     sequence_lines,
     u_count,
     uv_series_def,
@@ -86,6 +87,47 @@ def test_small_values():
     assert u_count(-3) == 0
 
 
+@pytest.fixture
+def counted_quads(monkeypatch):
+    """A cold count table, and the markers m of every _quad_counts call."""
+    monkeypatch.setattr(partitions, "_counts_store", {"u": [0], "v": [0]})
+    calls = []
+    real = partitions._quad_counts
+
+    def counted(m, width):
+        calls.append(m)
+        return real(m, width)
+
+    monkeypatch.setattr(partitions, "_quad_counts", counted)
+    return calls
+
+
+def test_count_table_matches_the_counters(counted_quads):
+    table = count_table("u", 30)
+    assert len(counted_quads) == 30
+    assert table == [u_count(n) for n in range(31)]
+    assert count_table("v", 12) == [v_by_listing(n) for n in range(13)]
+    assert count_table("u", 5) == table[:6]
+
+
+@pytest.mark.parametrize("caller", ["uv_oracle", "enumerate"])
+def test_counts_are_built_once_per_caller(counted_quads, capsys, caller):
+    # one table to n_max per kind: n_max markers for u, n_max/2 for v,
+    # where rebuilding for every n made about 3 n_max^2 / 4 calls
+    n_max = 60
+    if caller == "uv_oracle":
+        assert verify.check_uv_oracle(n_max).status == "pass"
+    else:
+        pair = uv_series_def(n_max + 1)
+        for kind, series in zip("uv", pair):
+            assert cli.main(["enumerate", "--seq", kind,
+                             "--n-max", str(n_max)]) == 0
+            assert capsys.readouterr().out == ",".join(
+                str(series.coeff(n)) for n in range(n_max + 1)) + "\n"
+    assert sorted(counted_quads) == sorted(
+        [*range(1, n_max + 1), *range(1, n_max // 2 + 1)])
+
+
 def test_series_def_matches_counters():
     pair = uv_series_def(26)
     for n in range(26):
@@ -136,8 +178,8 @@ def test_series_def_matches_counters_at_every_small_prec(cold_def_cache):
         cold_def_cache()
         pair = uv_series_def(prec)
         assert pair.u.prec == prec
-        assert [pair.u.coeff(n) for n in range(prec)] == [u_count(n) for n in range(prec)]
-        assert [pair.v.coeff(n) for n in range(prec)] == [v_count(n) for n in range(prec)]
+        assert [pair.u.coeff(n) for n in range(prec)] == count_table("u", prec - 1)
+        assert [pair.v.coeff(n) for n in range(prec)] == count_table("v", prec - 1)
 
 
 @pytest.mark.parametrize("length", [1, 2, 300])
@@ -346,8 +388,8 @@ def test_series_def_agrees_with_list_shadow_after_every_op(cold_def_cache):
     assert counts == {"start": 1, "mul_one_minus": 4 * 73, "div_one_minus": 2 * 73,
                       "add_shifted": 2 * 74 + 2 * 4, "restride": 4 + 2 * 4 + 1,
                       "to_coeffs": 2}
-    assert pair.u == LaurentSeries(ZZ, 0, [u_count(n) for n in range(150)])
-    assert pair.v == LaurentSeries(ZZ, 0, [v_count(n) for n in range(150)])
+    assert pair.u == LaurentSeries(ZZ, 0, count_table("u", 149))
+    assert pair.v == LaurentSeries(ZZ, 0, count_table("v", 149))
 
 
 @pytest.mark.parametrize("short", [0, 8])

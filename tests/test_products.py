@@ -8,9 +8,12 @@ import pytest
 
 from qcong import _kernel, products
 from qcong.products import (
+    euler_cube,
     euler_E,
+    inverse_pochhammers,
     jacobi_theta,
     pochhammer_finite,
+    triple_product,
 )
 from qcong.series import LaurentSeries, Zmod, ZZ
 from qcong.verify import (
@@ -228,6 +231,42 @@ def test_theta_vanishing_raises():
         jacobi_theta(10, 5, 10)
     with pytest.raises(ValueError):
         jacobi_theta(25, 25, 10)
+
+
+@pytest.mark.parametrize("m", [9, 25])
+def test_triple_product_is_theta_times_euler(m):
+    for a in (1, m - 1, m + 2, -3, 2 * m + 1):
+        got = triple_product(a, m, 300)
+        want = jacobi_theta(a, m, 300) * euler_E(m, 300)
+        assert (got.low, got.prec) == (want.low, want.prec), a
+        assert got.coeffs == want.coeffs, a
+        assert sum(1 for c in got.coeffs if c) <= 2 * math.isqrt(600 // m) + 4
+    for a in (0, m, -2 * m):
+        with pytest.raises(ValueError):
+            triple_product(a, m, 300)
+
+
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_euler_cube_is_the_cube_of_euler(m):
+    for ring in (ZZ, Zmod(7)):
+        assert euler_cube(m, 200, ring).coeffs == (
+            euler_E(m, 200, ring) ** 3).coeffs
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(5)])
+def test_inverse_pochhammers_match_the_inverted_products(ring):
+    got = inverse_pochhammers(24, 150, ring)
+    assert len(got) == 25
+    for k, inv in enumerate(got):
+        want = pochhammer_finite(1, k, 150, ring).invert()
+        assert (inv.low, inv.prec) == (want.low, want.prec), k
+        assert inv.coeffs == want.coeffs, k
+
+
+def test_inverse_pochhammers_past_the_window():
+    # factors 1 - q^k with k >= prec are 1 on the window
+    got = inverse_pochhammers(6, 3)
+    assert [s.coeffs for s in got] == [(1, 0, 0), (1, 1, 1)] + [(1, 1, 2)] * 5
 
 
 def test_cap_P_symmetry():

@@ -296,6 +296,54 @@ def test_divide_exact():
         LaurentSeries(Zmod(5), 0, [2]).divide_exact(2)
 
 
+# division by a sparse series ----------------------------------------------
+
+def _sparse_divisor(rng, ring, v, lead, length):
+    """lead q^v plus a few random terms above it, on [v - 2, v + length):
+    stored zeros below the valuation, and zeros between the terms."""
+    cs = [0, 0, lead] + [0] * (length - 1)
+    for e in rng.sample(range(1, length), min(5, length - 1)):
+        cs[2 + e] = rng.randrange(-9, 10)
+    return LaurentSeries(ring, v - 2, cs)
+
+
+@pytest.mark.parametrize("ring, leads", [
+    (ZZ, (1, -1)), (Zmod(7), (1, 6, 3)), (Zmod(13), (1, 12, 5))])
+@pytest.mark.parametrize("v", [0, 1, 2, 3])
+def test_divide_equals_times_the_inverse(ring, leads, v):
+    # same coefficients and the same window as f * g.invert(), whether f or
+    # g is the longer
+    rng = random.Random(31 * v + len(leads))
+    for lead in leads:
+        for f_len, g_len in ((40, 25), (25, 40), (30, 30), (1, 1)):
+            f = LaurentSeries(ring, rng.randrange(-3, 4),
+                              [rng.randrange(-20, 21) for _ in range(f_len)])
+            g = _sparse_divisor(rng, ring, v, lead, g_len)
+            got, want = f.divide(g), f * g.invert()
+            assert (got.low, got.prec) == (want.low, want.prec)
+            assert got.coeffs == want.coeffs
+
+
+def test_divide_raises_as_times_the_inverse_does():
+    f = LaurentSeries(ZZ, 0, [1, 2, 3])
+    for bad in (LaurentSeries(ZZ, 0, [2, 1, 0]), LaurentSeries(ZZ, 0, [0, 0]),
+                LaurentSeries(Zmod(7), 0, [0, 7, 14])):
+        with pytest.raises(NonUnitError):
+            f.divide(bad)
+    with pytest.raises(NonUnitError):
+        LaurentSeries(Zmod(9), 0, [1, 1]).divide(
+            LaurentSeries(Zmod(9), 1, [3, 1]))
+    with pytest.raises(RingMismatchError):
+        f.divide(LaurentSeries(Zmod(7), 0, [3, 1]))
+    with pytest.raises(RingMismatchError):
+        LaurentSeries(Zmod(7), 0, [1]).divide(LaurentSeries(Zmod(13), 0, [1]))
+
+
+def test_divide_by_euler_counts_partitions():
+    got = LaurentSeries.one(ZZ, 60).divide(euler(60))
+    assert list(got.coeffs) == partition_counts(60)
+
+
 # substitution, reduction, dissection ---------------------------------------
 
 def test_reduce_mod_examples():

@@ -4,7 +4,7 @@ from operator import add
 
 import pytest
 
-from qcong import _kernel, products, verify
+from qcong import _kernel, lambert, products, verify
 from qcong.lambert import t_series
 from qcong.products import euler_E, jacobi_theta
 from qcong.report import Report, merge_reports, series_compare_report
@@ -508,6 +508,49 @@ def test_finite_product_checks_fail_on_one_wrong_term(monkeypatch, mutate,
     rep = check()
     assert rep.status == "fail"
     assert rep.first_failure[0] == first
+
+
+def _mutate_lambert_weight(monkeypatch):
+    # w(3) of the U numerator, raised by 2 so the sum stays divisible by -2
+    real = lambert._WEIGHTS["u"]
+    monkeypatch.setitem(lambert._WEIGHTS, "u",
+                        lambda n: real(n) + (2 if n == 3 else 0))
+
+
+def _mutate_chan_t_sign(monkeypatch):
+    # the T(B1, A - B2, M) term of the point A, B1, B2 = 1, 2, 3 at M = 9
+    real = verify.t_series
+
+    def t_series(a, b, c, prec, ring=ZZ):
+        t = real(a, b, c, prec, ring=ring)
+        return -t if (a, b, c) == (2, -2, 9) else t
+    monkeypatch.setattr(verify, "t_series", t_series)
+
+
+def _mutate_lemma_weight(monkeypatch):
+    # the k = 4 weight of S_5(0), one of the terms cross_lemma assembles
+    real = verify._lemma_weight
+
+    def weight(ell, b, k, second):
+        w = real(ell, b, k, second)
+        return (w + 1) % ell if (ell, b, k, second) == (5, 0, 4, False) else w
+    monkeypatch.setattr(verify, "_lemma_weight", weight)
+
+
+@pytest.mark.parametrize("mutate, check", [
+    (_mutate_lambert_weight, partial(check_uv_dual, prec=60)),
+    (_mutate_chan_t_sign, partial(check_chan_identity, prec=60)),
+    (_mutate_lemma_weight, partial(check_cross_lemma, ells=(5,), prec=60)),
+], ids=["uv_dual", "chan_identity", "cross_lemma"])
+def test_quotient_checks_fail_on_one_wrong_term(monkeypatch, mutate, check):
+    # negative control for the checks that divide by a sparse product: one
+    # term of the check's own construction changed must give fail inside
+    # the window, never pass or skipped
+    assert check().status == "pass"
+    mutate(monkeypatch)
+    rep = check()
+    assert rep.status == "fail"
+    assert rep.first_failure[0] < rep.prec
 
 
 # every lifted identity, and the tables it comes from; the eta:d5* right
