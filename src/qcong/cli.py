@@ -15,11 +15,12 @@ import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .partitions import count_table, sequence_lines, uv_series_def
+from .partitions import (count_table, planned_uv, sequence_lines,
+                         uv_series_def)
 from .products import euler_E, p_count
 from .report import CSV_FIELDS
 from .series import ZZ, LaurentSeries
-from .verify import REGISTRY, SUITE, TableError, run_check
+from .verify import REGISTRY, SUITE, TableError, run_check, uv_precision
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -103,6 +104,12 @@ def _sequence_cmd(args, enumerated):
 
 
 def _run_checks(ids, args):
+    """The reports of the checks ids, in order.  A sequential run plans the
+    u/v recurrence at the largest precision its checks read (uv_precision),
+    so the first check that reads u/v builds it once, the time showing in
+    that check's wall time, and every later one reads a truncation.  With
+    --jobs > 1 nothing is planned: each worker builds what its own checks
+    ask for."""
     overrides = {"prec": args.prec, "n_max": args.n_max}
     if args.jobs > 1 and len(ids) > 1:
         # the pool forks every worker at the first submit: cap it at the
@@ -110,7 +117,8 @@ def _run_checks(ids, args):
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(ids))) as pool:
             futures = [pool.submit(run_check, cid, overrides) for cid in ids]
             return [f.result() for f in futures]
-    return [run_check(cid, overrides) for cid in ids]
+    with planned_uv(uv_precision(ids, overrides)):
+        return [run_check(cid, overrides) for cid in ids]
 
 
 def _emit_reports(reports, args):

@@ -14,6 +14,7 @@ compare them; nothing in here assumes they agree.
 """
 
 import math
+from contextlib import contextmanager
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -81,7 +82,24 @@ class UVPair(NamedTuple):
     v: LaurentSeries
 
 
+# the last build of uv_series_def; a call at or below its prec reads a
+# truncation.  A miss builds at the larger of its prec and _def_plan, which
+# planned_uv sets for one run of checks and which is 0 otherwise
 _def_cache = {"prec": 0, "pair": None}
+_def_plan = 0
+
+
+@contextmanager
+def planned_uv(prec):
+    """Within the block, the first uv_series_def call that misses the cache
+    builds to at least prec, so later calls up to prec read truncations
+    of that one build.  The plan ends with the block."""
+    global _def_plan
+    _def_plan = prec
+    try:
+        yield
+    finally:
+        _def_plan = 0
 
 
 # fixed point: the integer v stands for v / 2^64
@@ -153,6 +171,11 @@ def _merge(total, seg, off):
 
 def uv_series_def(prec):
     """U(q) and V(q) on [0, prec), straight from the defining sums.
+
+    Cache.  A call at or below the prec of the last build (_def_cache)
+    returns a truncation of it.  A miss builds at the planned precision,
+    the larger of prec and the one planned_uv set, and returns that build
+    truncated to prec.  Below, prec is the precision built.
 
     One upward pass keeps core_n = 1/((q^n;q)_inf^3 (q^n;q)_{n+1}) up to
     date through
@@ -247,6 +270,7 @@ def uv_series_def(prec):
     if _def_cache["prec"] >= prec:
         u, v = _def_cache["pair"]
         return UVPair(u.truncate(prec), v.truncate(prec))
+    want, prec = prec, max(prec, _def_plan)
     steps = (prec - 1) // 2              # the n with 2n < prec
     u = v = [0] * prec
     if steps:
@@ -282,7 +306,7 @@ def uv_series_def(prec):
     u = u[:steps + 1] + [c + 1 for c in u[steps + 1:]]   # the q^n past the loop
     pair = UVPair(LaurentSeries(ZZ, 0, u), LaurentSeries(ZZ, 0, v))
     _def_cache.update(prec=prec, pair=pair)
-    return pair
+    return pair if want == prec else UVPair(*(s.truncate(want) for s in pair))
 
 
 def uv_series_lambert(prec):

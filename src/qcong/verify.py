@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 from importlib import resources
-from operator import add
+from operator import add, itemgetter
 from time import perf_counter
 
 from .lambert import s_series, t_series
@@ -603,7 +603,9 @@ _E10_MOD13 = tuple((c, e, _folded(13, ms)) for c, e, ms in (
 
 # base q^25: E(1) = E(25) (X - q - q^2/X) with X = P(2)/P(1), squared and
 # cubed; powers of X have smaller ZZ coefficients than powers of 1/P(1), so
-# the right sides are sums over the basis {X, E(25)}, not over _p_basis(5)
+# the right sides are sums over the basis {X, E(25)}, not over _p_basis(5).
+# X is a quotient of two sparse triple-product sums (their E(25) factors
+# cancel), so it takes one division and no inverse
 _ETA_D5 = tuple((name, 5, None, k, _times({"E": k}, terms))
                 for k, (name, terms) in enumerate((
     ("eta:d5", ((1, 0, {"X": 1}), (-1, 1, {}), (-1, 2, {"X": -1}))),
@@ -641,10 +643,11 @@ def check_eta_dissections(prec=2000):
     and the merged fourteen-term shape, with its q^7 coefficient."""
     if prec < 8:
         raise ValueError(f"prec {prec} needs to be at least 8")
-    P5 = _p_basis(5, prec, ZZ)
+    n = -(-prec // 5)
+    X = triple_product(2, 5, n).divide(triple_product(1, 5, n))
     E1 = euler_E(1, prec, ZZ)
-    sums = _monomial_sums({"X": P5[2] * P5[1].invert(), "E": P5["E"]}, 5,
-                          prec, *(rhs for *_, rhs in _ETA_D5))
+    sums = _monomial_sums({"X": X, "E": euler_E(5, n)}, 5, prec,
+                          *(rhs for *_, rhs in _ETA_D5))
     subs = [_cmp(name, E1 ** k, d5k, prec)
             for (name, _, _, k, _), d5k in zip(_ETA_D5, sums)]
     subs += _identity_reports(_ETA_DISSECTIONS, prec)
@@ -847,8 +850,11 @@ def check_theorem2(case="U3", prec=800):
     return merge_reports(cid, prec, subs, {"case": case, "prec": prec})
 
 
-_TEN = (("u", 3, 0), ("u", 5, 0), ("u", 5, 3), ("u", 7, 0), ("u", 7, 5),
-        ("u", 13, 0), ("v", 3, 1), ("v", 5, 1), ("v", 5, 4), ("v", 13, 10))
+# the ten (seq, mod, res) progressions of theorem 1, u before v: the
+# classes that theorem 2's right sides leave empty
+_TEN = tuple((kind.lower(), int(case[1:]), r) for kind in "UV"
+             for case, rs in _VANISHING.items() if case[0] == kind
+             for r in rs)
 
 
 def _first_nonzero_mod(s, res, step, n_max, modulus):
@@ -1097,23 +1103,41 @@ def report_conjectures(n_max=1800, prec=2000):
 
 @dataclass(frozen=True)
 class CheckDef:
+    """fn with its default parameters.  uv_prec maps the parameters a run
+    uses to the precision of the largest uv_series_def call the check
+    makes; it is None for a check that makes none."""
     fn: object
     defaults: dict
     informational: bool = False
+    uv_prec: object = None
+
+
+def _n_max_plus_one(params):
+    return params["n_max"] + 1
+
+
+_prec = itemgetter("prec")
+
+
+def _theorem2(case, prec):
+    return CheckDef(partial(check_theorem2, case), {"prec": prec},
+                    uv_prec=_prec)
 
 
 REGISTRY = {
-    "uv_oracle": CheckDef(check_uv_oracle, {"n_max": 25}),
-    "uv_dual": CheckDef(check_uv_dual, {"prec": 1000}),
-    "theorem1": CheckDef(check_theorem1, {"n_max": 2000}),
-    "theorem2_u3": CheckDef(partial(check_theorem2, "U3"), {"prec": 800}),
-    "theorem2_v3": CheckDef(partial(check_theorem2, "V3"), {"prec": 800}),
-    "theorem2_u5": CheckDef(partial(check_theorem2, "U5"), {"prec": 800}),
-    "theorem2_v5": CheckDef(partial(check_theorem2, "V5"), {"prec": 800}),
-    "theorem2_u7": CheckDef(partial(check_theorem2, "U7"), {"prec": 800}),
-    "theorem2_v7": CheckDef(partial(check_theorem2, "V7"), {"prec": 800}),
-    "theorem2_u13": CheckDef(partial(check_theorem2, "U13"), {"prec": 1500}),
-    "theorem2_v13": CheckDef(partial(check_theorem2, "V13"), {"prec": 1500}),
+    "uv_oracle": CheckDef(check_uv_oracle, {"n_max": 25},
+                          uv_prec=_n_max_plus_one),
+    "uv_dual": CheckDef(check_uv_dual, {"prec": 1000}, uv_prec=_prec),
+    "theorem1": CheckDef(check_theorem1, {"n_max": 2000},
+                         uv_prec=_n_max_plus_one),
+    "theorem2_u3": _theorem2("U3", 800),
+    "theorem2_v3": _theorem2("V3", 800),
+    "theorem2_u5": _theorem2("U5", 800),
+    "theorem2_v5": _theorem2("V5", 800),
+    "theorem2_u7": _theorem2("U7", 800),
+    "theorem2_v7": _theorem2("V7", 800),
+    "theorem2_u13": _theorem2("U13", 1500),
+    "theorem2_v13": _theorem2("V13", 1500),
     "lemma_main": CheckDef(partial(check_lemma_family, False),
                            {"prec": 300}),
     "lemma_second": CheckDef(partial(check_lemma_family, True),
@@ -1131,7 +1155,7 @@ REGISTRY = {
     "cross_lemma": CheckDef(check_cross_lemma, {"prec": 200}),
     "conjectures": CheckDef(report_conjectures,
                             {"n_max": 1800, "prec": 2000},
-                            informational=True),
+                            informational=True, uv_prec=_n_max_plus_one),
 }
 
 SUITE = tuple(REGISTRY)
@@ -1147,17 +1171,30 @@ def ensure_suite_covers_registry():
         raise RuntimeError(f"suite names unknown checks: {sorted(extra)}")
 
 
-def run_check(check_id, overrides=None):
-    """Run one registered check; overrides touch only the parameters the
-    check actually takes."""
+def _params(check_id, overrides):
+    """The parameters run_check passes: the registered defaults, with the
+    overrides that are set and name a parameter the check takes."""
     if check_id not in REGISTRY:
         raise KeyError(f"unknown check {check_id!r}")
-    cd = REGISTRY[check_id]
-    params = dict(cd.defaults)
+    params = dict(REGISTRY[check_id].defaults)
     for k, v in (overrides or {}).items():
         if v is not None and k in params:
             params[k] = v
+    return params
+
+
+def uv_precision(ids, overrides=None):
+    """The largest uv_series_def precision that the checks ids declare
+    (CheckDef.uv_prec) under these overrides, or 0 if none reads u/v."""
+    return max((REGISTRY[cid].uv_prec(_params(cid, overrides)) for cid in ids
+                if REGISTRY[cid].uv_prec is not None), default=0)
+
+
+def run_check(check_id, overrides=None):
+    """Run one registered check; overrides touch only the parameters the
+    check actually takes."""
+    params = _params(check_id, overrides)
     t0 = perf_counter()
-    rep = cd.fn(**params)
+    rep = REGISTRY[check_id].fn(**params)
     rep.wall_time = perf_counter() - t0
     return rep

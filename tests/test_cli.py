@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from qcong import cli, partitions, verify
+from qcong.partitions import uv_series_def
+from qcong.verify import SUITE
 
 
 def run_cli(capsys, *argv):
@@ -84,11 +86,9 @@ def test_verify_jobs_pool(capsys):
                                                 "pole_split"]
 
 
-def test_jobs_pool_is_capped_at_the_number_of_checks(monkeypatch, capsys):
-    # a fake pool records max_workers and runs each task inline, so no
-    # worker process is started whatever --jobs asks for
-    sizes = []
-
+def inline_pool(sizes):
+    """A fake pool that records max_workers in sizes and runs each task
+    inline, so no worker process is started whatever --jobs asks for."""
     class InlinePool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -104,7 +104,12 @@ def test_jobs_pool_is_capped_at_the_number_of_checks(monkeypatch, capsys):
                 result = staticmethod(lambda: fn(*args))
             return Done()
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
+def test_jobs_pool_is_capped_at_the_number_of_checks(monkeypatch, capsys):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool(sizes))
     for jobs, want in (("5000", 2), ("2", 2)):
         code, out, _ = run_cli(capsys, "verify", "--check", "t_functional_eq",
                                "--check", "pole_split", "--prec", "60",
@@ -114,6 +119,45 @@ def test_jobs_pool_is_capped_at_the_number_of_checks(monkeypatch, capsys):
         assert [r["check_id"] for r in reports] == ["t_functional_eq",
                                                     "pole_split"]
         assert sizes.pop() == want
+
+
+def test_sequential_suite_runs_the_recurrence_once(monkeypatch, capsys,
+                                                  small_checks,
+                                                  counted_builds):
+    # the checks read u/v at 13 (uv_oracle), 41 (theorem1), 61
+    # (conjectures) and, through --prec, 400; the first of them builds at
+    # 400 and the rest read truncations
+    code, out, _ = run_cli(capsys, "suite", "--deterministic", "--prec", "400")
+    assert code == 0
+    assert len(out.splitlines()) == 2 * len(SUITE) + 1
+    assert counted_builds == [399]
+    # the plan ends with the run: a bare miss builds at its own prec
+    monkeypatch.setattr(partitions, "_def_cache", {"prec": 0, "pair": None})
+    assert uv_series_def(30).u.prec == 30
+    assert counted_builds == [399, 29]
+
+
+@pytest.mark.parametrize("jobs, builds", [("1", [99]), ("2", [20, 99])])
+def test_only_a_sequential_run_plans_the_recurrence(monkeypatch, capsys,
+                                                    counted_builds, jobs,
+                                                    builds):
+    # uv_oracle reads 21 and uv_dual 100: one build at 100 in sequence,
+    # while a pool worker builds only what its own check asks for
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool([]))
+    code, _, _ = run_cli(capsys, "verify", "--check", "uv_oracle", "--check",
+                         "uv_dual", "--n-max", "20", "--prec", "100",
+                         "--jobs", jobs)
+    assert code == 0
+    assert counted_builds == builds
+
+
+def test_pool_and_sequential_runs_print_the_same_reports(capsys):
+    argv = ("verify", "--check", "uv_oracle", "--check", "uv_dual",
+            "--check", "theorem1", "--check", "theorem2_v3", "--n-max", "40",
+            "--prec", "120", "--deterministic", "--jobs")
+    first, second = (run_cli(capsys, *argv, jobs) for jobs in ("1", "2"))
+    assert first[0] == 0
+    assert first == second
 
 
 def test_verify_unknown_check_rejected_before_work(capsys):

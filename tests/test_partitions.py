@@ -142,6 +142,29 @@ def test_series_def_serves_truncations_from_cache():
     assert small.u == big.u.truncate(18)
 
 
+def test_a_planned_miss_builds_once_at_the_plan(counted_builds):
+    direct = uv_series_def(20)
+    assert counted_builds == [19]
+    partitions._def_cache.update(prec=0, pair=None)
+    with partitions.planned_uv(50):
+        small = uv_series_def(20)
+        big = uv_series_def(50)
+        mid = uv_series_def(35)
+    assert mid == partitions.UVPair(*(s.truncate(35) for s in big))
+    assert counted_builds == [19, 49]
+    assert small == direct
+    assert big.u.prec == 50
+
+
+def test_the_plan_ends_with_its_block(counted_builds):
+    with pytest.raises(RuntimeError):
+        with partitions.planned_uv(50):
+            raise RuntimeError
+    assert partitions._def_plan == 0
+    assert uv_series_def(30).u.prec == 30
+    assert counted_builds == [29]
+
+
 # the recurrence's slot widths ---------------------------------------------
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 import re
+import sys
 from functools import partial, reduce
 from operator import add
 
 import pytest
 
-from qcong import _kernel, lambert, products, verify
+from qcong import _kernel, lambert, partitions, products, verify
 from qcong.lambert import t_series
 from qcong.products import euler_E, jacobi_theta
 from qcong.report import Report, merge_reports, series_compare_report
@@ -725,6 +726,46 @@ def test_run_check_applies_only_known_overrides():
     assert r.status == "pass"
     assert r.params["n_max"] == 8
     assert r.wall_time is not None
+
+
+def test_small_checks_cover_the_registry(small_checks):
+    assert set(small_checks) == set(REGISTRY)
+
+
+@pytest.mark.parametrize("check_id", SUITE)
+def test_each_check_declares_the_uv_precision_it_reads(monkeypatch,
+                                                       small_checks, check_id):
+    # a sequential run builds the recurrence once, at the largest declared
+    # precision: a check that read past its declaration, or read without
+    # one, would build it again, and one that declared more than it reads
+    # would build more than any check needs
+    asked = []
+    real = partitions.uv_series_def
+
+    def recording(prec):
+        asked.append(prec)
+        return real(prec)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qcong" or name.startswith("qcong."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, recording)
+    run_check(check_id)
+    if REGISTRY[check_id].uv_prec is None:
+        assert asked == []
+    else:
+        assert asked and max(asked) == verify.uv_precision([check_id])
+
+
+def test_uv_precision_applies_overrides_as_run_check_does():
+    assert verify.uv_precision(["pole_split", "lemma_main"]) == 0
+    assert verify.uv_precision(SUITE) == 2001
+    assert verify.uv_precision(["uv_dual", "theorem2_u3"],
+                               {"prec": 90, "n_max": None}) == 90
+    # neither uv_oracle nor theorem1 takes prec
+    assert verify.uv_precision(["uv_oracle", "theorem1"],
+                               {"prec": 5000, "n_max": 30}) == 31
 
 
 def test_informational_flag_only_on_conjectures():
