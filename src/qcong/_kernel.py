@@ -2,9 +2,11 @@
 
 Coefficient vectors are packed into a single Python int (little-endian, a
 fixed slot width in whole bytes), combined with native big-int ops, and
-decoded back.  Slot widths always come from exact bounds at the call site,
-so nothing here approximates.  CPython's Karatsuba does the heavy lifting
-for multiplication; there is deliberately no FFT.
+decoded back.  Slot widths come from exact bounds at the call site, or,
+for the u/v recurrence, from a one-step growth bound plus an exact check
+(``PackedSeries.fits``), so nothing here approximates.  CPython's
+Karatsuba does the heavy lifting for multiplication; there is
+deliberately no FFT.
 
 Every codec step is linear in the packed size, and for slots of up to
 8 bytes no step loops over slots in Python:
@@ -253,12 +255,12 @@ class PackedSeries:
 
     Only linear operations are provided; at any slot width they are exact
     modulo 2**(slot_bits * length), so a transient needs no headroom.  The
-    width only matters where the slots are read (to_coeffs, and restride,
-    which re-strides them without decoding): there it must hold every true
-    coefficient (see uv_series_def for the bound).
+    width only matters where the slots are read (to_coeffs, fits, and
+    restride, which re-strides them without decoding): there it must hold
+    every true coefficient, each read as the signed value of its slot.
     """
 
-    __slots__ = ("length", "nbytes", "slot_bits", "mask", "value")
+    __slots__ = ("length", "nbytes", "slot_bits", "mask", "value", "fit_masks")
 
     def __init__(self, length, slot_bits, value=0):
         self.length = length
@@ -266,11 +268,43 @@ class PackedSeries:
         self.slot_bits = 8 * self.nbytes
         self.mask = (1 << (self.slot_bits * length)) - 1
         self.value = value
+        # bits -> (bias, high) of fits, for at most two bits at a time;
+        # dropped with the width or window
+        self.fit_masks = {}
 
     def mul_one_minus(self, k):
-        """*= (1 - q^k); no-op for k >= length."""
+        """*= (1 - q^k); no-op for k >= length.  Both terms stay
+        nonnegative, so no two's-complement copy is made: a negative
+        difference wraps by adding 2**(slot_bits * length) once."""
         if 0 < k < self.length:
-            self.value = (self.value - (self.value << (k * self.slot_bits))) & self.mask
+            v = self.value
+            v -= (v << (k * self.slot_bits)) & self.mask
+            if v < 0:
+                v += 1 << (self.slot_bits * self.length)
+            self.value = v
+
+    def fits(self, bits):
+        """Whether every slot, read as signed at the slot width, lies in
+        [-2**(bits-1), 2**(bits-1)), for 1 <= bits <= slot_bits.
+
+        Two linear passes: adding 2**(bits-1) to every slot maps each
+        fitting value to [0, 2**bits), with no carry into the next slot,
+        so then no bit at or above bits is set in any slot.  Conversely,
+        if none is set, the biased slots minus the bias are a digit
+        vector of value in the slot's signed range, and that vector is
+        unique, so every slot fits."""
+        masks = self.fit_masks.get(bits)
+        if masks is None:
+            if len(self.fit_masks) == 2:
+                self.fit_masks.clear()
+            nb, count = self.nbytes, self.length
+            masks = self.fit_masks[bits] = (
+                int.from_bytes((1 << (bits - 1)).to_bytes(nb, "little") * count,
+                               "little"),
+                int.from_bytes(((1 << self.slot_bits) - (1 << bits)).to_bytes(
+                    nb, "little") * count, "little"))
+        bias, high = masks
+        return not (self.value + bias) & high
 
     def div_one_minus(self, k):
         """*= 1/(1 - q^k) mod q^length, by the doubling product

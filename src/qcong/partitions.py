@@ -13,7 +13,6 @@ the double-pole Lambert representation.  Tests and the verify checks
 compare them; nothing in here assumes they agree.
 """
 
-import math
 from contextlib import contextmanager
 from itertools import accumulate
 from typing import NamedTuple
@@ -102,71 +101,37 @@ def planned_uv(prec):
         _def_plan = 0
 
 
-# fixed point: the integer v stands for v / 2^64
-_ONE = 1 << 64
+def _growth_bits(n, length):
+    """bitlen(G), G >= the factor by which step n of uv_series_def can
+    enlarge the largest coefficient on a window of length terms: 16 for
+    (1-q^n)^4 and floor((length-1)/k) + 1 for each 1/(1-q^k)."""
+    return (16 * ((length - 1) // (2 * n + 1) + 1)
+            * ((length - 1) // (2 * n + 2) + 1)).bit_length()
 
 
-def _cauchy_bounds(prec, X):
-    """Fixed-point values t, index n = 1..prec, each at or above
-    2^64 T_n(x) x^-(prec-1) at x = X/2^64 (derived in uv_series_def):
-    t[prec] is x^-(prec-1), and each step down rounds its quotient up."""
-    lo = _ONE
-    up = [0] * prec + [_ONE] * (prec + 2)   # up[k] >= 2^64 (1 - x^k), or 2^64
-    for k in range(1, prec):
-        lo = lo * X >> 64                   # 2^64 x^k in [lo, lo + k]
-        up[k] = _ONE - lo
-    inv = -(-_ONE * _ONE // X)              # >= 2^64 / x
-    t = _ONE
-    for bit in bin(prec - 1)[2:]:
-        t = -(-t * t >> 64)
-        if bit == "1":
-            t = -(-t * inv >> 64)
-    out = [0] * prec + [t]
-    for n in range(prec - 1, 0, -1):
-        d = up[n] - n
-        d *= d
-        out[n] = -((-out[n + 1] * up[2 * n + 1] * up[2 * n + 2] << 128)
-                   // (d * d))
+def _end_division(*sums):
+    """Each of sums (lists of one length) divided by (q;q)_inf^3 (1-q)(1-q^2):
+    two prefix sums divide by 1-q and 1-q^2, and Jacobi's
+    (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2) (euler_cube) is
+    divided by its recurrence over about sqrt(2 length) terms
+    (LaurentSeries.divide)."""
+    cube = euler_cube(1, len(sums[0]))
+    out = []
+    for c in sums:
+        c = list(accumulate(c))              # / (1 - q)
+        c[0::2] = accumulate(c[0::2])        # / (1 - q^2), on each parity
+        c[1::2] = accumulate(c[1::2])
+        out.append(list(LaurentSeries(ZZ, 0, c).divide(cube).coeffs))
     return out
 
 
-def _uv_bound(n, prec, limit):
-    """min(B(n), limit), B(n) bounding the coefficients below q^prec of
-    prod_{m>=n} (1-q^m)^-4 (derived in uv_series_def)."""
-    bound = 1
-    j = 1
-    while j * n < prec and bound < limit:
-        bound += math.comb(prec - j * n + j, j) * 4 ** j
-        j += 1
-    return min(bound, limit)
-
-
-def _uv_slot_bits(prec):
-    """Slot bits, index n, that hold every series uv_series_def decodes at
-    step n."""
-    root = math.isqrt(prec)
-    cauchy = [_cauchy_bounds(prec, _ONE - min(_ONE * c // (10 * root), _ONE // 2))
-              for c in (10, 17)]
-    limits = map(min, *cauchy)
-    next(limits)
-    return [0] + [_uv_bound(n, prec, (limit >> 64) + 1).bit_length() + 1
-                  for n, limit in zip(range(1, prec), limits)]
-
-
-def _core_start(length):
-    """core_1 = 1/((q;q)_inf^3 (1-q)(1-q^2)) on [0, length), in plain ints."""
-    c = LaurentSeries.one(ZZ, length).divide(euler_cube(1, length)).coeffs
-    c = list(accumulate(c))              # / (1 - q)
-    c[0::2] = accumulate(c[0::2])        # / (1 - q^2), on each parity
-    c[1::2] = accumulate(c[1::2])
-    return c
-
-
-def _merge(total, seg, off):
-    """total += q^off * seg, widening seg to the total's slots first."""
-    if seg is not total:
-        seg.restride(seg.length, total.slot_bits)
-        total.add_shifted(seg, off)
+def _merge(total, seg, off, bits):
+    """total += q^off * seg, total first widened to at least bits and seg
+    re-strided to the total's slots."""
+    if bits > total.slot_bits:
+        total.restride(total.length, bits)
+    seg.restride(seg.length, total.slot_bits)
+    total.add_shifted(seg, off)
 
 
 def uv_series_def(prec):
@@ -177,93 +142,37 @@ def uv_series_def(prec):
     the larger of prec and the one planned_uv set, and returns that build
     truncated to prec.  Below, prec is the precision built.
 
-    One upward pass keeps core_n = 1/((q^n;q)_inf^3 (q^n;q)_{n+1}) up to
-    date through
+    With core_n = 1/((q^n;q)_inf^3 (q^n;q)_{n+1}), one upward pass keeps
+    R_n = core_n / core_1 up to date from R_1 = 1 through
 
-        core_{n+1} = core_n (1-q^n)^4 / ((1-q^{2n+1})(1-q^{2n+2})),
+        R_{n+1} = R_n (1-q^n)^4 / ((1-q^{2n+1})(1-q^{2n+2})),
 
-    four packed passes for the numerator and, for each far denominator
-    factor, a doubling product of about log2(window / (2n+1)) passes,
-    instead of a fresh inversion.  Step n adds q^n core_n to U and q^2n
-    core_n to V.
+    four packed passes for the numerator and, for each denominator
+    factor, a doubling product of about log2(window / (2n+1)) passes.
+    Step n adds q^n R_n to SU and q^2n R_n to SV; at the end U = SU core_1
+    and V = SV core_1 (_end_division).
 
-    Start.  core_1 = 1/((q;q)_inf^3 (1-q)(1-q^2)) comes from Jacobi's
-    (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2) (euler_cube): its
-    inverse obeys c_m = -sum_{k>=1} (-1)^k (2k+1) c_{m-k(k+1)/2}, about
-    sqrt(2 prec) terms each (LaurentSeries.divide), and two prefix sums
-    divide by 1-q and 1-q^2.
-    Its coefficients are nonnegative, so each packs with to_bytes, which
-    raises if one outgrows its slot.
+    Window and stop.  R_n is read only below q^(prec-n), so its packed
+    window is cut to prec - n whenever that is under 4/5 of its length.
+    Once 2n >= prec, q^2n core_n adds nothing below q^prec, and core_n =
+    1 + O(q^n) with n >= prec - n, so U gains just q^n for n in
+    [ceil(prec/2), prec).  The loop stops there; prec 1 and 2 run no step.
 
-    Window and stop.  core_n is read only below q^(prec-n), so its packed
-    window is cut to prec - n whenever that is under 4/5 of its length.  Once 2n >= prec, q^2n core_n adds nothing
-    below q^prec, and core_n = 1 + O(q^n) with n >= prec - n, so U gains
-    just q^n for n in [ceil(prec/2), prec).  The loop stops there;
-    prec 1 and 2 run no step at all.
+    Slot width.  R_n has signed coefficients, so the width is a checked
+    invariant: before step n every coefficient of R_n fits b signed bits,
+    and the slot has at least b + _growth_bits(n, window) bits.  One step
+    multiplies the largest coefficient by at most G < 2^bitlen(G), so
+    R_{n+1} lies in the slot's signed range, and the packed passes, exact
+    modulo 2^(bits * window), hold it exactly.  PackedSeries.fits then
+    tests it against the next step's b: if it fails, the slot widens by
+    the next step's growth bits; if it fits one byte narrower, it narrows.
 
-    Slot width.  The packed passes are exact modulo 2^(bits * length) at
-    any width (PackedSeries), so only the windows that are read need room:
-    restride reads core_n when it narrows and a closed segment (below)
-    when it widens, and to_coeffs decodes the totals.  _uv_slot_bits gives
-    need[n], which holds every coefficient below q^prec of core_n and of
-    the tails U_n = sum_{k>=n} q^k core_k and V_n = sum_{k>=n} q^2k
-    core_k.  They lie in [0, M], and need[n] is bitlen(M) + 1 bits, with
-    M the smaller of a Cauchy bound and B(n):
-
-    - Nonnegativity, which the Cauchy bound needs.  Below q^prec, core_n
-      agrees with T_n = prod_{m=n}^{prec-1} (1-q^m)^-e_m, e_m in {3, 4},
-      the product without its factors of exponent >= prec.  So T_n,
-      sum_{k>=n} q^k T_k and sum_{k>=n} q^2k T_k have nonnegative
-      coefficients and agree with core_n, U_n and V_n below q^prec.
-    - Cauchy.  A series F with nonnegative coefficients has
-      c_w <= F(x) x^-w <= F(x) x^-(prec-1) for w < prec and any x in
-      (0, 1).  _cauchy_bounds evaluates the products T_n(x) =
-      T_{n+1}(x) (1-x^{2n+1})(1-x^{2n+2}) / (1-x^n)^4, factors of
-      exponent >= prec read as 1, from T_prec = 1 down, and the bound is
-      T_n(x) x^-(prec-1).  It covers U_n and V_n as well, since
-      V_n(x) <= U_n(x) = sum_{k>=n} x^k T_k(x) <= T_n(x) - 1: by
-      induction down from U_prec = 0 = T_prec - 1, U_n(x) <= x^n T_n(x)
-      + T_{n+1}(x) - 1 <= T_n(x) - 1, as each numerator factor is at least
-      1 - x^n and so T_{n+1}(x) <= (1 - x^n) T_n(x).  It runs in
-      integers, 64 fraction bits, at x = X/2^64, and every rounding makes
-      the bound larger.  Truncating x^k k times gives lo_k with 2^64 x^k
-      in [lo_k, lo_k + k] (each truncation loses under 1, and multiplying
-      by x < 1 does not enlarge the loss), so each numerator factor
-      2^64 - lo_k rounds up and the denominator base 2^64 - lo_n - n
-      rounds down; it stays positive, as lo_n <= X and 2^64 - X >=
-      min(floor(2^64/isqrt(prec)), 2^63) > prec for prec < 2^42.  The
-      quotient, x^-(prec-1) (squarings of ceil(2^128/X)) and the final
-      shift by 64 bits all round up.  The two points x = 1 - c/isqrt(prec),
-      c = 1 and 1.7, capped at x >= 1/2, sit near the optimum for small
-      n, where slots are widest and the coefficients grow like p_3.
-    - B(n) = 1 + sum_{j>=1, jn<prec} C(prec-jn+j, j) 4^j bounds the
-      coefficients below q^prec of P_n = prod_{m>=n} (1-q^m)^-4.  The
-      j-th term counts the 4-coloured partitions of w < prec into j
-      parts, all >= n: their shapes are at most the C(w-jn+j-1, j-1) <=
-      C(prec-jn+j, j) weak compositions of w - jn into j parts, each with
-      at most 4^j colourings.  Why B(n) bounds all three series: core_n
-      <= P_n coefficientwise, since P_n is core_n times geometric
-      factors; and U_n, V_n <= P_n, since adding one (for V two) parts k
-      in the first colour to a partition counted by P_k gives one counted
-      by P_n whose least part is k, so pairs (k, partition) map
-      injectively.  B(n) is the tighter bound for large n, where no
-      Cauchy bound falls below x^-(prec-1).  Its sum stops once it
-      reaches the Cauchy bound, which then is the smaller.
-
-    Segments.  As the need falls, the sums are kept in segments: the one
-    opened at step a holds sum_{k=a}^{b} q^(k-a) core_k (for V,
-    q^(2k-2a)) at the width of step a.  Every term is nonnegative below
-    q^prec, so the segment lies between 0 and U_a (V_a) shifted down by
-    a (2a), and need[a] holds it.  When the need of step n falls to at
-    most 3/4 of the current bytes, core narrows, the two segments close
-    and are at once widened and added into the totals at need[1] bits,
-    which hold U_1 and V_1 in the same way, and fresh segments open.  The
-    first segments are the totals themselves, so no list of segments is
-    kept.  need never rises with n, so the width of step a also holds
-    core_n for every n the segment spans: each Cauchy step multiplies by
-    (up_{2n+1}/d)(up_{2n+2}/d)(2^64/d)^2 >= 1, d = 2^64 - lo_n - n, as
-    lo_k falls with k, and B(n) falls with n term by term.  The schedule
-    is computed once per call.
+    Segments.  The sums are kept in segments at R's width, the one opened
+    at step a holding sum_{k=a}^{b} q^(k-a) R_k (for V, q^(2k-2a)).  With R_k
+    in b_k bits, its coefficients lie in [-B, B), B = sum 2^(b_k - 1).  A
+    segment closes when R's width changes or when B would pass half its
+    slot's range, and is re-strided and added into totals whose width
+    grows with their own bound.
     """
     if prec < 1:
         raise ValueError("prec must be positive")
@@ -274,35 +183,41 @@ def uv_series_def(prec):
     steps = (prec - 1) // 2              # the n with 2n < prec
     u = v = [0] * prec
     if steps:
-        need = _uv_slot_bits(prec)
-        nbytes = (need[1] + 7) // 8
-        core = PackedSeries(prec - 1, need[1], int.from_bytes(b"".join(
-            c.to_bytes(nbytes, "little", signed=True)
-            for c in _core_start(prec - 1)), "little"))
-        utot = useg = PackedSeries(prec, need[1])
-        vtot = vseg = PackedSeries(prec, need[1])
-        off = 0   # useg holds sum q^(k-off) core_k, vseg sum q^(2k-2off) core_k
+        grow = _growth_bits(1, prec - 1)
+        r = PackedSeries(prec - 1, 2 + grow, 1)
+        top = 1 << (r.slot_bits - grow - 1)   # R_n lies in [-top, top)
+        utot, vtot = PackedSeries(prec, 1), PackedSeries(prec, 1)
+        useg = None
+        bound = 0
         for n in range(1, steps + 1):
-            window = prec - n
-            if 4 * ((need[n] + 7) // 8) <= 3 * core.nbytes:
-                core.restride(window, need[n])
-                _merge(utot, useg, off)
-                _merge(vtot, vseg, 2 * off)
-                useg = PackedSeries(window, need[n])
-                vseg = PackedSeries(prec - 2 * n, need[n])
-                off = n
-            elif 5 * window < 4 * core.length:
-                core.restride(window, core.slot_bits)
-            useg.add_shifted(core, n - off)
-            vseg.add_shifted(core, 2 * (n - off))
+            if useg is None:
+                useg = PackedSeries(prec - n, r.slot_bits)
+                vseg = PackedSeries(prec - 2 * n, r.slot_bits)
+                seg_bound, off = 0, n
+            seg_bound += top
+            useg.add_shifted(r, n - off)
+            vseg.add_shifted(r, 2 * (n - off))
             if n < steps:
                 for _ in range(4):
-                    core.mul_one_minus(n)
-                core.div_one_minus(2 * n + 1)
-                core.div_one_minus(2 * n + 2)
-        _merge(utot, useg, off)
-        _merge(vtot, vseg, 2 * off)
-        u, v = utot.to_coeffs(), vtot.to_coeffs()
+                    r.mul_one_minus(n)
+                r.div_one_minus(2 * n + 1)
+                r.div_one_minus(2 * n + 2)
+                if 5 * (prec - n - 1) < 4 * r.length:
+                    r.restride(prec - n - 1, r.slot_bits)
+                grow = _growth_bits(n + 1, r.length)
+                narrow = r.slot_bits - 8 - grow   # R's 1 needs 2 bits
+                if not r.fits(r.slot_bits - grow):
+                    r.restride(r.length, r.slot_bits + grow)
+                elif narrow > 1 and r.fits(narrow):
+                    r.restride(r.length, narrow + grow)
+                top = 1 << (r.slot_bits - grow - 1)
+            if (n == steps or useg.nbytes != r.nbytes
+                    or seg_bound + top > 1 << (r.slot_bits - 1)):
+                bound += seg_bound
+                _merge(utot, useg, off, bound.bit_length() + 1)
+                _merge(vtot, vseg, 2 * off, bound.bit_length() + 1)
+                useg = None
+        u, v = _end_division(utot.to_coeffs(), vtot.to_coeffs())
     u = u[:steps + 1] + [c + 1 for c in u[steps + 1:]]   # the q^n past the loop
     pair = UVPair(LaurentSeries(ZZ, 0, u), LaurentSeries(ZZ, 0, v))
     _def_cache.update(prec=prec, pair=pair)

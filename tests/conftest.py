@@ -40,15 +40,15 @@ def small_checks(monkeypatch):
 
 @pytest.fixture
 def counted_builds(monkeypatch):
-    """A cold uv_series_def cache, and the length of every _core_start
-    call: one per run of the u/v recurrence, at prec - 1."""
+    """A cold uv_series_def cache, and the length of every _end_division
+    call: one per run of the u/v recurrence, at its prec."""
     monkeypatch.setattr(partitions, "_def_cache", {"prec": 0, "pair": None})
     lengths = []
-    real = partitions._core_start
+    real = partitions._end_division
 
-    def counted(length):
-        lengths.append(length)
-        return real(length)
+    def counted(*sums):
+        lengths.append(len(sums[0]))
+        return real(*sums)
 
-    monkeypatch.setattr(partitions, "_core_start", counted)
+    monkeypatch.setattr(partitions, "_end_division", counted)
     return lengths

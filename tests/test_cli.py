@@ -130,14 +130,14 @@ def test_sequential_suite_runs_the_recurrence_once(monkeypatch, capsys,
     code, out, _ = run_cli(capsys, "suite", "--deterministic", "--prec", "400")
     assert code == 0
     assert len(out.splitlines()) == 2 * len(SUITE) + 1
-    assert counted_builds == [399]
+    assert counted_builds == [400]
     # the plan ends with the run: a bare miss builds at its own prec
     monkeypatch.setattr(partitions, "_def_cache", {"prec": 0, "pair": None})
     assert uv_series_def(30).u.prec == 30
-    assert counted_builds == [399, 29]
+    assert counted_builds == [400, 30]
 
 
-@pytest.mark.parametrize("jobs, builds", [("1", [99]), ("2", [20, 99])])
+@pytest.mark.parametrize("jobs, builds", [("1", [100]), ("2", [21, 100])])
 def test_only_a_sequential_run_plans_the_recurrence(monkeypatch, capsys,
                                                     counted_builds, jobs,
                                                     builds):

@@ -313,6 +313,41 @@ def test_packed_series_mul_one_minus(nbytes):
             want = shifted(x, k, -1)
             assert -sign * top in want
             assert ps.to_coeffs() == want
+        # a difference that wraps: with no negative slot, a top slot of 0
+        # and top k slots below it, the shifted value exceeds the value,
+        # and the top slot comes out at -top
+        x = [rng.randint(0, top) for _ in range(LENGTH)]
+        x[-1], x[-1 - k] = 0, top
+        ps = packed_series(x, nbytes)
+        assert ps.value < (ps.value << (8 * nbytes * k)) & ps.mask
+        ps.mul_one_minus(k)
+        assert ps.to_coeffs() == shifted(x, k, -1)
+        assert ps.to_coeffs()[-1] == -top
+
+
+@pytest.mark.parametrize("nbytes", [1, 3, 8, 9])
+def test_packed_series_fits_at_its_edges(nbytes):
+    # each edge value at slot 0 (where a negative value's bias borrows from
+    # every slot above), 1 and the last, among in-range values of both signs
+    slot = 8 * nbytes
+    rng = random.Random(1000 + nbytes)
+    for bits in range(1, slot + 1):
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        edges = [(hi, True), (lo, True)]
+        if bits < slot:
+            edges += [(hi + 1, False), (lo - 1, False)]
+        for i in (0, 1, LENGTH - 1):
+            for c, ok in edges:
+                x = [rng.randint(lo, hi) for _ in range(LENGTH)]
+                x[i] = c
+                ps = packed_series(x, nbytes)
+                assert ps.fits(bits) is ok, (bits, i, c)
+                assert ps.fits(slot)
+                assert len(ps.fit_masks) <= 2
+    # at the slot width every value fits, the slot bounds included
+    top = (1 << (slot - 1)) - 1
+    ps = packed_series([top, -top - 1, -1, 0] * 7 + [1], nbytes)
+    assert ps.fits(slot)
 
 
 @pytest.mark.parametrize("nbytes", WIDTHS)

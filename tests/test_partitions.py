@@ -1,5 +1,5 @@
 import math
-from fractions import Fraction
+import random
 from functools import lru_cache
 
 import pytest
@@ -144,14 +144,14 @@ def test_series_def_serves_truncations_from_cache():
 
 def test_a_planned_miss_builds_once_at_the_plan(counted_builds):
     direct = uv_series_def(20)
-    assert counted_builds == [19]
+    assert counted_builds == [20]
     partitions._def_cache.update(prec=0, pair=None)
     with partitions.planned_uv(50):
         small = uv_series_def(20)
         big = uv_series_def(50)
         mid = uv_series_def(35)
     assert mid == partitions.UVPair(*(s.truncate(35) for s in big))
-    assert counted_builds == [19, 49]
+    assert counted_builds == [20, 50]
     assert small == direct
     assert big.u.prec == 50
 
@@ -162,7 +162,7 @@ def test_the_plan_ends_with_its_block(counted_builds):
             raise RuntimeError
     assert partitions._def_plan == 0
     assert uv_series_def(30).u.prec == 30
-    assert counted_builds == [29]
+    assert counted_builds == [30]
 
 
 # the recurrence's slot widths ---------------------------------------------
@@ -207,17 +207,23 @@ def test_series_def_matches_counters_at_every_small_prec(cold_def_cache):
 
 @pytest.mark.parametrize("length", [1, 2, 300])
 def test_core_start_matches_the_inverted_product(length):
-    # Jacobi's sparse recurrence and two prefix sums against a dense
-    # inversion of E(1)^3 (1-q)(1-q^2)
+    # the end division of 1 is core_1: Jacobi's sparse recurrence and two
+    # prefix sums against a dense inversion of E(1)^3 (1-q)(1-q^2); a
+    # signed series divides to its product with that inverse
     want = (euler_E(1, length) ** 3 * pochhammer_finite(1, 2, length)).invert()
-    assert partitions._core_start(length) == [want.coeff(n) for n in range(length)]
+    rng = random.Random(length)
+    x = [rng.randint(-1 << 20, 1 << 20) for _ in range(length)]
+    one, got = partitions._end_division([1] + [0] * (length - 1), x)
+    assert one == [want.coeff(n) for n in range(length)]
+    assert got == list((LaurentSeries(ZZ, 0, x) * want).coeffs)
 
 
 @pytest.mark.parametrize("prec, u", [(1, [0]), (2, [0, 1])])
 def test_series_def_runs_no_step_below_prec_3(cold_def_cache, monkeypatch, prec, u):
     # 2n < prec has no solution n >= 1, so U is just q^n for n in [1, prec)
-    # and no slot schedule is needed
-    monkeypatch.setattr(partitions, "_uv_slot_bits", None)
+    # and neither a slot width nor the end division is needed
+    monkeypatch.setattr(partitions, "_growth_bits", None)
+    monkeypatch.setattr(partitions, "_end_division", None)
     pair = uv_series_def(prec)
     assert pair.u == LaurentSeries(ZZ, 0, u)
     assert pair.v == LaurentSeries.zeros(ZZ, 0, prec)
@@ -251,104 +257,31 @@ def _list_div_one_minus(cs, k):
     return out
 
 
-def list_core_start(length):
-    """core_1 = 1/((q;q)_inf^3 (1-q)(1-q^2)) on [0, length), one geometric
-    factor at a time."""
-    core = [1] + [0] * (length - 1)
-    for m in range(1, length):
-        for _ in range(3 + (m <= 2)):
-            core = _list_div_one_minus(core, m)
-    return core
-
-
-def exact_step_maxima(prec):
-    """Largest coefficient read at the width of step n, index n: core_n
-    below q^(prec-n) and the sums from step n on, sum_{k=n}^{steps} q^k
-    core_k and q^2k core_k below q^prec (steps the last n with 2n < prec),
-    by the recurrence on plain lists; every one must be nonnegative."""
-    steps = (prec - 1) // 2
-    core = list_core_start(prec)
-    cores = []
-    for n in range(1, steps + 1):
-        cores.append(core[:prec - n])
+@pytest.mark.parametrize("length", [2, 9, 60, 301])
+def test_growth_bits_bound_one_step(length):
+    # one step maps c to h c on the window, h = (1-q^n)^4 / ((1-q^{2n+1})
+    # (1-q^{2n+2})), so no coefficient grows by more than sum |h_i|, i < length
+    for n in range(1, length + 2):
+        h = [1] + [0] * (length - 1)
         for _ in range(4):
-            core = _shift(core, n, -1)
-        core = _list_div_one_minus(_list_div_one_minus(core, 2 * n + 1), 2 * n + 2)
-    u = [0] * prec
-    v = [0] * prec
-    out = [0] * prec
-    for n in range(steps, 0, -1):
-        core = cores[n - 1]
-        u = [c + (core[i - n] if i >= n else 0) for i, c in enumerate(u)]
-        v = [c + (core[i - 2 * n] if i >= 2 * n else 0) for i, c in enumerate(v)]
-        assert min(core + u + v) >= 0, n
-        out[n] = max(core + u + v)
-    return out
-
-
-@pytest.mark.parametrize("prec", [40, 120, 300])
-def test_uv_slot_bits_hold_every_decoded_value(prec):
-    bits = partitions._uv_slot_bits(prec)
-    # the width of a segment's first step must hold its later steps too
-    assert bits[1:] == sorted(bits[1:], reverse=True)
-    for n, top in enumerate(exact_step_maxima(prec)[1:], 1):
-        assert top < 1 << (bits[n] - 1), (n, top.bit_length(), bits[n])
-
-
-@pytest.mark.parametrize("prec, X", [
-    (prec, X) for prec in (2, 3, 17, 40) for X in (1 << 63, (1 << 64) - (1 << 58))
-] + [(17, (1 << 64) - 12345)])   # x = 1 - 12345/2^64: rationals grow, keep it short
-def test_cauchy_bounds_round_up(prec, X):
-    # the same products in exact rationals; every fixed-point bound must lie
-    # at or above them
-    one = 1 << 64
-    x = Fraction(X, one)
-    one_minus = lambda k: 1 - x ** k if k < prec else 1
-    got = partitions._cauchy_bounds(prec, X)
-    assert got[prec] >= one / x ** (prec - 1)
-    t, u = Fraction(1), Fraction(0)
-    for n in range(prec - 1, 0, -1):
-        t *= one_minus(2 * n + 1) * one_minus(2 * n + 2) / (1 - x ** n) ** 4
-        u += x ** n * t
-        assert u <= t - 1, n   # why T_n(x) bounds U_n(x) and V_n(x) too
-        assert got[n] >= one * t / x ** (prec - 1), n
-    # and each rounding on its own, so no single one went the wrong way:
-    # the truncated powers lo_k give factors one - lo_k at or above
-    # one (1 - x^k) and denominator bases one - lo_k - k at or below it,
-    # and each step's quotient of those same integers is rounded up by
-    # less than one unit
-    up, lo = [0] * prec + [one] * (prec + 2), one
-    for k in range(1, prec):
-        lo = lo * X >> 64
-        up[k] = one - lo
-        assert up[k] - k <= one * (1 - x ** k) <= up[k], k
-    for n in range(prec - 1, 0, -1):
-        exact = Fraction(got[n + 1] * up[2 * n + 1] * up[2 * n + 2] << 128,
-                         (up[n] - n) ** 4)
-        assert exact <= got[n] < exact + 1, n
-
-
-def test_uv_slot_schedule_at_2001():
-    # the widest real coefficient at n = 1 has 275 bits (exact_step_maxima)
-    bits = partitions._uv_slot_bits(2001)
-    nbytes = [(b + 7) // 8 for b in bits[1:]]
-    assert nbytes == sorted(nbytes, reverse=True)
-    assert max(nbytes) == 37
-    assert len(set(nbytes) - {1}) == 35   # byte drops, down to one byte
-    assert bits[1] - (275 + 1) == 17
+            h = _shift(h, n, -1)
+        h = _list_div_one_minus(_list_div_one_minus(h, 2 * n + 1), 2 * n + 2)
+        assert sum(map(abs, h)) < 1 << partitions._growth_bits(n, length), n
 
 
 def replay_with_list_shadow(prec):
     """Run uv_series_def(prec), replaying each PackedSeries op on plain lists.
     After every op the packed value must equal the shadow's modulo
     2^(bits * length), which the packed passes keep at any width; every read
-    (restride, to_coeffs) must decode to the shadow, which needs the width.
-    Returns the pair and the ops in order."""
+    (fits, restride, to_coeffs) must agree with the shadow, which needs the
+    width.  Returns the pair, the ops in order and the (old, new) slot
+    bytes of every width change of R, the one series packed from a value."""
     shadow = {}
     ops = []
+    widths = []
     orig = {name: getattr(PackedSeries, name) for name in
             ("__init__", "mul_one_minus", "div_one_minus", "add_shifted",
-             "restride", "to_coeffs")}
+             "restride", "to_coeffs", "fits")}
 
     def check(ps, op):
         ops.append(op)
@@ -363,9 +296,10 @@ def replay_with_list_shadow(prec):
 
     def init(self, length, slot_bits, value=0):
         orig["__init__"](self, length, slot_bits, value)
-        # the one series packed from values is core_1; the rest open at 0
-        shadow[id(self)] = list_core_start(length) if value else [0] * length
+        # R starts from R_1 = 1; the rest open at 0
+        shadow[id(self)] = [value] + [0] * (length - 1)
         if value:
+            shadow["R"] = id(self)
             check(self, "start")
 
     def mul_one_minus(self, k):
@@ -388,49 +322,56 @@ def replay_with_list_shadow(prec):
 
     def restride(self, length, slot_bits):
         kept = shadow[id(self)][:length]
+        old = self.nbytes
         orig["restride"](self, length, slot_bits)   # re-runs __init__, which resets
         shadow[id(self)] = kept
+        if id(self) == shadow["R"] and self.nbytes != old:
+            widths.append((old, self.nbytes))
         read(self, "restride")
+
+    def fits(self, bits):
+        got = orig["fits"](self, bits)
+        ops.append("fits")
+        half = 1 << (bits - 1)
+        assert got == all(-half <= c < half for c in shadow[id(self)]), bits
+        return got
 
     with pytest.MonkeyPatch.context() as mp:
         for name, fn in (("__init__", init), ("mul_one_minus", mul_one_minus),
                          ("div_one_minus", div_one_minus),
                          ("add_shifted", add_shifted), ("restride", restride),
-                         ("to_coeffs", lambda self: read(self, "to_coeffs"))):
+                         ("to_coeffs", lambda self: read(self, "to_coeffs")),
+                         ("fits", fits)):
             mp.setattr(PackedSeries, name, fn)
-        return uv_series_def(prec), ops
+        return uv_series_def(prec), ops, widths
 
 
 def test_series_def_agrees_with_list_shadow_after_every_op(cold_def_cache):
-    pair, ops = replay_with_list_shadow(150)
-    # steps n = 1..74 (2n < 150); the last one does not update core.  The
-    # need falls to at most 3/4 of the bytes four times (10 -> 7 -> 5 -> 3
-    # -> 2 bytes), each closing a U and a V segment, which are widened and
-    # added into the totals; the window is cut once more at one width
+    pair, ops, widths = replay_with_list_shadow(150)
+    # steps n = 1..74 (2n < 150); the last one does not update R, and each
+    # of the other 73 checks R once, or twice when it stays at its width
+    # and is tested one byte narrower
     counts = {op: ops.count(op) for op in set(ops)}
+    segments = (counts["add_shifted"] - 2 * 74) // 2
     assert counts == {"start": 1, "mul_one_minus": 4 * 73, "div_one_minus": 2 * 73,
-                      "add_shifted": 2 * 74 + 2 * 4, "restride": 4 + 2 * 4 + 1,
+                      "add_shifted": 2 * 74 + 2 * segments,
+                      "fits": counts["fits"], "restride": counts["restride"],
                       "to_coeffs": 2}
+    assert 73 < counts["fits"] <= 2 * 73
+    # R both widens and narrows, and each change closes a U and a V segment
+    assert any(new > old for old, new in widths)
+    assert any(new < old for old, new in widths)
+    assert segments > len(widths)
     assert pair.u == LaurentSeries(ZZ, 0, count_table("u", 149))
     assert pair.v == LaurentSeries(ZZ, 0, count_table("v", 149))
 
 
-@pytest.mark.parametrize("short", [0, 8])
-def test_list_shadow_fails_one_byte_below_the_exact_need(cold_def_cache, monkeypatch, short):
-    # the exact need passes, so the shadow test is sharp; a byte less fails
-    exact = [top.bit_length() + 1 - short for top in exact_step_maxima(150)]
-    monkeypatch.setattr(partitions, "_uv_slot_bits", lambda prec: exact)
-    if short:
-        with pytest.raises(OverflowError):   # core_1 outgrows its slots as it is packed
-            replay_with_list_shadow(150)
-        # with the start and the totals at their exact need, a later read fails
-        exact[1] += short
-        cold_def_cache()
-        with pytest.raises(AssertionError):
-            replay_with_list_shadow(150)
-    else:
-        pair, _ = replay_with_list_shadow(150)
-        assert pair.u.coeff(149) == u_count(149)
+def test_list_shadow_fails_without_growth_headroom(cold_def_cache, monkeypatch):
+    # the control: with no room for one step's growth, R outgrows its slot
+    # and a read disagrees with the shadow
+    monkeypatch.setattr(partitions, "_growth_bits", lambda n, length: 0)
+    with pytest.raises(AssertionError):
+        replay_with_list_shadow(150)
 
 
 def test_def_and_lambert_routes_agree():
