@@ -366,6 +366,32 @@ def test_series_def_agrees_with_list_shadow_after_every_op(cold_def_cache):
     assert pair.v == LaurentSeries(ZZ, 0, count_table("v", 149))
 
 
+@lru_cache(maxsize=None)
+def exact_growth_bits(n, length):
+    """bitlen of sum |h_i|, i < length, h the multiplier of step n: the
+    exact factor one step can enlarge the largest coefficient by."""
+    h = [1] + [0] * (length - 1)
+    for _ in range(4):
+        h = _shift(h, n, -1)
+    h = _list_div_one_minus(_list_div_one_minus(h, 2 * n + 1), 2 * n + 2)
+    return sum(map(abs, h)).bit_length()
+
+
+@pytest.mark.parametrize("short", [0, 8])
+def test_list_shadow_fails_one_byte_below_the_exact_need(cold_def_cache, monkeypatch, short):
+    # the exact growth headroom passes, so the shadow test is sharp; a byte
+    # less lets R outgrow its slot and a read disagree with the shadow
+    monkeypatch.setattr(partitions, "_growth_bits",
+                        lambda n, length: max(exact_growth_bits(n, length) - short, 0))
+    if short:
+        with pytest.raises(AssertionError):
+            replay_with_list_shadow(150)
+    else:
+        pair, _, _ = replay_with_list_shadow(150)
+        assert pair.u == LaurentSeries(ZZ, 0, count_table("u", 149))
+        assert pair.v == LaurentSeries(ZZ, 0, count_table("v", 149))
+
+
 def test_list_shadow_fails_without_growth_headroom(cold_def_cache, monkeypatch):
     # the control: with no room for one step's growth, R outgrows its slot
     # and a read disagrees with the shadow
