@@ -165,7 +165,9 @@ def uv_series_def(prec):
     R_{n+1} lies in the slot's signed range, and the packed passes, exact
     modulo 2^(bits * window), hold it exactly.  PackedSeries.fits then
     tests it against the next step's b: if it fails, the slot widens by
-    the next step's growth bits; if it fits one byte narrower, it narrows.
+    one byte when that leaves the next step's growth bits above R (always
+    so for at most 8 growth bits), else by the growth bits; if it fits
+    one byte narrower, it narrows.
 
     Segments.  The sums are kept in segments at R's width, the one opened
     at step a holding sum_{k=a}^{b} q^(k-a) R_k (for V, q^(2k-2a)).  With R_k
@@ -207,7 +209,9 @@ def uv_series_def(prec):
                 grow = _growth_bits(n + 1, r.length)
                 narrow = r.slot_bits - 8 - grow   # R's 1 needs 2 bits
                 if not r.fits(r.slot_bits - grow):
-                    r.restride(r.length, r.slot_bits + grow)
+                    wider = (8 if grow <= 8 or r.fits(r.slot_bits + 8 - grow)
+                             else grow)
+                    r.restride(r.length, r.slot_bits + wider)
                 elif narrow > 1 and r.fits(narrow):
                     r.restride(r.length, narrow + grow)
                 top = 1 << (r.slot_bits - grow - 1)

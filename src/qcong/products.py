@@ -15,12 +15,16 @@ ring is requested, so the work is shared between rings.
 
 The checks divide by sparse products and never invert them densely: a
 quotient by E(m)^3 or by a triple_product is LaurentSeries.divide, a
-recurrence over the divisor's nonzero terms, and 1/(q;q)_k comes from
-inverse_pochhammers, one prefix-sum pass per factor 1 - q^k.
+recurrence over the divisor's nonzero terms.  A finite identity whose
+blocks are 1/((q;q)_{n-k} (q;q)_{n+k}) is multiplied through by the unit
+(q;q)_{2n}, which turns every block into the Gaussian binomial [2n; n-k]_q
+(gaussian_binomials), an exact polynomial built with one shifted
+subtraction and one prefix-sum pass per row.
 """
 
 from functools import lru_cache
 from itertools import accumulate
+from operator import sub
 
 from ._kernel import convolve
 from .series import LaurentSeries, ZZ
@@ -110,24 +114,25 @@ def euler_cube(m, prec, ring=ZZ):
     return LaurentSeries(ring, 0, cs)
 
 
-def inverse_pochhammers(top, prec, ring=ZZ):
-    """[1/(q;q)_k for k = 0..top], each on [0, prec).
+def gaussian_binomials(N):
+    """[[N; j]_q for j = 0..N], each the exact coefficient list of the
+    polynomial, of degree j (N - j).
 
-    1/(q;q)_k is 1/(q;q)_{k-1} divided by 1 - q^k, and that division is a
-    prefix sum along each residue class mod k, so every entry costs one
-    pass over the window.
+    [N; j] = [N; j-1] (1 - q^{N-j+1}) / (1 - q^j): the product is one
+    shifted subtraction, and the division, exact because the quotient is a
+    polynomial, is a prefix sum along each residue class mod j.
     """
-    if top < 0:
-        raise ValueError("top must be >= 0")
-    if prec < 1:
-        raise ValueError("prec must be positive")
-    cs = [1] + [0] * (prec - 1)
-    out = [LaurentSeries(ring, 0, cs)]
-    for k in range(1, top + 1):
-        for r in range(min(k, prec)):
-            cs[r::k] = accumulate(cs[r::k])
-        out.append(LaurentSeries(ring, 0, cs))
-    return out
+    if N < 0:
+        raise ValueError(f"gaussian_binomials needs N >= 0, got N={N}")
+    rows = [[1]]
+    for j in range(1, N + 1):
+        row, m = rows[-1], N - j + 1
+        cs = row + [0] * m
+        cs[m:] = map(sub, cs[m:], row)         # times 1 - q^m
+        for r in range(j):                     # over 1 - q^j
+            cs[r::j] = accumulate(cs[r::j])
+        rows.append(cs[:len(cs) - j])
+    return rows
 
 
 def pochhammer_finite(a, n, prec, ring=ZZ):

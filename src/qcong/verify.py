@@ -19,7 +19,8 @@ parts as plain series.  E(ell^2) and E(ell) are series in x too, keys "E"
 and "e" of the same basis, so a prefactor such as E(ell^2)^k / E(ell)
 becomes exponents merged into every term (_times), and Horner factors it
 out once per class; only the Lambert (T) terms, the powers of E(1) and
-the comparisons stay in q.  The S_ell(b) representations (the lemma
+the comparisons stay in q.  Every inverse of a basis series is a division
+by a sparse series, built the first time a term needs it.  The S_ell(b) representations (the lemma
 layer, _lemma_rhs) go through the same evaluator, one call per ell: each
 theta [q^{ell y}; q^{ell^2}] there is sign * q^shift * P(a), by the theta
 normalization followed by the fold P(a) = P(ell - a) (_pjac).
@@ -51,7 +52,7 @@ from time import perf_counter
 from .lambert import s_series, t_series
 from .partitions import count_table, uv_series_def, uv_series_lambert
 from .products import (_theta_normalize, euler_cube, euler_E,
-                       inverse_pochhammers, jacobi_theta, pochhammer_finite,
+                       gaussian_binomials, jacobi_theta, pochhammer_finite,
                        triple_product)
 from .report import Report, merge_reports, series_compare_report
 from .series import ZZ, LaurentSeries, Zmod
@@ -115,12 +116,14 @@ def _power(basis, powers, key, e):
     """basis[key] ** e, e != 0, memoized in powers.  Each power is one
     product from the power next to it towards 0, so building every power
     up to |e| costs |e| - 1 products; negative powers grow from the one
-    inverse kept under (key, -1)."""
+    inverse kept under (key, -1), which the basis builds: basis[key, -1]
+    is a zero-argument builder, called the first time a term needs the
+    inverse, so an unused inverse costs nothing."""
     if e == 1:
         return basis[key]
     if (key, e) not in powers:
         if e == -1:
-            powers[key, e] = basis[key].invert()
+            powers[key, e] = basis[key, -1]()
         else:
             unit = 1 if e > 0 else -1
             powers[key, e] = (_power(basis, powers, key, e - unit)
@@ -131,7 +134,9 @@ def _power(basis, powers, key, e):
 def _monomial_sums(basis, step, prec, *term_lists):
     """Yield, per term list, the sum of coeff * q^qpow * prod B_key^e over
     its (coeff, qpow, {key: e}) terms, where B_key(q) = basis[key](q^step);
-    an empty list raises ValueError when its sum is reached.
+    an empty list raises ValueError when its sum is reached.  A key that a
+    term raises to a negative power needs the inverse builder
+    basis[key, -1] (_power).
 
     The basis series are series in x = q^step on one window [0, n) with
     n = ceil(prec / step), so each stands for a q-series on [0, prec), and
@@ -159,7 +164,7 @@ def _monomial_sums(basis, step, prec, *term_lists):
     The parts are added as series, so a class sum has the window
     [min low, min prec) of its parts.
     """
-    ref = next(iter(basis.values()))
+    ref = next(s for s in basis.values() if isinstance(s, LaurentSeries))
     one = LaurentSeries.one(ref.ring, len(ref.coeffs))
     powers = {}
     for terms in term_lists:
@@ -211,11 +216,27 @@ def _p_basis(ell, prec, ring):
     """The basis of _monomial_sums at step ell, built in x = q^ell on
     [0, ceil(prec / ell)), which stands for [0, prec) in q: P(a) =
     [q^{ell a}; q^{ell^2}] = [x^a; x^ell] for 0 < a < ell/2 (the blocks
-    that _folded maps onto), "E": E(ell^2) and "e": E(ell)."""
+    that _folded maps onto), "E": E(ell^2) and "e": E(ell).
+
+    Every inverse is a division by a sparse series, built only when a term
+    asks for it (_power): in x, P(a) = J(a) / E(ell^2) with J(a) =
+    triple_product(a, ell), so 1/P(a) is E(ell^2) divided by J(a), and
+    1/E(ell^2) and 1/E(ell) divide 1 by their pentagonal series."""
     n = -(-prec // ell)
-    blocks = {a: jacobi_theta(a, ell, n, ring)
-              for a in range(1, (ell + 1) // 2)}
-    return blocks | {"E": euler_E(ell, n, ring), "e": euler_E(1, n, ring)}
+    blocks = range(1, (ell + 1) // 2)
+    E, e = euler_E(ell, n, ring), euler_E(1, n, ring)
+    one = LaurentSeries.one(ring, n)
+    basis = {a: jacobi_theta(a, ell, n, ring) for a in blocks}
+    basis |= {(a, -1): partial(_theta_inverse, E, a, ell, n, ring)
+              for a in blocks}
+    return basis | {"E": E, "e": e, ("E", -1): partial(one.divide, E),
+                    ("e", -1): partial(one.divide, e)}
+
+
+def _theta_inverse(E, a, ell, n, ring):
+    """1/P(a) on [0, n) in x = q^ell: E(ell^2) = (x^ell; x^ell)_inf, the
+    series E, divided by the triple-product sum [x^a; x^ell] E."""
+    return E.divide(triple_product(a, ell, n, ring))
 
 
 def _times(pre, terms):
@@ -294,26 +315,42 @@ def _alpha(pair, k):
     return [(sign * hi, base + k), (sign * lo, base)]
 
 
-def check_bailey_uv(n_max=12, prec=150):
-    """beta_n = sum_k alpha_k / ((q;q)_{n-k} (q;q)_{n+k}) for both pairs.
+def _binomial_sum(rows, terms, length):
+    """sum of c q^e rows[j] over the (c, e, j) terms, rows[j] the exact
+    coefficient list of [2n; j]_q: the cleared form of the sum of
+    c q^e / ((q;q)_j (q;q)_{2n-j}), on that sum's window [low, low +
+    length), low the least e."""
+    low = min(e for _, e, _ in terms)
+    cs = [0] * length
+    for c, e, j in terms:
+        i = e - low
+        row = rows[j][:max(length - i, 0)]
+        cs[i:i + len(row)] = map(add, cs[i:i + len(row)], map(c.__mul__, row))
+    return LaurentSeries(ZZ, low, cs)
 
-    Both pairs share beta_n up to a shift and every block
-    1/((q;q)_{n-k} (q;q)_{n+k}), so each is built once per n and dropped
-    before the next n; alpha_k times a block is two shifted scales of it."""
+
+def check_bailey_uv(n_max=12, prec=150):
+    """beta_n = sum_k alpha_k / ((q;q)_{n-k} (q;q)_{n+k}) for both pairs,
+    compared as cleared numerators: times the unit (q;q)_{2n}, beta_n is
+    (q;q)_{n-1}^2 and each block the Gaussian binomial [2n; n-k]_q.
+
+    A unit with constant term 1 keeps equality below q^prec, so each
+    subcheck has the window, status and first-failure exponent of the
+    quotients; only a failure's two coefficients are the numerators'.
+    Both pairs share beta_n up to a shift and the Gaussian binomials of
+    2n, so these are built once per n and dropped before the next n."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if prec <= n_max * (n_max + 1) // 2:
         raise ValueError(f"prec {prec} too small for n_max {n_max}")
-    pinv = inverse_pochhammers(2 * n_max, prec)
     poch = [pochhammer_finite(1, k, prec) for k in range(n_max)]
     subs = {"u": [], "v": []}
     for n in range(1, n_max + 1):
-        beta = (poch[n - 1] ** 2) * pinv[2 * n]
-        blocks = [pinv[n - k] * pinv[n + k] for k in range(1, n + 1)]
+        beta = poch[n - 1] ** 2
+        rows = gaussian_binomials(2 * n)
         for pair, lhs in (("u", beta), ("v", beta.shift(n))):
-            rhs = reduce(add, (block.scale(c).shift(e)
-                               for k, block in enumerate(blocks, 1)
-                               for c, e in _alpha(pair, k)))
+            rhs = _binomial_sum(rows, [(c, e, n - k) for k in range(1, n + 1)
+                                       for c, e in _alpha(pair, k)], prec)
             subs[pair].append(_cmp(f"bailey:{pair},n={n}", lhs, rhs, prec))
     rep = merge_reports("bailey_uv", prec, subs["u"] + subs["v"],
                         {"n_max": n_max, "prec": prec})
@@ -348,9 +385,13 @@ def check_finite_jtp(n_max=10, prec=200):
     compared, except t = 1, which stays in as an exact zero = zero
     polynomial identity.
 
-    Every right-side term starts at its q-shift, and the left side at the
-    sum of the negative exponents of (q^-t;q)_n, so the shared length is
-    prec minus the lowest start.
+    Both sides are compared as cleared numerators, times the unit
+    (q;q)_{2n}: (q^{1+t};q)_n (q^{-t};q)_n against the sum of
+    +-q^shift [2n; n-|j|]_q, on the windows of the quotients, so every
+    subcheck keeps its window, status and first-failure exponent (see
+    check_bailey_uv).  Every right-side term starts at its q-shift, and
+    the left side at the sum of the negative exponents of (q^-t;q)_n, so
+    the shared length is prec minus the lowest start.
     """
     cases, skipped = [], []
     for t in (1, 2, 3):
@@ -364,22 +405,21 @@ def check_finite_jtp(n_max=10, prec=200):
         starts.append(sum(min(e, 0) for e in range(-t, n - t)))
         starts += [shift for _, shift, _ in sym + paired]
     wprec = _length(prec, starts)
-    pinv = inverse_pochhammers(2 * n_max, wprec)
-    # the blocks depend on n alone: visit the cases by n, so every t shares
-    # one n's blocks and only those are held, and report in case order
+    # the Gaussian binomials depend on n alone: visit the cases by n, so
+    # every t shares one n's rows and only those are held, and report in
+    # case order
     reports = [None] * len(cases)
-    blocks_n = None
+    rows_n = None
     for i, (t, n, sym, paired) in sorted(enumerate(cases),
                                          key=lambda c: c[1][1]):
-        if n != blocks_n:
-            blocks_n = n
-            blocks = [pinv[n - j] * pinv[n + j] for j in range(n + 1)]
+        if n != rows_n:
+            rows_n, rows = n, gaussian_binomials(2 * n)
         lhs = (pochhammer_finite(1 + t, n, wprec)
-               * pochhammer_finite(-t, n, wprec) * pinv[2 * n])
+               * pochhammer_finite(-t, n, wprec))
         reports[i] = [
-            _cmp(f"jtp:{form},t={t},n={n}", lhs,
-                 reduce(add, (blocks[abs(j)].shift(shift).scale(sign)
-                              for sign, shift, j in terms)), prec)
+            _cmp(f"jtp:{form},t={t},n={n}", lhs, _binomial_sum(
+                rows, [(sign, shift, n - abs(j)) for sign, shift, j in terms],
+                wprec), prec)
             for form, terms in (("sym", sym), ("paired", paired))]
     subs = [r for pair in reports for r in pair]
     params = {"n_max": n_max, "prec": prec,
@@ -409,31 +449,33 @@ def _x_coeffs(factors, prec):
 def check_beta_second_derivatives(n_max=8, prec=120):
     """d^2/dx^2 of (xq, 1/x; q)_n / (q;q)_{2n} at x0 = 1 and x0 = 1/q
     against the closed forms -2 (q;q)_{n-1}^2/(q;q)_{2n} and its q^{n+2}
-    multiple.
+    multiple, compared as cleared numerators: times the unit (q;q)_{2n},
+    the closed form is -2 (q;q)_{n-1}^2 (see check_bailey_uv).
 
     The numerator is sum_k c_k x^k (_x_coeffs), so its second derivative
     at x0 is sum_k k(k-1) c_k x0^{k-2}: the c_k themselves at x0 = 1, each
     shifted by 2 - k at x0 = 1/q.  That shift moves c_k down by at most
     n - 2, so the c_k are built on prec + max(n - 2, 0); every term still
-    starts at q^0 or above, and every side reaches prec.
+    starts at q^0 or above, and every side reaches prec.  The derivative
+    is cut to the window its quotient by (q;q)_{2n} would have, at most
+    prec long.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if prec < 2:
         raise ValueError(f"prec {prec} needs to be at least 2")
-    pinv2 = inverse_pochhammers(2 * n_max, prec)[::2]
     poch = [pochhammer_finite(1, n, prec) for n in range(n_max)]
     subs = []
     for n in range(1, n_max + 1):
         c = _x_coeffs([(1 + i, 1) for i in range(n)]
                       + [(i, -1) for i in range(n)], prec + max(n - 2, 0))
-        closed = ((poch[n - 1] ** 2) * pinv2[n]).scale(-2)
+        closed = (poch[n - 1] ** 2).scale(-2)
         for label, at_qinv in (("1", 0), ("1/q", 1)):
             lhs = reduce(add, (ck.scale(k * (k - 1)).shift(at_qinv * (2 - k))
                                for k, ck in c.items() if k * (k - 1)))
+            lhs = lhs.truncate(min(lhs.prec, lhs.low + prec))
             rhs = closed.shift(n + 2) if at_qinv else closed
-            subs.append(_cmp(f"beta2:x0={label},n={n}", lhs * pinv2[n],
-                             rhs, prec))
+            subs.append(_cmp(f"beta2:x0={label},n={n}", lhs, rhs, prec))
     return merge_reports("beta_second_derivative", prec, subs,
                          {"n_max": n_max, "prec": prec})
 
@@ -605,7 +647,7 @@ _E10_MOD13 = tuple((c, e, _folded(13, ms)) for c, e, ms in (
 # cubed; powers of X have smaller ZZ coefficients than powers of 1/P(1), so
 # the right sides are sums over the basis {X, E(25)}, not over _p_basis(5).
 # X is a quotient of two sparse triple-product sums (their E(25) factors
-# cancel), so it takes one division and no inverse
+# cancel), so X and 1/X each take one division and no inverse
 _ETA_D5 = tuple((name, 5, None, k, _times({"E": k}, terms))
                 for k, (name, terms) in enumerate((
     ("eta:d5", ((1, 0, {"X": 1}), (-1, 1, {}), (-1, 2, {"X": -1}))),
@@ -644,9 +686,10 @@ def check_eta_dissections(prec=2000):
     if prec < 8:
         raise ValueError(f"prec {prec} needs to be at least 8")
     n = -(-prec // 5)
-    X = triple_product(2, 5, n).divide(triple_product(1, 5, n))
+    J1, J2 = triple_product(1, 5, n), triple_product(2, 5, n)
     E1 = euler_E(1, prec, ZZ)
-    sums = _monomial_sums({"X": X, "E": euler_E(5, n)}, 5, prec,
+    sums = _monomial_sums({"X": J2.divide(J1), "E": euler_E(5, n),
+                           ("X", -1): partial(J1.divide, J2)}, 5, prec,
                           *(rhs for *_, rhs in _ETA_D5))
     subs = [_cmp(name, E1 ** k, d5k, prec)
             for (name, _, _, k, _), d5k in zip(_ETA_D5, sums)]

@@ -6,11 +6,11 @@ from operator import add
 
 import pytest
 
-from qcong import _kernel, products
+from qcong import _kernel, products, verify
 from qcong.products import (
     euler_cube,
     euler_E,
-    inverse_pochhammers,
+    gaussian_binomials,
     jacobi_theta,
     pochhammer_finite,
     triple_product,
@@ -85,6 +85,16 @@ def q_basis(ell, prec, ring):
     basis["E"] = euler_E(ell * ell, prec, ring)
     basis["e"] = euler_E(ell, prec, ring)
     return basis
+
+
+def newton_inverses(basis):
+    """basis with the Newton inverse of each series as its (key, -1)
+    builder, for evaluator tests on bases that _p_basis does not build."""
+    return basis | {(k, -1): s.invert for k, s in basis.items()}
+
+
+def no_newton(*args):
+    raise AssertionError("newton_invert called")
 
 
 def per_term_sums(basis, *term_lists):
@@ -253,20 +263,76 @@ def test_euler_cube_is_the_cube_of_euler(m):
             euler_E(m, 200, ring) ** 3).coeffs
 
 
-@pytest.mark.parametrize("ring", [ZZ, Zmod(5)])
-def test_inverse_pochhammers_match_the_inverted_products(ring):
-    got = inverse_pochhammers(24, 150, ring)
-    assert len(got) == 25
-    for k, inv in enumerate(got):
-        want = pochhammer_finite(1, k, 150, ring).invert()
-        assert (inv.low, inv.prec) == (want.low, want.prec), k
-        assert inv.coeffs == want.coeffs, k
+@pytest.mark.parametrize("N", range(13))
+def test_gaussian_binomials_clear_the_pochhammer_quotient(N):
+    # [N; j] (q;q)_j (q;q)_{N-j} = (q;q)_N, exactly, as polynomials
+    top = N * N + 1
+
+    def qq(k):
+        return pochhammer_finite(1, k, top)
+
+    rows = gaussian_binomials(N)
+    assert len(rows) == N + 1
+    for j, row in enumerate(rows):
+        gb = LaurentSeries(ZZ, 0, row + [0] * (top - len(row)))
+        assert gb * qq(j) * qq(N - j) == qq(N), (N, j)
 
 
-def test_inverse_pochhammers_past_the_window():
-    # factors 1 - q^k with k >= prec are 1 on the window
-    got = inverse_pochhammers(6, 3)
-    assert [s.coeffs for s in got] == [(1, 0, 0), (1, 1, 1)] + [(1, 1, 2)] * 5
+@pytest.mark.parametrize("N", range(13))
+def test_gaussian_binomials_symmetry_degree_and_row_sums(N):
+    rows = gaussian_binomials(N)
+    for j, row in enumerate(rows):
+        assert row == rows[N - j], (N, j)
+        assert len(row) - 1 == j * (N - j) and row[0] == row[-1] == 1
+        assert sum(row) == math.comb(N, j)   # the value at q = 1
+
+
+def test_gaussian_binomials_edges():
+    assert gaussian_binomials(0) == [[1]]
+    assert gaussian_binomials(2) == [[1], [1, 1], [1]]
+    with pytest.raises(ValueError):
+        gaussian_binomials(-1)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 9, 13])
+@pytest.mark.parametrize("modular", [False, True])
+def test_basis_inverses_are_sparse_quotients_equal_to_newton(monkeypatch,
+                                                             ell, modular):
+    # the builders divide by sparse series and call no Newton inversion;
+    # the oracle inverts the dense series once the builders have run
+    ring = Zmod(ell) if modular else ZZ
+    for prec in (1, ell, 200, 651):
+        basis = _p_basis(ell, prec, ring)
+        keys = [k for k in basis if not isinstance(k, tuple)]
+        # one builder per series key
+        assert {k for k in basis if isinstance(k, tuple)} == {
+            (k, -1) for k in keys}
+        with monkeypatch.context() as m:
+            m.setattr(_kernel, "newton_invert", no_newton)
+            built = {k: basis[k, -1]() for k in keys}
+        for k in keys:
+            want = basis[k].invert()
+            assert (built[k].low, built[k].prec) == (want.low, want.prec)
+            assert built[k].coeffs == want.coeffs, (ell, prec, k)
+
+
+def test_eta_quotient_inverse_is_a_sparse_quotient(monkeypatch):
+    # X = P(2)/P(1) at base q^25, and 1/X = J(1)/J(2) with the E(25)
+    # factors cancelled, against the Newton inverse of X
+    seen = []
+    real = verify._monomial_sums
+
+    def recording(basis, *args):
+        seen.append(basis)
+        return real(basis, *args)
+
+    monkeypatch.setattr(verify, "_monomial_sums", recording)
+    assert verify.check_eta_dissections(prec=300).status == "pass"
+    basis = seen[0]
+    built = basis["X", -1]()
+    want = basis["X"].invert()
+    assert (built.low, built.prec) == (want.low, want.prec) == (0, 60)
+    assert built.coeffs == want.coeffs
 
 
 def test_cap_P_symmetry():
@@ -287,7 +353,8 @@ def test_monomial_sums_constant_term_window():
 
 
 def test_monomial_sums_negative_exponent_is_inverse():
-    [inv] = _monomial_sums({"E": euler_E(1, 30)}, 1, 30, [(1, 0, {"E": -1})])
+    [inv] = _monomial_sums(newton_inverses({"E": euler_E(1, 30)}), 1, 30,
+                           [(1, 0, {"E": -1})])
     assert list(inv.coeffs) == partition_counts(30)
     [cube] = _monomial_sums(_p_basis(7, 40, ZZ), 7, 40, [(1, 0, {2: -3})])
     assert cube == cap_P(2, 7, 40).invert() ** 3
@@ -307,7 +374,7 @@ def test_monomial_sums_merged_exponents_match_product():
         ca, cb = rng.randrange(1, 5), rng.randrange(-4, 5)
         qa, qb = rng.randrange(-3, 4), rng.randrange(-3, 4)
         merged = {k: ea.get(k, 0) + eb.get(k, 0) for k in {**ea, **eb}}
-        ab, a, b = _monomial_sums(basis, 1, 50,
+        ab, a, b = _monomial_sums(newton_inverses(basis), 1, 50,
                                   [(ca * cb, qa + qb, merged)],
                                   [(ca, qa, ea)], [(cb, qb, eb)])
         assert ab == a * b, (ea, eb)
@@ -365,7 +432,8 @@ def test_monomial_sums_match_per_term_path(modulus):
                         for k in rng.sample(keys, rng.randrange(0, 7))}
             terms.append((coeff(), rng.randrange(-spread, spread + 1), exps))
         lists.append(terms)
-    for got, want in zip(_monomial_sums(basis, 1, prec, *lists),
+    for got, want in zip(_monomial_sums(newton_inverses(basis), 1, prec,
+                                        *lists),
                          per_term_sums(basis, *lists), strict=True):
         assert (got.low, got.prec) == (want.low, want.prec)
         assert got.coeffs == want.coeffs
@@ -375,7 +443,8 @@ def test_monomial_sums_cut_where_a_class_window_ends():
     # F starts at x^2, so 1/F = x^-2 (1 - x) ends at x^8, that is q^16 at
     # step 2, below min qpow + prec = q^20
     F = LaurentSeries(ZZ, 2, [1] * 10)
-    [got] = _monomial_sums({"F": F}, 2, 20, [(1, 0, {"F": -1}), (1, 1, {})])
+    [got] = _monomial_sums(newton_inverses({"F": F}), 2, 20,
+                           [(1, 0, {"F": -1}), (1, 1, {})])
     assert got == LaurentSeries(ZZ, -4, [1, 0, -1, 0, 0, 1] + [0] * 14)
     assert (got.low, got.prec) == (-4, 16)
 

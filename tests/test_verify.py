@@ -251,15 +251,16 @@ def test_lemma_rhs_matches_per_term_theta_reference(ell):
 @pytest.mark.parametrize("second", [False, True])
 def test_lemma_family_inverts_once_per_block(monkeypatch, second):
     # one _monomial_sums call per ell: each P(a)^-1 for 0 < a < ell/2 and
-    # E(ell^2)^-1 once, whatever the number of (b, m)
+    # E(ell^2)^-1 once, whatever the number of (b, m); every inverse is a
+    # division by a sparse series, and nothing else divides here
     calls = []
-    real = LaurentSeries.invert
+    real = LaurentSeries.divide
 
-    def counted(self):
+    def counted(self, other):
         calls.append(1)
-        return real(self)
+        return real(self, other)
 
-    monkeypatch.setattr(LaurentSeries, "invert", counted)
+    monkeypatch.setattr(LaurentSeries, "divide", counted)
     rep = check_lemma_family(second=second, ells=(13,), prec=100)
     assert rep.status == "pass"
     assert len(calls) <= (13 - 1) // 2 + 1
@@ -509,6 +510,137 @@ def test_finite_product_checks_fail_on_one_wrong_term(monkeypatch, mutate,
     rep = check()
     assert rep.status == "fail"
     assert rep.first_failure[0] == first
+
+
+# the quotient route the three finite-product checks took before their
+# identities were cleared of (q;q)_{2n}: every block 1/((q;q)_j (q;q)_k)
+# divided out on the check's window, each side compared as a quotient
+
+
+def _qq(k, length):
+    return products.pochhammer_finite(1, k, length)
+
+
+def _quotient_blocks(n, ks, length):
+    one = LaurentSeries.one(ZZ, length)
+    return [one.divide(_qq(n - k, length) * _qq(n + k, length)) for k in ks]
+
+
+def _quotient_bailey(cmp, n_max, prec):
+    subs = {"u": [], "v": []}
+    for n in range(1, n_max + 1):
+        beta = (_qq(n - 1, prec) ** 2).divide(_qq(2 * n, prec))
+        blocks = _quotient_blocks(n, range(1, n + 1), prec)
+        for pair, lhs in (("u", beta), ("v", beta.shift(n))):
+            rhs = reduce(add, (block.scale(c).shift(e)
+                               for k, block in enumerate(blocks, 1)
+                               for c, e in verify._alpha(pair, k)))
+            subs[pair].append(cmp(f"bailey:{pair},n={n}", lhs, rhs, prec))
+    return subs["u"] + subs["v"]
+
+
+def _quotient_jtp(cmp, n_max, prec):
+    cases = [(t, n, *verify._jtp_sums(t, n)) for t in (1, 2, 3)
+             for n in range(n_max + 1) if t == 1 or n <= t]
+    starts = [0]
+    for t, n, sym, paired in cases:
+        starts.append(sum(min(e, 0) for e in range(-t, n - t)))
+        starts += [shift for _, shift, _ in sym + paired]
+    wprec = verify._length(prec, starts)
+    blocks = {n: _quotient_blocks(n, range(n + 1), wprec)
+              for n in range(n_max + 1)}
+    subs = []
+    for t, n, sym, paired in cases:
+        lhs = (products.pochhammer_finite(1 + t, n, wprec)
+               * products.pochhammer_finite(-t, n, wprec)).divide(
+                   _qq(2 * n, wprec))
+        for form, terms in (("sym", sym), ("paired", paired)):
+            rhs = reduce(add, (blocks[n][abs(j)].shift(shift).scale(sign)
+                               for sign, shift, j in terms))
+            subs.append(cmp(f"jtp:{form},t={t},n={n}", lhs, rhs, prec))
+    return subs
+
+
+def _quotient_beta(cmp, n_max, prec):
+    subs = []
+    for n in range(1, n_max + 1):
+        c = verify._x_coeffs([(1 + i, 1) for i in range(n)]
+                             + [(i, -1) for i in range(n)],
+                             prec + max(n - 2, 0))
+        closed = (_qq(n - 1, prec) ** 2).divide(_qq(2 * n, prec)).scale(-2)
+        for label, at_qinv in (("1", 0), ("1/q", 1)):
+            lhs = reduce(add, (ck.scale(k * (k - 1)).shift(at_qinv * (2 - k))
+                               for k, ck in c.items() if k * (k - 1)))
+            rhs = closed.shift(n + 2) if at_qinv else closed
+            subs.append(cmp(f"beta2:x0={label},n={n}",
+                            lhs.divide(_qq(2 * n, prec)), rhs, prec))
+    return subs
+
+
+def _graded(rep):
+    ff = rep.first_failure
+    return rep.check_id, rep.status, rep.window, ff and ff[0]
+
+
+_FINITE_PRODUCT_CASES = (
+    [(check_bailey_uv, _quotient_bailey, 12, 150)]
+    + [(check_bailey_uv, _quotient_bailey, n_max, prec)
+       for n_max in (1, 4) for prec in range(n_max * (n_max + 1) // 2 + 1, 31)]
+    + [(check_finite_jtp, _quotient_jtp, 10, 200)]
+    + [(check_finite_jtp, _quotient_jtp, n_max, prec)
+       for n_max in (0, 3) for prec in range(1, 41)]
+    + [(check_beta_second_derivatives, _quotient_beta, 8, 120)]
+    + [(check_beta_second_derivatives, _quotient_beta, n_max, prec)
+       for n_max in (1, 3) for prec in range(2, 31)])
+
+
+@pytest.mark.parametrize("mutate", [None, "_mutate_bailey", "_mutate_jtp",
+                                    "_mutate_beta"])
+def test_cleared_numerators_grade_every_subcheck_as_the_quotients(
+        monkeypatch, mutate):
+    # (q;q)_{2n} is a unit with constant term 1, so the cleared numerators
+    # must give each subcheck the quotients' status, window and first
+    # failure exponent, at the defaults, at small precs down to the least
+    # accepted one, and with one term of a check's construction changed
+    if mutate:
+        globals()[mutate](monkeypatch)
+    real = verify._cmp
+    graded = []
+
+    def recording(*args):
+        rep = real(*args)
+        graded.append(_graded(rep))
+        return rep
+
+    monkeypatch.setattr(verify, "_cmp", recording)
+    statuses = set()
+    for check, quotient, n_max, prec in _FINITE_PRODUCT_CASES:
+        graded.clear()
+        try:
+            want = [_graded(r) for r in quotient(real, n_max, prec)]
+        except ValueError:
+            with pytest.raises(ValueError):
+                check(n_max=n_max, prec=prec)
+            continue
+        check(n_max=n_max, prec=prec)
+        # the checks build the subchecks in their own order
+        assert sorted(graded) == sorted(want), (check.__name__, n_max, prec)
+        statuses.update(status for _, status, _, _ in want)
+    # the windows reach prec at every prec, so nothing is skipped; a
+    # changed term fails
+    assert statuses == ({"pass", "fail"} if mutate else {"pass"})
+
+
+@pytest.mark.parametrize("check_id", SUITE)
+def test_no_registered_check_inverts_densely(monkeypatch, small_checks,
+                                             check_id):
+    # every quotient is a division by a sparse series or a cleared
+    # numerator; newton_invert stays a test oracle only
+    def refuse(*args):
+        raise AssertionError("newton_invert called")
+
+    monkeypatch.setattr(_kernel, "newton_invert", refuse)
+    assert run_check(check_id).status in ("pass", "fail")
 
 
 def _mutate_lambert_weight(monkeypatch):
