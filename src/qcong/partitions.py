@@ -15,6 +15,7 @@ compare them; nothing in here assumes they agree.
 
 from contextlib import contextmanager
 from itertools import accumulate
+from math import isqrt
 from typing import NamedTuple
 
 from ._kernel import PackedSeries, convolve
@@ -109,20 +110,86 @@ def _growth_bits(n, length):
             * ((length - 1) // (2 * n + 2) + 1)).bit_length()
 
 
-def _end_division(*sums):
-    """Each of sums (lists of one length) divided by (q;q)_inf^3 (1-q)(1-q^2):
-    two prefix sums divide by 1-q and 1-q^2, and Jacobi's
-    (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2) (euler_cube) is
-    divided by its recurrence over about sqrt(2 length) terms
-    (LaurentSeries.divide)."""
-    cube = euler_cube(1, len(sums[0]))
-    out = []
-    for c in sums:
-        c = list(accumulate(c))              # / (1 - q)
-        c[0::2] = accumulate(c[0::2])        # / (1 - q^2), on each parity
-        c[1::2] = accumulate(c[1::2])
-        out.append(list(LaurentSeries(ZZ, 0, c).divide(cube).coeffs))
-    return out
+def _split_bits(n):
+    """K with p4(n) < 2^K, p4(n) the number of 4-tuples of partitions of n
+    (the q^n coefficient of 1/(q;q)_inf^4).
+
+    With x = e^-t, log 1/(x;x)_inf = sum_k x^k / (k (1 - x^k)) <= pi^2/(6t),
+    since 1 - x^k >= k t x^k.  So p4(n) <= x^-n / (x;x)_inf^4 <=
+    exp(nt + 2 pi^2/(3t)), which at t = pi sqrt(2/(3n)) is
+    exp(pi sqrt(8n/3)) = 2^sqrt(c n) with c = 8 pi^2 / (3 ln(2)^2) < 54.8.
+    In integers: sqrt(c n) < sqrt(55 n) < isqrt(55 n) + 1."""
+    return isqrt(55 * n) + 1
+
+
+def _end_division(su, sv):
+    """SU and SV (lists of one length) each divided by
+    (q;q)_inf^3 (1-q)(1-q^2), in one pass over the packed numerator
+    SU + 2^K SV, K = _split_bits(length - 1).  Two prefix sums divide by 1-q
+    and 1-q^2, and Jacobi's (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1)
+    q^(k(k+1)/2) (euler_cube) is divided by its recurrence over about
+    sqrt(2 length) terms (LaurentSeries.divide).  The quotient is
+    QU + 2^K QV exactly, since every step is linear.
+
+    Split.  QU is read as the low K bits and QV as the rest (an arithmetic
+    shift, exact at any sign), which is right whenever every lane of QU
+    lies in [0, 2^K).  For the sums of uv_series_def the lane at q^m is
+    sum_{n<=steps} [q^m] q^n core_n, so 0 <= QU[m] <= u(m).  Adding the
+    marker m to sigma (twice, for v) maps each quadruple of u(n) or v(n)
+    one-to-one to a 4-tuple of partitions of n (m comes back as the
+    smallest part of the new sigma), so u(m) <= p4(m) <= p4(length - 1)
+    < 2^K (_split_bits).  The bound is proved, never read off the output."""
+    k = _split_bits(len(su) - 1)
+    c = list(accumulate(a + (b << k) for a, b in zip(su, sv)))   # / (1 - q)
+    c[0::2] = accumulate(c[0::2])        # / (1 - q^2), on each parity
+    c[1::2] = accumulate(c[1::2])
+    quot = LaurentSeries(ZZ, 0, c).divide(euler_cube(1, len(c))).coeffs
+    low = (1 << k) - 1
+    return [x & low for x in quot], [x >> k for x in quot]
+
+
+# colourings of two parts from four colours: of distinct sizes 4 * 4, of
+# one size 4 * 5 / 2
+_TWO_PARTS = (16, 10)
+
+
+def _tails(prec, a):
+    """U and V's terms n >= a, sum_{n>=a} q^n core_n and q^2n core_n, on
+    [0, prec), for 4a >= prec.
+
+    core_n counts 4-coloured partitions into parts >= n whose fourth colour
+    has parts <= 2n.  U reads core_n below q^(prec-n), so below q^3n, where
+    at most two parts fit, and V below q^(prec-2n), so below q^2n, where at
+    most one does.  So for j < 3n, c_n(j) = [q^j] core_n is 1 at j = 0,
+    3 + [j <= 2n] for n <= j (one part), plus 16 (ceil(j/2) - n)
+    + 10 [j even] for 2n <= j (two parts of sizes n..j-n, both <= 2n, in
+    any colours), and 0 otherwise.  Summed over n, in O(1) per m:
+
+        U[m] = [m >= a] + 3 #[a, m/2] + #[max(a, m/3), m/2]
+               + 16 (F(m-a) - F(m-t-1) - sum_{n=a}^{t} n)
+               + 10 #{n in [a, t] : m - n even},   t = floor(m/3),
+        V[m] = [m even, m >= 2a] + 4 #[a, m/3],
+
+    #[x, y] the number of integers in that range and F(x) =
+    sum_{0<=j<=x} ceil(j/2) = floor((x+1)/2) floor((x+2)/2)."""
+    def F(x):
+        return (x + 1) // 2 * ((x + 2) // 2)
+
+    pairs, same = _TWO_PARTS
+    u, v = [0] * prec, [0] * prec
+    for m in range(a, prec):
+        half, third = m // 2, m // 3
+        total = (1 + 3 * max(half - a + 1, 0)
+                 + max(half - max(a, -(-m // 3)) + 1, 0))
+        if third >= a:
+            total += (pairs * (F(m - a) - F(m - third - 1)
+                               - (a + third) * (third - a + 1) // 2)
+                      + same * ((m - a) // 2 - (m - third - 1) // 2))
+            v[m] = 4 * (third - a + 1)
+        u[m] = total
+    for m in range(2 * a, prec, 2):
+        v[m] += 1
+    return u, v
 
 
 def _merge(total, seg, off, bits):
@@ -149,14 +216,18 @@ def uv_series_def(prec):
 
     four packed passes for the numerator and, for each denominator
     factor, a doubling product of about log2(window / (2n+1)) passes.
-    Step n adds q^n R_n to SU and q^2n R_n to SV; at the end U = SU core_1
-    and V = SV core_1 (_end_division).
+    Step n adds q^n R_n to SU and q^2n R_n to SV; at the end SU core_1 and
+    SV core_1, divided out in one pass (_end_division), are U and V's
+    terms up to the last step.
 
     Window and stop.  R_n is read only below q^(prec-n), so its packed
     window is cut to prec - n whenever that is under 4/5 of its length.
-    Once 2n >= prec, q^2n core_n adds nothing below q^prec, and core_n =
-    1 + O(q^n) with n >= prec - n, so U gains just q^n for n in
-    [ceil(prec/2), prec).  The loop stops there; prec 1 and 2 run no step.
+    The loop runs the n with 4n < prec.  For n >= prec/4, U reads core_n
+    only below q^(prec-n) <= q^3n, where at most two of its parts fit, and
+    V below q^(prec-2n) <= q^2n, where at most one does, so there each
+    coefficient c_n(j) of core_n is a closed count of one or two coloured
+    parts.  Those terms, summed over n in closed form (_tails), are added
+    after the end division; prec 1 to 4 run no step.
 
     Slot width.  R_n has signed coefficients, so the width is a checked
     invariant: before step n every coefficient of R_n fits b signed bits,
@@ -182,8 +253,8 @@ def uv_series_def(prec):
         u, v = _def_cache["pair"]
         return UVPair(u.truncate(prec), v.truncate(prec))
     want, prec = prec, max(prec, _def_plan)
-    steps = (prec - 1) // 2              # the n with 2n < prec
-    u = v = [0] * prec
+    steps = (prec - 1) // 4              # the n with 4n < prec
+    u, v = _tails(prec, steps + 1)
     if steps:
         grow = _growth_bits(1, prec - 1)
         r = PackedSeries(prec - 1, 2 + grow, 1)
@@ -221,8 +292,9 @@ def uv_series_def(prec):
                 _merge(utot, useg, off, bound.bit_length() + 1)
                 _merge(vtot, vseg, 2 * off, bound.bit_length() + 1)
                 useg = None
-        u, v = _end_division(utot.to_coeffs(), vtot.to_coeffs())
-    u = u[:steps + 1] + [c + 1 for c in u[steps + 1:]]   # the q^n past the loop
+        su, sv = _end_division(utot.to_coeffs(), vtot.to_coeffs())
+        u = [x + y for x, y in zip(su, u)]
+        v = [x + y for x, y in zip(sv, v)]
     pair = UVPair(LaurentSeries(ZZ, 0, u), LaurentSeries(ZZ, 0, v))
     _def_cache.update(prec=prec, pair=pair)
     return pair if want == prec else UVPair(*(s.truncate(want) for s in pair))

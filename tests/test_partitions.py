@@ -14,7 +14,7 @@ from qcong.partitions import (
     uv_series_lambert,
     v_count,
 )
-from qcong.products import euler_E, p_count, pochhammer_finite
+from qcong.products import euler_E, euler_cube, p_count, pochhammer_finite
 from qcong.series import ZZ, LaurentSeries
 
 
@@ -196,8 +196,9 @@ def fixed_width_uv(prec):
 
 
 def test_series_def_matches_counters_at_every_small_prec(cold_def_cache):
-    # prec 1 and 2 run no step; the narrowings happen in this range
-    for prec in range(1, 41):
+    # prec 1 to 4 run no step; the narrowings, and the first n past the
+    # loop with two parts of core_n in the window, happen in this range
+    for prec in range(1, 61):
         cold_def_cache()
         pair = uv_series_def(prec)
         assert pair.u.prec == prec
@@ -218,15 +219,18 @@ def test_core_start_matches_the_inverted_product(length):
     assert got == list((LaurentSeries(ZZ, 0, x) * want).coeffs)
 
 
-@pytest.mark.parametrize("prec, u", [(1, [0]), (2, [0, 1])])
-def test_series_def_runs_no_step_below_prec_3(cold_def_cache, monkeypatch, prec, u):
-    # 2n < prec has no solution n >= 1, so U is just q^n for n in [1, prec)
-    # and neither a slot width nor the end division is needed
+@pytest.mark.parametrize("prec, u, v", [(1, [0], [0]), (2, [0, 1], [0, 0]),
+                                        (3, [0, 1, 5], [0, 0, 1]),
+                                        (4, [0, 1, 5, 15], [0, 0, 1, 4])])
+def test_series_def_runs_no_step_below_prec_5(cold_def_cache, monkeypatch, prec, u, v):
+    # 4n < prec has no solution n >= 1, so U and V are their closed tails
+    # alone, and neither a slot width nor the end division is needed
     monkeypatch.setattr(partitions, "_growth_bits", None)
     monkeypatch.setattr(partitions, "_end_division", None)
     pair = uv_series_def(prec)
     assert pair.u == LaurentSeries(ZZ, 0, u)
-    assert pair.v == LaurentSeries.zeros(ZZ, 0, prec)
+    assert pair.v == LaurentSeries(ZZ, 0, v)
+    assert u == count_table("u", prec - 1) and v == count_table("v", prec - 1)
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -348,16 +352,16 @@ def replay_with_list_shadow(prec):
 
 def test_series_def_agrees_with_list_shadow_after_every_op(cold_def_cache):
     pair, ops, widths = replay_with_list_shadow(150)
-    # steps n = 1..74 (2n < 150); the last one does not update R, and each
-    # of the other 73 checks R once, or twice when it stays at its width
+    # steps n = 1..37 (4n < 150); the last one does not update R, and each
+    # of the other 36 checks R once, or twice when it stays at its width
     # and is tested one byte narrower
     counts = {op: ops.count(op) for op in set(ops)}
-    segments = (counts["add_shifted"] - 2 * 74) // 2
-    assert counts == {"start": 1, "mul_one_minus": 4 * 73, "div_one_minus": 2 * 73,
-                      "add_shifted": 2 * 74 + 2 * segments,
+    segments = (counts["add_shifted"] - 2 * 37) // 2
+    assert counts == {"start": 1, "mul_one_minus": 4 * 36, "div_one_minus": 2 * 36,
+                      "add_shifted": 2 * 37 + 2 * segments,
                       "fits": counts["fits"], "restride": counts["restride"],
                       "to_coeffs": 2}
-    assert 73 < counts["fits"] <= 2 * 73
+    assert 36 < counts["fits"] <= 2 * 36
     # R both widens and narrows, and each change closes a U and a V segment
     assert any(new > old for old, new in widths)
     assert any(new < old for old, new in widths)
@@ -398,6 +402,84 @@ def test_list_shadow_fails_without_growth_headroom(cold_def_cache, monkeypatch):
     monkeypatch.setattr(partitions, "_growth_bits", lambda n, length: 0)
     with pytest.raises(AssertionError):
         replay_with_list_shadow(150)
+
+
+# the closed tail past the loop and the packed end division ----------------
+
+def core_by_product(n, length):
+    """core_n = 1/((q^n;q)_inf^3 (q^n;q)_{n+1}) on [0, length), one factor
+    1/(1-q^k) at a time."""
+    core = [1] + [0] * (length - 1)
+    for k in range(n, length):
+        for _ in range(3 + (k <= 2 * n)):
+            core = _list_div_one_minus(core, k)
+    return core
+
+
+def at_most_two_parts(n, j):
+    """[q^j] core_n for j < 3n by the count of one and two coloured parts."""
+    c = (j == 0) + (3 + (j <= 2 * n) if j >= n else 0)
+    if j >= 2 * n:
+        c += 16 * ((j + 1) // 2 - n) + 10 * (j % 2 == 0)
+    return c
+
+
+def test_core_below_q_3n_has_at_most_two_parts():
+    for n in range(1, 13):
+        assert core_by_product(n, 3 * n) == [at_most_two_parts(n, j)
+                                             for j in range(3 * n)], n
+
+
+def test_tails_sum_the_cores_past_the_loop():
+    # for every prec < 61 and every a with 4a >= prec, the closed tails
+    # against sum_{n>=a} q^n core_n and q^2n core_n, each core expanded
+    top = 61
+    cores = {n: core_by_product(n, top - n) for n in range(1, top)}
+    for prec in range(1, top):
+        u, v = [0] * prec, [0] * prec
+        for a in range(prec, -(-prec // 4) - 1, -1):
+            for j, c in enumerate(cores.get(a, [])[:prec - a]):
+                u[a + j] += c
+            for j, c in enumerate(cores.get(a, [])[:max(prec - 2 * a, 0)]):
+                v[2 * a + j] += c
+            assert partitions._tails(prec, a) == (u, v), (prec, a)
+
+
+def test_split_bits_cover_four_tuples_of_partitions():
+    # p4(n), the q^n coefficient of 1/E(1)^4, bounds u(n) and v(n) (add
+    # the marker to sigma) and must fit below 2^K at every n < 4001
+    top = 4001
+    p4 = LaurentSeries.one(ZZ, top).divide(euler_cube(1, top)).divide(
+        euler_E(1, top))
+    for n in range(top):
+        assert p4.coeff(n).bit_length() <= partitions._split_bits(n), n
+    for kind in "uv":
+        assert all(c <= p4.coeff(n)
+                   for n, c in enumerate(count_table(kind, 100)))
+
+
+def test_end_division_fails_one_bit_below_the_largest_lane(cold_def_cache, monkeypatch):
+    # the control: with K at the largest U lane's bit length the split is
+    # exact; one bit less and that lane spills into V's, so the build
+    # disagrees with the independent Lambert route
+    lanes = []
+    real = partitions._end_division
+
+    def spy(su, sv):
+        out = real(su, sv)
+        lanes.append(out[0])
+        return out
+
+    monkeypatch.setattr(partitions, "_end_division", spy)
+    uv_series_def(2001)
+    need = max(c.bit_length() for c in lanes[0])
+    assert need < partitions._split_bits(2000)
+    want = uv_series_lambert(2001)
+    for k in (need, need - 1):
+        cold_def_cache()
+        monkeypatch.setattr(partitions, "_split_bits", lambda n: k)
+        pair = uv_series_def(2001)
+        assert (pair == want) == (k == need), k
 
 
 def test_def_and_lambert_routes_agree():

@@ -686,6 +686,26 @@ def test_quotient_checks_fail_on_one_wrong_term(monkeypatch, mutate, check):
     assert rep.first_failure[0] < rep.prec
 
 
+@pytest.mark.parametrize("weights", [(15, 10), (16, 9)], ids=["16to15", "10to9"])
+@pytest.mark.parametrize("check", [partial(check_uv_oracle, n_max=25),
+                                   partial(check_theorem1, n_max=40)],
+                         ids=["uv_oracle", "theorem1"])
+def test_uv_checks_fail_on_one_wrong_tail_weight(monkeypatch, check, weights):
+    # negative control for the checks that read the defining sums alone:
+    # one two-part weight of uv_series_def's closed tail changed must give
+    # fail inside the window, never pass or skipped
+    def cold():
+        monkeypatch.setattr(partitions, "_def_cache", {"prec": 0, "pair": None})
+
+    cold()
+    assert check().status == "pass"
+    cold()
+    monkeypatch.setattr(partitions, "_TWO_PARTS", weights)
+    rep = check()
+    assert rep.status == "fail"
+    assert rep.first_failure[0] <= rep.prec
+
+
 # every lifted identity, and the tables it comes from; the eta:d5* right
 # sides are over {X, E(25)}, so check_eta_dissections evaluates those
 _LIFTED = [*verify._PRODUCT_RULES, *verify._MOD7_CLASSES,
