@@ -46,7 +46,10 @@ read as ints and the product's lanes are read back with
 ``array.frombytes``: no strided copy, sign fill or bias, which saves more
 than the byte or two a tight slot would on the short x = q^ell products
 the mod-ell checks make.  Moduli whose bound outgrows 8 bytes (above
-about 2**32) multiply over ZZ and reduce.
+about 2**32) multiply over ZZ and reduce.  The same lane codec
+(``_lane_int`` to pack, ``_read_lanes`` to read and reduce) serves the
+P-monomial sums of ``verify._monomial_sums``, which keep whole partial
+sums in 8-byte lanes and track a bound per sum instead of per product.
 
 Division by a series that is sparse by construction (Jacobi's E(1)**3, a
 triple-product sum, E(1) itself) packs nothing: ``sparse_divide`` runs
@@ -153,6 +156,17 @@ def _lane_int(lanes):
     return int.from_bytes(lanes, "little")
 
 
+def _read_lanes(value, count, code, modulus):
+    """The first count lanes of value, array typecode code, each reduced
+    mod modulus."""
+    size = array(code).itemsize * count
+    out = array(code)
+    out.frombytes((value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+    if _BIG_ENDIAN:
+        out.byteswap()
+    return [c % modulus for c in out]
+
+
 def convolve(a, b, out_len, modulus=None):
     """Exact truncated product: out[k] = sum_i a[i]*b[k-i] for k < out_len.
 
@@ -180,13 +194,8 @@ def convolve(a, b, out_len, modulus=None):
                 break
         else:
             return [c % modulus for c in convolve(a, b, out_len)]
-        size = width * out_len
         p = _lane_int(array(code, a)) * _lane_int(array(code, b))
-        out = array(code)
-        out.frombytes((p & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
-        if _BIG_ENDIAN:
-            out.byteswap()
-        return [c % modulus for c in out]
+        return _read_lanes(p, out_len, code, modulus)
     nonzero = sum(1 for c in a if c)
     if nonzero * len(b) <= _SCHOOLBOOK_AREA:
         out = [0] * out_len

@@ -74,6 +74,11 @@ class Ring:
 ZZ = Ring()
 
 
+def _reps(modulus, coeffs):
+    """coeffs as a tuple, over ZZ/modulus of canonical reps, in one pass."""
+    return tuple(coeffs if modulus is None else map(modulus.__rmod__, coeffs))
+
+
 def Zmod(m):
     return Ring(m)
 
@@ -82,11 +87,7 @@ class LaurentSeries:
     __slots__ = ("ring", "low", "coeffs")
 
     def __init__(self, ring, low, coeffs):
-        if ring.modulus is None:
-            cs = tuple(coeffs)
-        else:
-            m = ring.modulus
-            cs = tuple(c % m for c in coeffs)
+        cs = _reps(ring.modulus, coeffs)
         if not cs:
             raise WindowError("series window must be non-empty")
         self.ring = ring
@@ -196,8 +197,9 @@ class LaurentSeries:
         self._want_ring(other)
         lo = min(self.low, other.low)
         hi = min(self.prec, other.prec)  # > lo: each prec exceeds its low
-        return LaurentSeries(self.ring, lo, map(op, self._padded(lo, hi),
-                                                other._padded(lo, hi)))
+        return LaurentSeries._canonical(self.ring, lo, _reps(
+            self.ring.modulus,
+            map(op, self._padded(lo, hi), other._padded(lo, hi))))
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -213,7 +215,8 @@ class LaurentSeries:
         return LaurentSeries(self.ring, self.low, tuple(-c for c in self.coeffs))
 
     def scale(self, c):
-        return LaurentSeries(self.ring, self.low, tuple(c * x for x in self.coeffs))
+        return LaurentSeries._canonical(self.ring, self.low, _reps(
+            self.ring.modulus, map(c.__mul__, self.coeffs)))
 
     def shift(self, s):
         """Multiply by q^s: window moves to [low+s, prec+s)."""

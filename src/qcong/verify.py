@@ -12,18 +12,22 @@ one evaluator _monomial_sums.  Every P(a) is a power series in x = q^ell,
 coefficients for a q-window of N.  The evaluator splits the terms of a sum
 by the residue of qpow mod ell, sums each residue class in x (so every
 power, inverse and group product is 1/ell as long as in q), and
-interleaves the class sums into one q-series.  Within a class it factors
-shared powers out of the terms (a sparse Horner scheme), so each distinct
-power multiplies a partial sum once instead of every term, and it adds the
-parts as plain series.  E(ell^2) and E(ell) are series in x too, keys "E"
-and "e" of the same basis, so a prefactor such as E(ell^2)^k / E(ell)
-becomes exponents merged into every term (_times), and Horner factors it
-out once per class; only the Lambert (T) terms, the powers of E(1) and
-the comparisons stay in q.  Every inverse of a basis series is a division
-by a sparse series, built the first time a term needs it.  The S_ell(b) representations (the lemma
-layer, _lemma_rhs) go through the same evaluator, one call per ell: each
-theta [q^{ell y}; q^{ell^2}] there is sign * q^shift * P(a), by the theta
-normalization followed by the fold P(a) = P(ell - a) (_pjac).
+interleaves the class sums into one q-series.  Within a class one planner
+factors shared powers out of the terms (a sparse Horner scheme, _horner),
+so each distinct power multiplies a partial sum once instead of every
+term.  Over Z/m the plan runs on packed 64-bit lanes, one int multiply
+per product, reduced mod m only where a tracked bound would reach 2^64
+(_LaneSums); over ZZ, and for a modulus too large for one product to fit
+a lane, on LaurentSeries (_SeriesSums).  E(ell^2) and E(ell) are series
+in x too, keys "E" and "e" of the same basis, so a prefactor such as
+E(ell^2)^k / E(ell) becomes exponents merged into every term (_times),
+and Horner factors it out once per class; only the Lambert (T) terms, the
+powers of E(1) and the comparisons stay in q.  Every inverse of a basis
+series is a division by a sparse series, built the first time a term
+needs it.  The S_ell(b) representations (the lemma layer, _lemma_rhs) go
+through the same evaluator, one call per ell: each theta [q^{ell y};
+q^{ell^2}] there is sign * q^shift * P(a), by the theta normalization
+followed by the fold P(a) = P(ell - a) (_pjac).
 
 The identities of ecubed_dissect, eta_dissections and product_rules are
 data, module-level (name, ell, modulus, lhs, rhs) tuples over ZZ (modulus
@@ -42,6 +46,7 @@ A comparison whose window ends below prec reports skipped, never pass
 """
 
 import os
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -49,6 +54,7 @@ from importlib import resources
 from operator import add, itemgetter
 from time import perf_counter
 
+from . import _kernel
 from .lambert import s_series, t_series
 from .partitions import count_table, uv_series_def, uv_series_lambert
 from .products import (_theta_normalize, euler_cube, euler_E,
@@ -155,18 +161,22 @@ def _monomial_sums(basis, step, prec, *term_lists):
     below x^n) ends the sum there.  Each power of a base is built once per
     call and shared by every class and every term list.
 
-    A class sum is a sparse multivariate Horner scheme (_horner).  Terms
-    with at most one factor are a linear combination of cached powers,
-    c * x^t * key^e, with no product.  The other terms are grouped by
-    their exponent of one key, the key with the fewest distinct exponents
-    among them (ties broken by the repr of the key); each group is summed
-    recursively and, for a nonzero exponent e, multiplied once by key^e.
-    The parts are added as series, so a class sum has the window
-    [min low, min prec) of its parts.
+    One plan (_horner) sums every class in every ring.  Over Z/m, when a
+    product of two canonical series fits a 64-bit lane (n (m - 1)^2 <
+    2^64), it runs on packed lanes (_LaneSums): each power is packed into
+    an int once per call and must lie on [0, n), a product is one int
+    multiply, and each partial sum carries a bound on its lanes, so lanes
+    are reduced mod m only where a bound would reach 2^64, and each class
+    is read back once.  Over ZZ, whose products cost more than the plan,
+    and for larger moduli it runs on LaurentSeries (_SeriesSums).
     """
     ref = next(s for s in basis.values() if isinstance(s, LaurentSeries))
-    one = LaurentSeries.one(ref.ring, len(ref.coeffs))
+    ring, n, m = ref.ring, len(ref.coeffs), ref.ring.modulus
     powers = {}
+    if m is not None and not (n * (m - 1) ** 2) >> 64:
+        ev = _LaneSums(basis, powers, m, n)
+    else:
+        ev = _SeriesSums(basis, powers, LaurentSeries.one(ring, n))
     for terms in term_lists:
         if not terms:
             raise ValueError("a sum of monomials needs at least one term")
@@ -174,42 +184,145 @@ def _monomial_sums(basis, step, prec, *term_lists):
         for c, qpow, exps in terms:
             t, r = divmod(qpow, step)
             classes.setdefault(r, []).append((c, t, exps))
-        parts = [(r, _horner(basis, powers, one, cls, frozenset()))
-                 for r, cls in classes.items()]
-        low = min(step * s.low + r for r, s in parts)
+        parts = []
+        for r, cls in classes.items():
+            keys = sorted({k for _, _, exps in cls for k, e in exps.items()
+                           if e}, key=repr)
+            rows = [(c, t, tuple(exps.get(k, 0) for k in keys))
+                    for c, t, exps in cls]
+            parts.append((r, *ev.read(_horner(ev, keys, rows,
+                                              range(len(keys)), 0))))
+        low = min(step * s + r for r, s, _ in parts)
         top = min(min(qpow for _, qpow, _ in terms) + prec,
-                  *(step * s.prec + r for r, s in parts))
-        cs = [0] * (top - low)
-        for r, s in parts:
-            start = step * s.low + r - low
-            cs[start::step] = s.coeffs[:len(range(start, top - low, step))]
-        yield LaurentSeries(one.ring, low, cs)
+                  *(step * (s + len(cs)) + r for r, s, cs in parts))
+        out = [0] * (top - low)
+        for r, s, cs in parts:
+            start = step * s + r - low
+            out[start::step] = cs[:len(range(start, top - low, step))]
+        yield LaurentSeries._canonical(ring, low, tuple(out))
 
 
-def _horner(basis, powers, one, terms, done):
-    """The sum of terms with the factors of the keys in done left out.
-    Groups hold the class's term tuples themselves, never copies."""
-    multi, keys, parts = [], set(), []
-    for term in terms:
-        c, s, exps = term
-        left = [(k, e) for k, e in exps.items() if e and k not in done]
-        if len(left) > 1:
-            multi.append(term)
-            keys.update(k for k, _ in left)
+def _horner(ev, keys, rows, cols, done):
+    """The sum of rows (c, t, exps), exps the exponents over keys (in repr
+    order), with the columns not in cols factored out.  The rows of a node
+    agree on every factored column, so done, the number of nonzero
+    exponents factored out, is theirs alike.
+
+    Rows with at most one factor left are a linear combination of cached
+    powers, c * x^t * key^e, with no product.  The others are grouped by
+    their exponent of one key: the column with the fewest distinct values
+    among them, ties going to the lower repr.  Each group is summed
+    recursively and, for a nonzero exponent e, multiplied once by key^e.
+    """
+    multi, parts = [], []
+    for row in rows:
+        c, t, es = row
+        nz = len(es) - es.count(0)
+        if nz - done > 1:
+            multi.append(row)
+        elif nz == done:
+            parts.append(ev.term(c, t, None, 0))
         else:
-            f = _power(basis, powers, *left[0]) if left else one
-            parts.append(f.scale(c).shift(s))
-    if multi:
-        key = min(keys, key=lambda k: (
-            len({exps.get(k, 0) for _, _, exps in multi}), repr(k)))
+            for j in cols:
+                if es[j]:
+                    parts.append(ev.term(c, t, keys[j], es[j]))
+                    break
+    if len(multi) == 1:
+        # one term: every column ties at one value, so the plan is a
+        # chain of products with the lowest repr outermost
+        c, t, es = multi[0]
+        *outer, last = [j for j in cols if es[j]]
+        part = ev.term(c, t, keys[last], es[last])
+        for j in reversed(outer):
+            part = ev.times(keys[j], es[j], part)
+        parts.append(part)
+    elif multi:
+        columns = list(zip(*[row[2] for row in multi]))
+        _, j = min((len(set(columns[j])), j) for j in cols if any(columns[j]))
         groups = {}
-        for term in multi:
-            groups.setdefault(term[2].get(key, 0), []).append(term)
-        done = done | {key}
+        for e, row in zip(columns[j], multi):
+            groups.setdefault(e, []).append(row)
+        rest = [k for k in cols if k != j]
         for e in sorted(groups):
-            part = _horner(basis, powers, one, groups[e], done)
-            parts.append(_power(basis, powers, key, e) * part if e else part)
-    return reduce(add, parts)
+            part = _horner(ev, keys, groups[e], rest, done + (e != 0))
+            parts.append(ev.times(keys[j], e, part) if e else part)
+    return ev.total(parts)
+
+
+class _SeriesSums:
+    """The parts of _horner as LaurentSeries, on the windows of series
+    arithmetic: [min low, min prec) for a sum."""
+
+    def __init__(self, basis, powers, one):
+        self.power, self.one = partial(_power, basis, powers), one
+
+    def term(self, c, t, key, e):
+        f = self.one if key is None else self.power(key, e)
+        return f.scale(c).shift(t)
+
+    def times(self, key, e, part):
+        return self.power(key, e) * part
+
+    def total(self, parts):
+        return reduce(add, parts)
+
+    def read(self, s):
+        return s.low, s.coeffs
+
+
+class _LaneSums:
+    """The parts of _horner over Z/m as (low, v, bound): v packs the
+    coefficients of x^low ... x^(low + n - 1), one per 64-bit lane, each
+    lane nonnegative, at most bound and congruent to its coefficient.  A
+    term c x^t key^e has bound c (m - 1); a sum, shifted and masked to n
+    lanes, the sum of its parts' bounds; a product, n (m - 1) times its
+    part's, as a lane sums at most n products.  So no lane carries."""
+
+    def __init__(self, basis, powers, m, n):
+        self.power, self.m, self.n = partial(_power, basis, powers), m, n
+        self.grow, self.mask, self.packed = n * (m - 1), (1 << 64 * n) - 1, {}
+
+    def _packed(self, key, e):
+        p = self.packed.get((key, e))
+        if p is None:
+            s = self.power(key, e)
+            if (s.low, s.prec) != (0, self.n):
+                raise ValueError(f"{key}^{e} is on [{s.low}, {s.prec}), "
+                                 f"lane sums need [0, {self.n})")
+            p = self.packed[key, e] = _kernel._lane_int(array("Q", s.coeffs))
+        return p
+
+    def _reduced(self, v):
+        return _kernel._lane_int(array("Q", _kernel._read_lanes(
+            v, self.n, "Q", self.m)))
+
+    def term(self, c, t, key, e):
+        c %= self.m
+        if key is None:
+            return t, c, c
+        return t, c * self._packed(key, e), c * (self.m - 1)
+
+    def times(self, key, e, part):
+        t, v, bound = part
+        if (self.grow * bound) >> 64:
+            v, bound = self._reduced(v), self.m - 1
+        return t, (v * self._packed(key, e)) & self.mask, self.grow * bound
+
+    def total(self, parts):
+        low = min(t for t, _, _ in parts)
+        v = bound = 0
+        for t, w, b in parts:
+            if (bound + b) >> 64:
+                v, bound = self._reduced(v), self.m - 1
+                if (bound + b) >> 64:
+                    w, b = self._reduced(w), self.m - 1
+            v += w << 64 * (t - low)
+            bound += b
+        return low, v & self.mask, bound
+
+    def read(self, part):
+        low, v, _ = part
+        return low, _kernel._read_lanes(v, self.n, "Q", self.m)
 
 
 def _p_basis(ell, prec, ring):
@@ -843,8 +956,10 @@ CASES = tuple(_LAMBERT)
 
 
 def _theorem2_rhs(case, prec):
-    """Each T term over E(ell^2) P(1) plus the P-sum times
-    E(ell^2)^k / E(ell); a T window is at least [., 1), past prec."""
+    """The T terms over E(ell^2) P(1) plus the P-sum times
+    E(ell^2)^k / E(ell); a T window is at least [., 1), past prec.  The T
+    terms are added before the one product with 1 / (E(ell^2) P(1)), which
+    gives the window and coefficients of one product per term."""
     kind, ell = case[0], int(case[1:])
     ring = Zmod(ell)
     lamberts = [(coeff, qpow, t_series(a, b, c, max(prec - qpow, 1),
@@ -858,9 +973,9 @@ def _theorem2_rhs(case, prec):
     inv_den, *psum = _monomial_sums(
         _p_basis(ell, N, ring), ell, N, [(1, 0, {"E": -1, 1: -1})],
         *([_times({"E": epow, "e": -1}, pterms)] if pterms else []))
-    terms = [(t * inv_den).shift(qpow).scale(coeff)
-             for coeff, qpow, t in lamberts]
-    return reduce(add, terms + psum)
+    lsum = reduce(add, (t.shift(qpow).scale(coeff)
+                        for coeff, qpow, t in lamberts))
+    return reduce(add, [lsum * inv_den] + psum)
 
 
 def check_theorem2(case="U3", prec=800):

@@ -1,7 +1,8 @@
 import gc
 import math
 import random
-from functools import reduce
+import sys
+from functools import partial, reduce
 from operator import add
 
 import pytest
@@ -380,11 +381,60 @@ def test_monomial_sums_merged_exponents_match_product():
         assert ab == a * b, (ea, eb)
 
 
-def test_monomial_sums_mod_ring_matches_integer_reduction():
-    terms = [(2, 1, {2: 2, 1: -3}), (4, 0, {}), (1, 5, {1: 1, 2: -1})]
-    [over_z] = _monomial_sums(_p_basis(5, 80, ZZ), 5, 80, terms)
-    [over_5] = _monomial_sums(_p_basis(5, 80, Zmod(5)), 5, 80, terms)
-    assert over_z.reduce_mod(5) == over_5
+def test_monomial_sums_mod_ring_matches_integer_reduction(monkeypatch):
+    # over Z/m the sum is the ZZ sum reduced.  m = 2 and 13 run in lanes;
+    # near 2^31 a term's lane bound is about 2^62, so every product needs
+    # a reduction first and class 3's sums one on the way; 2^61 - 1 does
+    # not fit one product of canonical series in a lane and runs on series
+    terms = [(2, 1, {2: 2, 1: -3}), (4, 0, {}), (1, 5, {1: 1, 2: -1}),
+             (-1, 3, {1: 1}), (-1, 8, {2: 1}), (-2, -2, {1: -1}),
+             (-1, 13, {"E": 1}), (-1, 3, {1: 2, 2: -1}), (-7, -10, {}),
+             (6, -9, {"e": 2, 1: 1, 2: 1})]
+    readers, reducers = [], []
+    for cls in (verify._LaneSums, verify._SeriesSums):
+        real = cls.read
+
+        def read(self, part, real=real):
+            readers.append(type(self).__name__)
+            return real(self, part)
+        monkeypatch.setattr(cls, "read", read)
+    reduced = verify._LaneSums._reduced
+
+    def spy(self, v):
+        reducers.append(sys._getframe(1).f_code.co_name)
+        return reduced(self, v)
+    monkeypatch.setattr(verify._LaneSums, "_reduced", spy)
+    for m, prec, backend, reduce_in in (
+            (2, 80, "_LaneSums", set()), (13, 80, "_LaneSums", set()),
+            (2 ** 31 - 1, 20, "_LaneSums", {"times", "total"}),
+            (2 ** 61 - 1, 80, "_SeriesSums", set())):
+        [over_z] = _monomial_sums(_p_basis(5, prec, ZZ), 5, prec, terms)
+        readers.clear()
+        reducers.clear()
+        [over_m] = _monomial_sums(_p_basis(5, prec, Zmod(m)), 5, prec, terms)
+        assert set(readers) == {backend}
+        assert set(reducers) == reduce_in
+        assert (over_m.low, over_m.prec) == (over_z.low, over_z.prec) == (
+            -10, prec - 10)
+        assert over_m.coeffs == over_z.reduce_mod(m).coeffs, m
+
+
+def test_lane_sums_refuse_a_power_off_the_basis_window():
+    # lanes stand for x^low ... x^(low + n - 1) of series on [0, n), so a
+    # power on another window is refused, never read on the wrong one; the
+    # series path keeps its window, as over ZZ
+    terms = [(1, 0, {"F": -1}), (1, 1, {})]
+
+    def sums(ring):
+        F = LaurentSeries(ring, 2, [1] * 10)
+        return _monomial_sums(newton_inverses({"F": F}), 2, 20, terms)
+
+    with pytest.raises(ValueError, match="lane sums need"):
+        next(sums(Zmod(13)))
+    [want] = sums(ZZ)
+    [got] = sums(Zmod(2 ** 61 - 1))
+    assert (got.low, got.prec) == (want.low, want.prec) == (-4, 16)
+    assert got.coeffs == want.reduce_mod(2 ** 61 - 1).coeffs
 
 
 def test_monomial_sums_fold_reflects_P():
@@ -456,11 +506,27 @@ def test_monomial_sums_reject_an_empty_term_list():
         next(sums)
 
 
+def count_products(monkeypatch):
+    """{"zz" or "mod": calls}, counting every product of a partial sum with
+    a power that _monomial_sums makes, in lanes or on series."""
+    counts = {"zz": 0, "mod": 0}
+    for cls in (verify._LaneSums, verify._SeriesSums):
+        real = cls.times
+
+        def times(self, key, e, part, real=real):
+            zz = isinstance(part, LaurentSeries) and part.ring == ZZ
+            counts["zz" if zz else "mod"] += 1
+            return real(self, key, e, part)
+        monkeypatch.setattr(cls, "times", times)
+    return counts
+
+
 @pytest.mark.parametrize("name", ["A13", "B13"])
 def test_monomial_sums_share_products_on_the_13_tables(monkeypatch, name):
     # the per-term path makes 861 (A13) and 828 (B13) products here.  The
     # rows start at q^-8, A13 has no residue class 0 and B13 none 10, and
-    # B13's class 0 starts one x-power above its other classes
+    # B13's class 0 starts one x-power above its other classes.  Counted:
+    # the powers' products on series and the plan's products in lanes
     rows = load_table(name)
     basis = _p_basis(13, 338, Zmod(13))
     calls = []
@@ -471,12 +537,31 @@ def test_monomial_sums_share_products_on_the_13_tables(monkeypatch, name):
         return mul(self, other)
 
     monkeypatch.setattr(LaurentSeries, "__mul__", counted)
+    lanes = count_products(monkeypatch)
     [got] = _monomial_sums(basis, 13, 338, rows)
+    calls += [1] * lanes["mod"]
     assert len(calls) <= 400
     monkeypatch.undo()
     [want] = per_term_sums(q_basis(13, 338, Zmod(13)), rows)
     assert (got.low, got.prec) == (want.low, want.prec) == (-8, 330)
     assert got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("run, want", [
+    (partial(verify._theorem2_rhs, "U13", 400), {"zz": 0, "mod": 379}),
+    (partial(verify._theorem2_rhs, "V13", 400), {"zz": 0, "mod": 364}),
+    (partial(verify.check_product_rules, 2000), {"zz": 97, "mod": 12}),
+    (partial(verify.check_eta_dissections, 1000), {"zz": 14, "mod": 131}),
+    (partial(verify.check_lemma_family, False, ells=(3, 5), prec=150),
+     {"zz": 0, "mod": 31}),
+], ids=["U13", "V13", "product_rules", "eta_dissections", "lemma_main"])
+def test_horner_plans_make_the_pinned_products(monkeypatch, run, want):
+    # the planner's greedy choices (the key with the fewest distinct
+    # exponents among a node's multi-factor terms, ties to the lower repr)
+    # make exactly these products; a planner change that adds one fails
+    counts = count_products(monkeypatch)
+    run()
+    assert counts == want
 
 
 def _rule_lists():

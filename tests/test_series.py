@@ -1,4 +1,5 @@
 import random
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,20 +390,30 @@ def test_truncate_and_with_low():
 
 @pytest.mark.parametrize("m", [7, 13])
 def test_unreduced_paths_match_the_reducing_constructor(m):
-    # shift, with_low, truncate and * build their results without a second
-    # reduction; each must equal the series the reducing __init__ gives
+    # shift, with_low, truncate, *, scale, + and - build their results
+    # without a second reduction; each must equal the series the reducing
+    # __init__ gives, for scalars below 0 and at or above m, and for sums
+    # and differences that leave [0, m)
     ring = Zmod(m)
     rng = random.Random(m)
     raw_f = [rng.randint(-3 * m, 3 * m) for _ in range(40)]
     raw_g = [rng.randint(-3 * m, 3 * m) for _ in range(90)]   # packed path
     f = LaurentSeries(ring, -2, raw_f)
     g = LaurentSeries(ring, 5, raw_g)
+    # f and g on f's window [-2, 38), g zero below its low 5
+    g_on_f = [0] * 7 + raw_g[:33]
     cases = [
         (f.shift(7), LaurentSeries(ring, 5, raw_f)),
         (f.with_low(-6), LaurentSeries(ring, -6, [0] * 4 + raw_f)),
         (f.truncate(20), LaurentSeries(ring, -2, raw_f[:22])),
         (f * g, LaurentSeries(ring, 3, naive_convolve(raw_f, raw_g, 40))),
         (g * g, LaurentSeries(ring, 10, naive_convolve(raw_g, raw_g, 90))),
+        (f.scale(-5), LaurentSeries(ring, -2, [-5 * c for c in raw_f])),
+        (f.scale(3 * m + 2),
+         LaurentSeries(ring, -2, [(3 * m + 2) * c for c in raw_f])),
+        (f * (m - 1), LaurentSeries(ring, -2, [(m - 1) * c for c in raw_f])),
+        (f + g, LaurentSeries(ring, -2, list(map(add, raw_f, g_on_f)))),
+        (g - f, LaurentSeries(ring, -2, list(map(sub, g_on_f, raw_f)))),
     ]
     for got, want in cases:
         assert isinstance(got.coeffs, tuple)

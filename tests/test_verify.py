@@ -686,6 +686,55 @@ def test_quotient_checks_fail_on_one_wrong_term(monkeypatch, mutate, check):
     assert rep.first_failure[0] < rep.prec
 
 
+def _first_plus_one(table, case):
+    """Raise the coefficient of the first term of table[case] by 1."""
+    def mutate(monkeypatch):
+        (c, *rest), *others = table[case]
+        monkeypatch.setitem(table, case, ((c + 1, *rest), *others))
+    return mutate
+
+
+def _weight_plus_one(second):
+    """Raise the k = 4 weight of S_5(0), or of its reflected twin, by 1."""
+    def mutate(monkeypatch):
+        real = verify._lemma_weight
+
+        def weight(ell, b, k, twin):
+            w = real(ell, b, k, twin)
+            return (w + 1) % ell if (ell, b, k, twin) == (5, 0, 4, second) \
+                else w
+        monkeypatch.setattr(verify, "_lemma_weight", weight)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, check", [
+    (_first_plus_one(verify._LAMBERT, "U3"), partial(check_theorem2, "U3", 18)),
+    (_first_plus_one(verify._LAMBERT, "V3"), partial(check_theorem2, "V3", 18)),
+    (_first_plus_one(verify._PRODUCTS, "U5"),
+     partial(check_theorem2, "U5", 50)),
+    (_first_plus_one(verify._PRODUCTS, "V5"),
+     partial(check_theorem2, "V5", 50)),
+    (_first_plus_one(verify._PRODUCTS, "U7"),
+     partial(check_theorem2, "U7", 98)),
+    (_first_plus_one(verify._LAMBERT, "V7"), partial(check_theorem2, "V7", 98)),
+    (_first_plus_one(verify._LAMBERT, "V13"),
+     partial(check_theorem2, "V13", 338)),
+    (_weight_plus_one(False), partial(check_lemma_family, False, (5,), 40)),
+    (_weight_plus_one(True), partial(check_lemma_family, True, (5,), 40)),
+], ids=["theorem2_u3", "theorem2_v3", "theorem2_u5", "theorem2_v5",
+        "theorem2_u7", "theorem2_v7", "theorem2_v13", "lemma_main",
+        "lemma_second"])
+def test_lane_checks_fail_on_one_wrong_term(monkeypatch, mutate, check):
+    # negative control for the gating checks whose P-monomial sums run in
+    # Z/ell lanes: one term of the check's own construction changed must
+    # give fail inside the window, never pass or skipped
+    assert check().status == "pass"
+    mutate(monkeypatch)
+    rep = check()
+    assert rep.status == "fail"
+    assert rep.first_failure[0] < rep.prec
+
+
 @pytest.mark.parametrize("weights", [(15, 10), (16, 9)], ids=["16to15", "10to9"])
 @pytest.mark.parametrize("check", [partial(check_uv_oracle, n_max=25),
                                    partial(check_theorem1, n_max=40)],
