@@ -13,21 +13,21 @@ coefficients for a q-window of N.  The evaluator splits the terms of a sum
 by the residue of qpow mod ell, sums each residue class in x (so every
 power, inverse and group product is 1/ell as long as in q), and
 interleaves the class sums into one q-series.  Within a class one planner
-factors shared powers out of the terms (a sparse Horner scheme, _horner),
-so each distinct power multiplies a partial sum once instead of every
-term.  Over Z/m the plan runs on packed 64-bit lanes, one int multiply
-per product, reduced mod m only where a tracked bound would reach 2^64
-(_LaneSums); over ZZ, and for a modulus too large for one product to fit
-a lane, on LaurentSeries (_SeriesSums).  E(ell^2) and E(ell) are series
-in x too, keys "E" and "e" of the same basis, so a prefactor such as
-E(ell^2)^k / E(ell) becomes exponents merged into every term (_times),
-and Horner factors it out once per class; only the Lambert (T) terms, the
-powers of E(1) and the comparisons stay in q.  Every inverse of a basis
-series is a division by a sparse series, built the first time a term
-needs it.  The S_ell(b) representations (the lemma layer, _lemma_rhs) go
-through the same evaluator, one call per ell: each theta [q^{ell y};
-q^{ell^2}] there is sign * q^shift * P(a), by the theta normalization
-followed by the fold P(a) = P(ell - a) (_pjac).
+(_horner_sum) factors shared powers out of the terms, a sparse Horner
+scheme, so each distinct power multiplies a partial sum once instead of
+every term.  Over Z/m the plan runs on packed 64-bit lanes, one int
+multiply per product, reduced mod m only where a tracked bound would
+reach 2^64 (_LaneSums); over ZZ, and for a modulus too large for one
+product to fit a lane, on LaurentSeries (_SeriesSums).  E(ell^2) and
+E(ell) are series in x too, keys "E" and "e" of the same basis, so a
+prefactor such as E(ell^2)^k / E(ell) becomes exponents merged into every
+term (_times), and Horner factors it out once per class; only the Lambert
+(T) terms, the powers of E(1) and the comparisons stay in q.  Every
+inverse of a basis series is a division by a sparse series, built the
+first time a term needs it.  The S_ell(b) representations (the lemma
+layer, _lemma_rhs) go through the same evaluator, one call per ell: each
+theta [q^{ell y}; q^{ell^2}] there is sign * q^shift * P(a), by the theta
+normalization followed by the fold P(a) = P(ell - a) (_pjac).
 
 The identities of ecubed_dissect, eta_dissections and product_rules are
 data, module-level (name, ell, modulus, lhs, rhs) tuples over ZZ (modulus
@@ -161,7 +161,7 @@ def _monomial_sums(basis, step, prec, *term_lists):
     below x^n) ends the sum there.  Each power of a base is built once per
     call and shared by every class and every term list.
 
-    One plan (_horner) sums every class in every ring.  Over Z/m, when a
+    One plan (_horner_sum) sums every class in every ring.  Over Z/m, when a
     product of two canonical series fits a 64-bit lane (n (m - 1)^2 <
     2^64), it runs on packed lanes (_LaneSums): each power is packed into
     an int once per call and must lie on [0, n), a product is one int
@@ -172,11 +172,10 @@ def _monomial_sums(basis, step, prec, *term_lists):
     """
     ref = next(s for s in basis.values() if isinstance(s, LaurentSeries))
     ring, n, m = ref.ring, len(ref.coeffs), ref.ring.modulus
-    powers = {}
     if m is not None and not (n * (m - 1) ** 2) >> 64:
-        ev = _LaneSums(basis, powers, m, n)
+        ev = _LaneSums(basis, m, n)
     else:
-        ev = _SeriesSums(basis, powers, LaurentSeries.one(ring, n))
+        ev = _SeriesSums(basis, LaurentSeries.one(ring, n))
     for terms in term_lists:
         if not terms:
             raise ValueError("a sum of monomials needs at least one term")
@@ -190,8 +189,8 @@ def _monomial_sums(basis, step, prec, *term_lists):
                            if e}, key=repr)
             rows = [(c, t, tuple(exps.get(k, 0) for k in keys))
                     for c, t, exps in cls]
-            parts.append((r, *ev.read(_horner(ev, keys, rows,
-                                              range(len(keys)), 0))))
+            total = _horner_sum(ev, keys, rows, range(len(keys)), 0)
+            parts.append((r, *ev.read(total)))
         low = min(step * s + r for r, s, _ in parts)
         top = min(min(qpow for _, qpow, _ in terms) + prec,
                   *(step * (s + len(cs)) + r for r, s, cs in parts))
@@ -202,7 +201,7 @@ def _monomial_sums(basis, step, prec, *term_lists):
         yield LaurentSeries._canonical(ring, low, tuple(out))
 
 
-def _horner(ev, keys, rows, cols, done):
+def _horner_sum(ev, keys, rows, cols, done):
     """The sum of rows (c, t, exps), exps the exponents over keys (in repr
     order), with the columns not in cols factored out.  The rows of a node
     agree on every factored column, so done, the number of nonzero
@@ -244,17 +243,17 @@ def _horner(ev, keys, rows, cols, done):
             groups.setdefault(e, []).append(row)
         rest = [k for k in cols if k != j]
         for e in sorted(groups):
-            part = _horner(ev, keys, groups[e], rest, done + (e != 0))
+            part = _horner_sum(ev, keys, groups[e], rest, done + (e != 0))
             parts.append(ev.times(keys[j], e, part) if e else part)
     return ev.total(parts)
 
 
 class _SeriesSums:
-    """The parts of _horner as LaurentSeries, on the windows of series
+    """The parts of _horner_sum as LaurentSeries, on the windows of series
     arithmetic: [min low, min prec) for a sum."""
 
-    def __init__(self, basis, powers, one):
-        self.power, self.one = partial(_power, basis, powers), one
+    def __init__(self, basis, one):
+        self.power, self.one = partial(_power, basis, {}), one
 
     def term(self, c, t, key, e):
         f = self.one if key is None else self.power(key, e)
@@ -271,15 +270,17 @@ class _SeriesSums:
 
 
 class _LaneSums:
-    """The parts of _horner over Z/m as (low, v, bound): v packs the
+    """The parts of _horner_sum over Z/m as (low, v, bound): v packs the
     coefficients of x^low ... x^(low + n - 1), one per 64-bit lane, each
     lane nonnegative, at most bound and congruent to its coefficient.  A
-    term c x^t key^e has bound c (m - 1); a sum, shifted and masked to n
-    lanes, the sum of its parts' bounds; a product, n (m - 1) times its
-    part's, as a lane sums at most n products.  So no lane carries."""
+    term c x^t key^e has bound c (m - 1), and c x^t bound c; a sum,
+    shifted and masked to n lanes, the sum of its parts' bounds; a
+    product, n (m - 1) times its part's, as a lane sums at most n
+    products.  A part is reduced to bound m - 1 first where a bound would
+    reach 2^64, so no lane carries."""
 
-    def __init__(self, basis, powers, m, n):
-        self.power, self.m, self.n = partial(_power, basis, powers), m, n
+    def __init__(self, basis, m, n):
+        self.power, self.m, self.n = partial(_power, basis, {}), m, n
         self.grow, self.mask, self.packed = n * (m - 1), (1 << 64 * n) - 1, {}
 
     def _packed(self, key, e):
@@ -313,9 +314,8 @@ class _LaneSums:
         v = bound = 0
         for t, w, b in parts:
             if (bound + b) >> 64:
-                v, bound = self._reduced(v), self.m - 1
-                if (bound + b) >> 64:
-                    w, b = self._reduced(w), self.m - 1
+                v, w, bound, b = (self._reduced(v), self._reduced(w),
+                                  self.m - 1, self.m - 1)
             v += w << 64 * (t - low)
             bound += b
         return low, v & self.mask, bound
