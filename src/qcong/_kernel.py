@@ -57,6 +57,13 @@ the recurrence g_m = c_0**-1 (f_m - sum_{j>=1} d_j g_{m-j}) over the
 divisor's nonzero terms only, in length times terms plain-int steps.  A
 dense divisor goes through ``newton_invert`` and a product instead;
 nothing here chooses between the two, the call site does.
+
+A product by a sparse series packs nothing new either: ``sparse_mul``
+adds the packed operand shifted by each term's exponent, times its
+coefficient (a +-1 term adds or subtracts), and masks to the window.
+Every step is exact modulo 2**(slot bits * slots), so a chain of such
+products needs no headroom; the slot must only hold the values read
+back, which the call site bounds by sum |c| prod l1(factor).
 """
 
 from __future__ import annotations
@@ -211,6 +218,26 @@ def convolve(a, b, out_len, modulus=None):
             + terms.bit_length() + 2)
     nbytes = (bits + 7) // 8
     return unpack_signed(pack(a, nbytes) * pack(b, nbytes), out_len, nbytes)
+
+
+def sparse_mul(value, terms, nbytes, count):
+    """value, packed in count slots of nbytes, times the sparse series of
+    (exponent, coeff) terms in increasing exponent order: the sum of
+    c * (value << 8*nbytes*e), cut to count slots, a +-1 term with no
+    multiply.  Exact modulo 2**(8*nbytes*count) whatever the slots hold,
+    so only the slots read back (unpack_signed) must hold their values."""
+    bits = 8 * nbytes
+    out = 0
+    for e, c in terms:
+        if e >= count:
+            break
+        if c == 1:
+            out += value << bits * e
+        elif c == -1:
+            out -= value << bits * e
+        else:
+            out += c * value << bits * e
+    return out & ((1 << bits * count) - 1)
 
 
 def newton_invert(coeffs, lead_inverse, modulus=None):

@@ -143,9 +143,15 @@ def _end_division(su, sv):
     c = list(accumulate(a + (b << k) for a, b in zip(su, sv)))   # / (1 - q)
     c[0::2] = accumulate(c[0::2])        # / (1 - q^2), on each parity
     c[1::2] = accumulate(c[1::2])
-    quot = LaurentSeries(ZZ, 0, c).divide(euler_cube(1, len(c))).coeffs
+    return _split(LaurentSeries(ZZ, 0, c).divide(euler_cube(1, len(c))), k)
+
+
+def _split(quot, k):
+    """QU and QV, the low k bits and the arithmetic shift by k of each
+    coefficient of the series quot = QU + 2^k QV: exact when every QU lies
+    in [0, 2^k)."""
     low = (1 << k) - 1
-    return [x & low for x in quot], [x >> k for x in quot]
+    return [x & low for x in quot.coeffs], [x >> k for x in quot.coeffs]
 
 
 # colourings of two parts from four colours: of distinct sizes 4 * 4, of
@@ -303,12 +309,17 @@ def uv_series_def(prec):
 def uv_series_lambert(prec):
     """U(q) and V(q) as the double-pole sums over -2 E(1)^3.
 
-    E(1)^3 is Jacobi's sparse sum (euler_cube), so each quotient is the
+    E(1)^3 is Jacobi's sparse sum (euler_cube), so a quotient is the
     division recurrence over its sqrt(2 prec) terms (LaurentSeries.divide),
-    with no dense cube and no inverse."""
-    cube = euler_cube(1, prec)
-    return UVPair(*(double_pole_sum(w, prec).divide_exact(-2).divide(cube)
-                    for w in "uv"))
+    with no dense cube and no inverse.  It runs once, on NU + 2^K NV, the
+    numerators NU and NV over -2 packed with K = _split_bits(prec - 1), and
+    the quotient U + 2^K V is split as in _end_division: u(m), v(m) <=
+    p4(m) < 2^K there, so the split is exact."""
+    k = _split_bits(prec - 1)
+    nu, nv = (double_pole_sum(w, prec).divide_exact(-2).coeffs for w in "uv")
+    packed = LaurentSeries(ZZ, 0, [a + (b << k) for a, b in zip(nu, nv)])
+    return UVPair(*(LaurentSeries(ZZ, 0, cs) for cs in _split(
+        packed.divide(euler_cube(1, prec)), k)))
 
 
 def sequence_lines(name, values, origin):

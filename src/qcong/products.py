@@ -15,7 +15,8 @@ ring is requested, so the work is shared between rings.
 
 The checks divide by sparse products and never invert them densely: a
 quotient by E(m)^3 or by a triple_product is LaurentSeries.divide, a
-recurrence over the divisor's nonzero terms.  A finite identity whose
+recurrence over the divisor's nonzero terms, or, for the exact theta
+identities, is cleared of its denominators (verify._clear).  A finite identity whose
 blocks are 1/((q;q)_{n-k} (q;q)_{n+k}) is multiplied through by the unit
 (q;q)_{2n}, which turns every block into the Gaussian binomial [2n; n-k]_q
 (gaussian_binomials), an exact polynomial built with one shifted

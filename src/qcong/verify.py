@@ -15,10 +15,11 @@ power, inverse and group product is 1/ell as long as in q), and
 interleaves the class sums into one q-series.  Within a class one planner
 (_horner_sum) factors shared powers out of the terms, a sparse Horner
 scheme, so each distinct power multiplies a partial sum once instead of
-every term.  Over Z/m the plan runs on packed 64-bit lanes, one int
-multiply per product, reduced mod m only where a tracked bound would
-reach 2^64 (_LaneSums); over ZZ, and for a modulus too large for one
-product to fit a lane, on LaurentSeries (_SeriesSums).  E(ell^2) and
+every term.  The mod-ell sums (theorem2, the lemma layer, cross_lemma,
+conjectures) run the plan on packed 64-bit lanes, one int multiply per
+product, reduced mod m only where a tracked bound would reach 2^64
+(_LaneSums); a series basis over ZZ, or a modulus too large for one
+product to fit a lane, runs on LaurentSeries (_SeriesSums).  E(ell^2) and
 E(ell) are series in x too, keys "E" and "e" of the same basis, so a
 prefactor such as E(ell^2)^k / E(ell) becomes exponents merged into every
 term (_times), and Horner factors it out once per class; only the Lambert
@@ -33,7 +34,12 @@ The identities of ecubed_dissect, eta_dissections and product_rules are
 data, module-level (name, ell, modulus, lhs, rhs) tuples over ZZ (modulus
 None) or Z/modulus.  A side is a term list over _p_basis(ell), an int k
 for E(1)^k in q, or, on the right, None for 0; the checks select from
-these tables, and _identity_reports evaluates them.
+these tables, and _identity_reports evaluates them cleared: with P(a) =
+J(a) / E(ell^2), J(a) the sparse triple-product sum, both sides times the
+least monomial M that leaves no exponent negative are sums of products
+of sparse series, summed over ZZ as packed shift-adds (_SparseSums, and
+_sparse_side for E(1)^k M), with no theta, inverse or division.
+chan_identity is compared cleared of its theta denominators the same way.
 
 Windows come from the real q-shifts, not from fixed padding.  Each term
 starts at a support bound: a P-monomial at its qpow, a Lambert sum at its
@@ -51,6 +57,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 from importlib import resources
+from itertools import chain
+from inspect import signature
+from math import prod
 from operator import add, itemgetter
 from time import perf_counter
 
@@ -161,21 +170,28 @@ def _monomial_sums(basis, step, prec, *term_lists):
     below x^n) ends the sum there.  Each power of a base is built once per
     call and shared by every class and every term list.
 
-    One plan (_horner_sum) sums every class in every ring.  Over Z/m, when a
-    product of two canonical series fits a 64-bit lane (n (m - 1)^2 <
-    2^64), it runs on packed lanes (_LaneSums): each power is packed into
-    an int once per call and must lie on [0, n), a product is one int
-    multiply, and each partial sum carries a bound on its lanes, so lanes
-    are reduced mod m only where a bound would reach 2^64, and each class
-    is read back once.  Over ZZ, whose products cost more than the plan,
-    and for larger moduli it runs on LaurentSeries (_SeriesSums).
+    One plan (_horner_sum) sums every class.  A basis of sparse series,
+    each a list of (exponent, coeff) terms, is over ZZ on n = ceil(prec /
+    step), and its sums run as packed shift-adds with no inverse
+    (_SparseSums).  Over Z/m, when a product of two canonical series fits
+    a 64-bit lane (n (m - 1)^2 < 2^64), the plan runs on packed lanes
+    (_LaneSums): each power is packed into an int once per call and must
+    lie on [0, n), a product is one int multiply, and each partial sum
+    carries a bound on its lanes, so lanes are reduced mod m only where a
+    bound would reach 2^64, and each class is read back once.  Otherwise
+    (a series basis over ZZ, the tests' reference, or a larger modulus)
+    it runs on LaurentSeries (_SeriesSums).
     """
-    ref = next(s for s in basis.values() if isinstance(s, LaurentSeries))
-    ring, n, m = ref.ring, len(ref.coeffs), ref.ring.modulus
-    if m is not None and not (n * (m - 1) ** 2) >> 64:
-        ev = _LaneSums(basis, m, n)
+    if isinstance(next(iter(basis.values())), list):
+        ring, n = ZZ, -(-prec // step)
+        ev = _SparseSums(basis, n, term_lists)
     else:
-        ev = _SeriesSums(basis, LaurentSeries.one(ring, n))
+        ref = next(s for s in basis.values() if isinstance(s, LaurentSeries))
+        ring, n, m = ref.ring, len(ref.coeffs), ref.ring.modulus
+        if m is not None and not (n * (m - 1) ** 2) >> 64:
+            ev = _LaneSums(basis, m, n)
+        else:
+            ev = _SeriesSums(basis, LaurentSeries.one(ring, n))
     for terms in term_lists:
         if not terms:
             raise ValueError("a sum of monomials needs at least one term")
@@ -325,6 +341,53 @@ class _LaneSums:
         return low, _kernel._read_lanes(v, self.n, "Q", self.m)
 
 
+def _slot_bytes(bound):
+    """The fewest bytes of a signed slot that holds -bound .. bound."""
+    return (bound.bit_length() + 8) // 8
+
+
+class _SparseSums:
+    """The parts of _horner_sum over ZZ on a basis of sparse series, each
+    its (exponent, coeff) terms, as (low, v): v packs x^low ...
+    x^(low + n - 1) in n signed slots.  A product by key^e is e shift-add
+    passes (_kernel.sparse_mul), exact modulo 2^(8 nbytes n) as sums are,
+    so parts stay packed up to the read-back, and only the class sums
+    read back must fit: the slot holds sum |c| prod l1(key)^e over each
+    list's terms, l1 the sum of |coeff|.  Nothing is inverted, so a
+    negative exponent raises ValueError."""
+
+    def __init__(self, basis, n, term_lists):
+        self.basis, self.n, self.powers = basis, n, {}
+        l1 = {k: sum(abs(c) for _, c in terms) for k, terms in basis.items()}
+        bound = 0
+        for terms in term_lists:
+            if any(e < 0 for _, _, exps in terms for e in exps.values()):
+                raise ValueError("a sparse basis has no inverse")
+            bound = max(bound, sum(abs(c) * prod(l1[k] ** e for k, e in
+                                                 exps.items())
+                                   for c, _, exps in terms))
+        self.nbytes = _slot_bytes(bound)
+
+    def term(self, c, t, key, e):
+        if key is not None and (key, e) not in self.powers:
+            prev = self.term(1, 0, key, e - 1) if e > 1 else (0, 1)
+            self.powers[key, e] = self.times(key, 1, prev)[1]
+        return t, c if key is None else c * self.powers[key, e]
+
+    def times(self, key, e, part):
+        t, v = part
+        for _ in range(e):
+            v = _kernel.sparse_mul(v, self.basis[key], self.nbytes, self.n)
+        return t, v
+
+    def total(self, parts):
+        low = min(t for t, _ in parts)
+        return low, sum(v << 8 * self.nbytes * (t - low) for t, v in parts)
+
+    def read(self, part):
+        return part[0], _kernel.unpack_signed(part[1], self.n, self.nbytes)
+
+
 def _p_basis(ell, prec, ring):
     """The basis of _monomial_sums at step ell, built in x = q^ell on
     [0, ceil(prec / ell)), which stands for [0, prec) in q: P(a) =
@@ -350,6 +413,43 @@ def _theta_inverse(E, a, ell, n, ring):
     """1/P(a) on [0, n) in x = q^ell: E(ell^2) = (x^ell; x^ell)_inf, the
     series E, divided by the triple-product sum [x^a; x^ell] E."""
     return E.divide(triple_product(a, ell, n, ring))
+
+
+def _terms(s):
+    """The nonzero (exponent, coeff) terms of a series that starts at 0."""
+    return [(e, c) for e, c in enumerate(s.coeffs) if c]
+
+
+def _j_basis(ell, prec):
+    """_p_basis as sparse (exponent, coeff) terms, in x = q^ell on the
+    same window, with J(a) = triple_product(a, ell) = P(a) E(ell^2) in
+    place of P(a), "E": E(ell^2) and "e": E(ell)."""
+    n = -(-prec // ell)
+    basis = {a: _terms(triple_product(a, ell, n))
+             for a in range(1, (ell + 1) // 2)}
+    return basis | {"E": _terms(euler_E(ell, n)), "e": _terms(euler_E(1, n))}
+
+
+def _sparse_side(parts):
+    """The ZZ series sum c q^low (dense * prod factors) over parts (c, low,
+    length, dense, factors), each cut to [low, low + length), on
+    [min low, min (low + length)): dense packed once and each sparse
+    factor multiplied in by shift-adds, in a slot that holds
+    sum |c| max|dense| prod l1(factor), l1 the sum of |coeff|."""
+    nbytes = _slot_bytes(sum(
+        abs(c) * _kernel.max_abs(dense)
+        * prod(sum(abs(x) for _, x in f) for f in factors)
+        for c, _, _, dense, factors in parts))
+    low = min(lo for _, lo, _, _, _ in parts)
+    top = min(lo + n for _, lo, n, _, _ in parts)
+    v = 0
+    for c, lo, n, dense, factors in parts:
+        w = _kernel.pack(dense[:n], nbytes)
+        for f in factors:
+            w = _kernel.sparse_mul(w, f, nbytes, n)
+        v += c * w << 8 * nbytes * (lo - low)
+    return LaurentSeries._canonical(ZZ, low, tuple(
+        _kernel.unpack_signed(v, top - low, nbytes)))
 
 
 def _times(pre, terms):
@@ -387,27 +487,62 @@ def _cmp(check_id, lhs, rhs, prec, params=None):
                                  rhs.with_low(lo), prec, params)
 
 
+def _clear(pair):
+    """An identity's sides over _j_basis, and M: each P(a)^e is J(a)^e
+    E(ell^2)^-e, and each term list is multiplied by M, the Counter of
+    least exponents that leaves none negative; an int k (E(1)^k) or None
+    (0) is kept as it is."""
+    sides = [[(c, q, Counter({**x, "E": x.get("E", 0) - sum(
+        e for k, e in x.items() if k not in ("E", "e"))})) for c, q, x in s]
+        if isinstance(s, tuple) else s for s in pair]
+    unit = Counter()
+    for _, _, exps in chain(*(s for s in sides if isinstance(s, list))):
+        unit |= -exps
+    return [[(c, q, exps + unit) for c, q, exps in s]
+            if isinstance(s, list) else s for s in sides], unit
+
+
 def _identity_reports(idents, prec):
     """Per (name, ell, modulus, lhs, rhs) identity, in input order, the
-    report comparing its sides at prec.  The identities of one (ell,
-    modulus) share one basis, one _monomial_sums call and each E(1)^k, and
-    a group's series are dropped before the next group's are built."""
+    report comparing its sides at prec, cleared (_clear): with P(a) =
+    J(a) / E(ell^2), both sides times the monomial M are sums of products
+    of sparse series, term lists summed in x = q^ell (_SparseSums) and
+    E(1)^k M in q (_sparse_side), E(1)^k built once per group from
+    Jacobi's E(1)^3 and E(1).  M has constant term 1, so each identity
+    keeps its window, status and first-failure exponent; only a failure's
+    two coefficients are the cleared sides'.  A Z/m side is summed over
+    ZZ and reduced when read.  The identities of one (ell, modulus) share
+    one basis and one _monomial_sums call, dropped before the next's."""
     groups = {}
     for i, (name, ell, modulus, lhs, rhs) in enumerate(idents):
         groups.setdefault((ell, modulus), []).append((i, name, lhs, rhs))
     reports = [None] * len(idents)
     for (ell, modulus), group in groups.items():
-        ring = ZZ if modulus is None else Zmod(modulus)
-        sides = [s for _, _, *pair in group for s in pair]
-        sums = _monomial_sums(_p_basis(ell, prec, ring), ell, prec, *(
-            s for s in sides if s is not None and not isinstance(s, int)))
-        epow = {k: euler_E(1, prec, ring) ** k
-                for k in {s for s in sides if isinstance(s, int)}}
-        for i, name, *pair in group:
-            lhs, rhs = [epow[s] if isinstance(s, int)
-                        else None if s is None else next(sums) for s in pair]
+        basis = _j_basis(ell, prec)
+        cleared = [(i, name, *_clear(pair)) for i, name, *pair in group]
+        sums = _monomial_sums(basis, ell, prec, *(
+            s for _, _, sides, _ in cleared for s in sides
+            if isinstance(s, list)))
+        qbasis = {k: [(ell * e, c) for e, c in terms]
+                  for k, terms in basis.items()}
+        epow = {}
+        for i, name, sides, unit in cleared:
+            out = []
+            for s in sides:
+                if isinstance(s, int):
+                    if s not in epow:   # E(1)^k
+                        epow[s] = _sparse_side([(1, 0, prec, (1,), [
+                            _terms(euler_cube(1, prec))] * (s // 3) + [
+                            _terms(euler_E(1, prec))] * (s % 3))]).coeffs
+                    s = _sparse_side([(1, 0, prec, epow[s],
+                                       [qbasis[k] for k in unit.elements()])])
+                elif s is not None:
+                    s = next(sums)
+                out.append(s if s is None or modulus is None
+                           else s.reduce_mod(modulus))
+            lhs, rhs = out
             if rhs is None:
-                rhs = LaurentSeries.zeros(ring, lhs.low, lhs.prec)
+                rhs = LaurentSeries.zeros(lhs.ring, lhs.low, lhs.prec)
             reports[i] = _cmp(name, lhs, rhs, prec)
         del sums, epow
     return reports
@@ -757,17 +892,15 @@ _E10_MOD13 = tuple((c, e, _folded(13, ms)) for c, e, ms in (
 
 
 # base q^25: E(1) = E(25) (X - q - q^2/X) with X = P(2)/P(1), squared and
-# cubed; powers of X have smaller ZZ coefficients than powers of 1/P(1), so
-# the right sides are sums over the basis {X, E(25)}, not over _p_basis(5).
-# X is a quotient of two sparse triple-product sums (their E(25) factors
-# cancel), so X and 1/X each take one division and no inverse
-_ETA_D5 = tuple((name, 5, None, k, _times({"E": k}, terms))
-                for k, (name, terms) in enumerate((
-    ("eta:d5", ((1, 0, {"X": 1}), (-1, 1, {}), (-1, 2, {"X": -1}))),
-    ("eta:d5_square", ((1, 0, {"X": 2}), (-2, 1, {"X": 1}), (-1, 2, {}),
-                       (2, 3, {"X": -1}), (1, 4, {"X": -2}))),
-    ("eta:d5_cube", ((1, 0, {"X": 3}), (-3, 1, {"X": 2}), (5, 3, {}),
-                     (-3, 5, {"X": -2}), (-1, 6, {"X": -3})))), 1))
+# cubed; rows written as (coeff, qpow, the power of X)
+_ETA_D5 = tuple((name, 5, None, k, _times({"E": k}, tuple(
+    (c, qpow, {2: x, 1: -x}) for c, qpow, x in rows)))
+                for k, (name, rows) in enumerate((
+    ("eta:d5", ((1, 0, 1), (-1, 1, 0), (-1, 2, -1))),
+    ("eta:d5_square", ((1, 0, 2), (-2, 1, 1), (-1, 2, 0), (2, 3, -1),
+                       (1, 4, -2))),
+    ("eta:d5_cube", ((1, 0, 3), (-3, 1, 2), (5, 3, 0), (-3, 5, -2),
+                     (-1, 6, -3)))), 1))
 
 _ETA_DISSECTIONS = (
     # base q^49: E(1) = E(49) (P(2)/P(1) - q P(3)/P(2) - q^2 + q^5 P(1)/P(3))
@@ -798,15 +931,7 @@ def check_eta_dissections(prec=2000):
     and the merged fourteen-term shape, with its q^7 coefficient."""
     if prec < 8:
         raise ValueError(f"prec {prec} needs to be at least 8")
-    n = -(-prec // 5)
-    J1, J2 = triple_product(1, 5, n), triple_product(2, 5, n)
-    E1 = euler_E(1, prec, ZZ)
-    sums = _monomial_sums({"X": J2.divide(J1), "E": euler_E(5, n),
-                           ("X", -1): partial(J1.divide, J2)}, 5, prec,
-                          *(rhs for *_, rhs in _ETA_D5))
-    subs = [_cmp(name, E1 ** k, d5k, prec)
-            for (name, _, _, k, _), d5k in zip(_ETA_D5, sums)]
-    subs += _identity_reports(_ETA_DISSECTIONS, prec)
+    subs = _identity_reports(_ETA_D5 + _ETA_DISSECTIONS, prec)
     params = {"prec": prec,
               "e10_q7_coeff": (euler_E(1, 8, Zmod(13)) ** 10).coeff(7)}
     return merge_reports("eta_dissections", prec, subs, params)
@@ -1072,9 +1197,15 @@ def check_chan_identity(prec=200):
     builder.
 
     With J(x) = [x] E(M), the sparse triple-product sum (triple_product),
-    the sides are J(A) E(M)^3 / (J(B1) J(B2)) and sum J(x) T / J(y), with
-    E(M)^3 Jacobi's sparse sum: every quotient is a division by a sparse
-    series, and no theta is inverted."""
+    the sides are J(A) E(M)^3 / (J(B1) J(B2)) and sum J(x) T / J(y) over
+    the two T terms, with E(M)^3 Jacobi's sparse sum.  Each J(x) is
+    sign q^shift U(x), U(x) the sum folded onto 0 < r < M/2 (constant
+    term 1), and the two denominators are J(+-y), y = B2 - B1, which share
+    U(y).  So both sides are compared times U(B1) U(B2) U(y), which leaves
+    products of sparse series and one T (_sparse_side) and no division;
+    as in check_bailey_uv, the windows, statuses and first-failure
+    exponents are the quotients', and only a failure's two coefficients
+    are the cleared sides'."""
     subs = []
     for M in (9, 25, 49, 169):
 
@@ -1094,14 +1225,25 @@ def check_chan_identity(prec=200):
             starts.append(shift(A) - shift(B1) - shift(B2))
             points.append((A, B1, B2, tterms))
         N = _length(prec, starts)
-        EM3 = euler_cube(M, N)
+        EM3, units = _terms(euler_cube(M, N)), {}
 
         def J(x):
-            return triple_product(x, M, N)
+            sign, sh, r = _theta_normalize(x, M)
+            r = min(r, M - r)
+            if r not in units:
+                units[r] = _terms(triple_product(r, M, N))
+            return sign, sh, units[r]
 
         for A, B1, B2, tterms in points:
-            lhs = (J(A) * EM3).divide(J(B1)).divide(J(B2))
-            rhs = reduce(add, ((J(x) * t).divide(J(y)) for x, y, t in tterms))
+            (sA, hA, uA), (s1, h1, u1), (s2, h2, u2), (_, _, uy) = map(
+                J, (A, B1, B2, B2 - B1))
+            lhs = _sparse_side([(sA * s1 * s2, hA - h1 - h2, N, (1,),
+                                 [uA, EM3, uy])])
+            rhs = _sparse_side([
+                (sx * sd, hx - hd + t.low, min(N, len(t.coeffs)), t.coeffs,
+                 [ux, u1, u2])
+                for (sx, hx, ux), (sd, hd, _), t in (
+                    (J(x), J(d), t) for x, d, t in tterms)])
             subs.append(_cmp(f"chan:A={A},B1={B1},B2={B2},M={M}",
                              lhs, rhs, prec))
     return merge_reports("chan_identity", prec, subs, {"prec": prec})
@@ -1331,12 +1473,14 @@ def ensure_suite_covers_registry():
 
 def _params(check_id, overrides):
     """The parameters run_check passes: the registered defaults, with the
-    overrides that are set and name a parameter the check takes."""
+    overrides that are set and name a parameter the registered callable
+    takes (a default in its signature counts, as do partials)."""
     if check_id not in REGISTRY:
         raise KeyError(f"unknown check {check_id!r}")
     params = dict(REGISTRY[check_id].defaults)
+    takes = signature(REGISTRY[check_id].fn).parameters
     for k, v in (overrides or {}).items():
-        if v is not None and k in params:
+        if v is not None and k in takes:
             params[k] = v
     return params
 

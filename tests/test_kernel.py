@@ -281,6 +281,57 @@ def test_sparse_divide_undoes_the_product(length, modulus):
         assert all(0 <= c < modulus for c in g)
 
 
+# sparse_mul ----------------------------------------------------------------------
+
+def sparse_dense(terms, length):
+    cs = [0] * length
+    for e, c in terms:
+        if e < length:
+            cs[e] = c
+    return cs
+
+
+@pytest.mark.parametrize("nbytes", WIDTHS)
+def test_sparse_mul_matches_the_dense_product(nbytes):
+    # +-1 terms, wider coefficients and exponents at and past the window;
+    # the dense factor fills its slots to the signed bound, so the product
+    # fits only because its sparse factor has one term of size 1
+    rng = random.Random(nbytes)
+    top = (1 << (8 * nbytes - 1)) - 1
+    for count in (1, 2, 9, 40):
+        dense = [rng.randrange(-top, top + 1) for _ in range(count)]
+        for terms in ([(0, 1)], [(0, -1)], [(count - 1, -1)], [(count, 1)],
+                      [(rng.randrange(count), 1)]):
+            got = _kernel.sparse_mul(_kernel.pack(dense, nbytes), terms,
+                                     nbytes, count)
+            assert _kernel.unpack_signed(got, count, nbytes) == \
+                naive_convolve(dense, sparse_dense(terms, count), count)
+        small = [rng.randrange(-3, 4) for _ in range(count)]
+        terms = sorted({(rng.randrange(2 * count), 0) for _ in range(6)})
+        terms = [(e, rng.choice((1, -1, 2, -7))) for e, _ in terms]
+        got = _kernel.sparse_mul(_kernel.pack(small, nbytes), terms, nbytes,
+                                 count)
+        assert _kernel.unpack_signed(got, count, nbytes) == \
+            naive_convolve(small, sparse_dense(terms, count), count)
+
+
+@pytest.mark.parametrize("nbytes", [1, 2, 9])
+def test_sparse_mul_chain_is_exact_modulo_the_window(nbytes):
+    # times (1 - q)^40 and then 40 times by 1 / (1 - q) = sum q^e on the
+    # window: the transients reach C(40, 20) > 2^37 times the start, far
+    # past a 1- or 2-byte slot, yet every step is exact modulo the window,
+    # so the start comes back
+    rng = random.Random(nbytes)
+    count = 50
+    start = [rng.randrange(-9, 10) for _ in range(count)]
+    v = _kernel.pack(start, nbytes)
+    geometric = [(e, 1) for e in range(count + 3)]
+    for terms in [[(0, 1), (1, -1)]] * 40 + [geometric] * 40:
+        v = _kernel.sparse_mul(v, terms, nbytes, count)
+        assert 0 <= v < 1 << 8 * nbytes * count
+    assert _kernel.unpack_signed(v, count, nbytes) == start
+
+
 # PackedSeries ------------------------------------------------------------------
 
 LENGTH = 29

@@ -6,6 +6,7 @@ import pytest
 
 from qcong import cli, partitions, verify
 from qcong._kernel import PackedSeries
+from qcong.lambert import double_pole_sum
 from qcong.partitions import (
     count_table,
     sequence_lines,
@@ -487,6 +488,18 @@ def test_def_and_lambert_routes_agree():
     l = uv_series_lambert(300)
     assert d.u == l.u
     assert d.v == l.v
+
+
+@pytest.mark.parametrize("prec", [*range(1, 40), 300, 1001])
+def test_lambert_split_matches_two_divisions(prec):
+    # one division of NU + 2^K NV by E(1)^3, split by a mask and a shift,
+    # against each numerator divided on its own
+    cube = euler_cube(1, prec)
+    want = [double_pole_sum(w, prec).divide_exact(-2).divide(cube)
+            for w in "uv"]
+    got = uv_series_lambert(prec)
+    for g, w in zip(got, want):
+        assert (g.low, g.prec, g.coeffs) == (w.low, w.prec, w.coeffs)
 
 
 def test_p_count_values():

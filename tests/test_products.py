@@ -317,23 +317,38 @@ def test_basis_inverses_are_sparse_quotients_equal_to_newton(monkeypatch,
             assert built[k].coeffs == want.coeffs, (ell, prec, k)
 
 
-def test_eta_quotient_inverse_is_a_sparse_quotient(monkeypatch):
-    # X = P(2)/P(1) at base q^25, and 1/X = J(1)/J(2) with the E(25)
-    # factors cancelled, against the Newton inverse of X
-    seen = []
-    real = verify._monomial_sums
+def q_unit(ell, unit, prec):
+    """The monomial unit = {key: e} over _j_basis(ell), built in q on
+    [0, prec) from dense series: J(a) = [q^{ell a}; q^{ell^2}] E(ell^2)."""
+    series = {a: triple_product(ell * a, ell * ell, prec)
+              for a in range(1, (ell + 1) // 2)}
+    series |= {"E": euler_E(ell * ell, prec), "e": euler_E(ell, prec)}
+    return reduce(lambda f, k: f * series[k], unit.elements(),
+                  LaurentSeries.one(ZZ, prec))
 
-    def recording(basis, *args):
-        seen.append(basis)
-        return real(basis, *args)
 
-    monkeypatch.setattr(verify, "_monomial_sums", recording)
-    assert verify.check_eta_dissections(prec=300).status == "pass"
-    basis = seen[0]
-    built = basis["X", -1]()
-    want = basis["X"].invert()
-    assert (built.low, built.prec) == (want.low, want.prec) == (0, 60)
-    assert built.coeffs == want.coeffs
+@pytest.mark.parametrize("ident", [*verify._PRODUCT_RULES[2:],
+                                   *verify._ETA_D5],
+                         ids=lambda ident: ident[0])
+def test_cleared_sides_are_the_series_sides_times_the_unit(ident):
+    # each term-list side of r1-r21 and of the eta:d5 family, summed on
+    # the sparse basis after clearing, against its sum on the dense
+    # _p_basis (the LaurentSeries path, which inverts by sparse division)
+    # times the unit M, in window and coefficients
+    name, ell, _, lhs, rhs = ident
+    prec = 300
+    sides, unit = verify._clear((lhs, rhs))
+    assert min(unit.values()) > 0
+    M = q_unit(ell, unit, prec)
+    assert M.coeffs[0] == 1
+    for side, cleared in zip((lhs, rhs), sides):
+        if not isinstance(side, tuple):
+            continue
+        [want] = _monomial_sums(_p_basis(ell, prec, ZZ), ell, prec, side)
+        [got] = _monomial_sums(verify._j_basis(ell, prec), ell, prec, cleared)
+        want = want * M
+        assert (got.low, got.prec) == (want.low, want.prec)
+        assert got.coeffs == want.coeffs
 
 
 def test_cap_P_symmetry():
@@ -506,16 +521,94 @@ def test_monomial_sums_reject_an_empty_term_list():
         next(sums)
 
 
+def sparse_basis(rng, keys, n):
+    """Random sparse series on [0, n) for keys, each with a term at x^0,
+    some with coefficients far past 64 bits."""
+    basis = {}
+    for k in keys:
+        top = rng.choice((1, 5, 2 ** 70))
+        exps = sorted({0, *rng.sample(range(1, 2 * n + 5), rng.randrange(6))})
+        basis[k] = [(e, rng.choice((1, -1)) * rng.randrange(1, top + 1))
+                    for e in exps]
+    return basis
+
+
+@pytest.mark.parametrize("step, prec", [(1, 40), (3, 40), (7, 50), (13, 5)])
+def test_sparse_sums_match_the_series_path(step, prec):
+    # the sparse backend against the same basis as dense series on
+    # [0, n), n = ceil(prec / step): windows and coefficients, with
+    # several classes, repeated exponent vectors and terms with no factor
+    rng = random.Random(step * 100 + prec)
+    n = -(-prec // step)
+    basis = sparse_basis(rng, ["A", "B", 1, 2], n)
+    dense = {}
+    for k, terms in basis.items():
+        cs = [0] * n
+        for e, c in terms:
+            if e < n:
+                cs[e] = c
+        dense[k] = LaurentSeries(ZZ, 0, cs)
+    lists = []
+    for _ in range(12):
+        terms = []
+        for _ in range(rng.randrange(1, 9)):
+            exps = (dict(rng.choice(terms)[2]) if terms and rng.random() < 0.3
+                    else {k: rng.randrange(0, 4)
+                          for k in rng.sample(list(basis), rng.randrange(5))})
+            terms.append((rng.randrange(-30, 31), rng.randrange(-9, 30), exps))
+        lists.append(terms)
+    got = list(_monomial_sums(basis, step, prec, *lists))
+    want = list(_monomial_sums(dense, step, prec, *lists))
+    for g, w in zip(got, want, strict=True):
+        assert (g.low, g.prec) == (w.low, w.prec)
+        assert g.coeffs == w.coeffs
+
+
+def test_sparse_sums_refuse_a_negative_exponent():
+    basis = {"F": [(0, 1), (1, -1)]}
+    sums = _monomial_sums(basis, 1, 10, [(1, 0, {"F": 2})],
+                          [(1, 0, {"F": -1})])
+    with pytest.raises(ValueError, match="no inverse"):
+        next(sums)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 9, 12])
+def test_sparse_slot_holds_its_bound_exactly(monkeypatch, width, sign):
+    # a sum whose coefficient reaches the bound sum |c| prod l1^e decodes
+    # exactly at the chosen width; one unit more takes the next width,
+    # never a wrapped value.  The factor is the one-term series c x^0,
+    # raised to a power, and a term with no factor tops the sum up
+    widths = []
+    decode = _kernel.unpack_signed
+
+    def spy(value, count, nbytes):
+        widths.append(nbytes)
+        return decode(value, count, nbytes)
+    monkeypatch.setattr(_kernel, "unpack_signed", spy)
+    for extra, want_width in ((0, width), (1, width + 1)):
+        bound = (1 << (8 * width - 1)) - 1 + extra
+        k = bound // 3 ** 5
+        # -k (-3 sign)^5 + sign (bound - 3^5 k) = sign bound
+        terms = [(-k, 0, {"F": 5}), (sign * (bound - k * 3 ** 5), 0, {})]
+        widths.clear()
+        [got] = _monomial_sums({"F": [(0, -3 * sign)]}, 1, 3, terms)
+        assert widths == [want_width]
+        assert got.coeffs == (sign * bound, 0, 0)
+
+
 def count_products(monkeypatch):
-    """{"zz" or "mod": calls}, counting every product of a partial sum with
-    a power that _monomial_sums makes, in lanes or on series."""
-    counts = {"zz": 0, "mod": 0}
-    for cls in (verify._LaneSums, verify._SeriesSums):
+    """{"zz", "mod" or "sparse": calls}, counting every product of a
+    partial sum with a power that _monomial_sums makes, on series, in
+    lanes or as shift-adds on a sparse basis."""
+    counts = {"zz": 0, "mod": 0, "sparse": 0}
+    for cls in (verify._LaneSums, verify._SeriesSums, verify._SparseSums):
         real = cls.times
 
         def times(self, key, e, part, real=real):
             zz = isinstance(part, LaurentSeries) and part.ring == ZZ
-            counts["zz" if zz else "mod"] += 1
+            counts["sparse" if isinstance(self, verify._SparseSums)
+                   else "zz" if zz else "mod"] += 1
             return real(self, key, e, part)
         monkeypatch.setattr(cls, "times", times)
     return counts
@@ -548,20 +641,22 @@ def test_monomial_sums_share_products_on_the_13_tables(monkeypatch, name):
 
 
 @pytest.mark.parametrize("run, want", [
-    (partial(verify._theorem2_rhs, "U13", 400), {"zz": 0, "mod": 379}),
-    (partial(verify._theorem2_rhs, "V13", 400), {"zz": 0, "mod": 364}),
-    (partial(verify.check_product_rules, 2000), {"zz": 97, "mod": 12}),
-    (partial(verify.check_eta_dissections, 1000), {"zz": 14, "mod": 131}),
+    (partial(verify._theorem2_rhs, "U13", 400), {"mod": 379}),
+    (partial(verify._theorem2_rhs, "V13", 400), {"mod": 364}),
+    (partial(verify.check_product_rules, 2000), {"sparse": 145}),
+    (partial(verify.check_eta_dissections, 1000), {"sparse": 164}),
     (partial(verify.check_lemma_family, False, ells=(3, 5), prec=150),
-     {"zz": 0, "mod": 31}),
+     {"mod": 31}),
 ], ids=["U13", "V13", "product_rules", "eta_dissections", "lemma_main"])
 def test_horner_plans_make_the_pinned_products(monkeypatch, run, want):
     # the planner's greedy choices (the key with the fewest distinct
     # exponents among a node's multi-factor terms, ties to the lower repr)
-    # make exactly these products; a planner change that adds one fails
+    # make exactly these products; a planner change that adds one fails.
+    # The cleared identities of product_rules and eta_dissections run on
+    # the sparse basis only, the Z/ell sums in lanes only
     counts = count_products(monkeypatch)
     run()
-    assert counts == want
+    assert counts == {"zz": 0, "mod": 0, "sparse": 0} | want
 
 
 def _rule_lists():

@@ -327,19 +327,27 @@ def test_small_prec_reports_or_names_the_least_prec(check_id, head):
 def test_product_rules_convolve_on_x_length_only(monkeypatch):
     # every prefactor is a basis key built in x = q^ell, so no product is
     # longer than the ceil(2000 / 5) = 400 of the mod-5 blocks; the
-    # (E(25)^2)^-1 built in q once reached 2000
-    lengths = []
-    real = _kernel.convolve
+    # (E(25)^2)^-1 built in q once reached 2000.  The cleared rules are
+    # sparse products, so they make no convolve call at all, and every
+    # shift-add pass runs on an x-window
+    lengths, passes = [], []
+    real, sparse = _kernel.convolve, _kernel.sparse_mul
 
     def recording(a, b, out_len, modulus=None):
         lengths.append(out_len)
         return real(a, b, out_len, modulus)
 
+    def counted(value, terms, nbytes, count):
+        passes.append(count)
+        return sparse(value, terms, nbytes, count)
+
     monkeypatch.setattr(_kernel, "convolve", recording)
     monkeypatch.setattr(products, "convolve", recording)
+    monkeypatch.setattr(_kernel, "sparse_mul", counted)
     products._jacobi_unit_coeffs.cache_clear()
     assert check_product_rules(prec=2000).status == "pass"
-    assert lengths and max(lengths) <= 400
+    assert lengths == []
+    assert passes and max(passes) <= 400
 
 
 def test_lemma_family_counts_exclusions():
@@ -676,7 +684,9 @@ def _mutate_lemma_weight(monkeypatch):
     (_mutate_lemma_weight, partial(check_cross_lemma, ells=(5,), prec=60)),
 ], ids=["uv_dual", "chan_identity", "cross_lemma"])
 def test_quotient_checks_fail_on_one_wrong_term(monkeypatch, mutate, check):
-    # negative control for the checks that divide by a sparse product: one
+    # negative control for the checks built on quotients by sparse
+    # products: uv_dual and cross_lemma divide by E(1)^3, chan_identity
+    # compares its quotients cleared of their theta denominators.  One
     # term of the check's own construction changed must give fail inside
     # the window, never pass or skipped
     assert check().status == "pass"
@@ -755,8 +765,7 @@ def test_uv_checks_fail_on_one_wrong_tail_weight(monkeypatch, check, weights):
     assert rep.first_failure[0] <= rep.prec
 
 
-# every lifted identity, and the tables it comes from; the eta:d5* right
-# sides are over {X, E(25)}, so check_eta_dissections evaluates those
+# every lifted identity, and the tables it comes from
 _LIFTED = [*verify._PRODUCT_RULES, *verify._MOD7_CLASSES,
            *verify._ETA_DISSECTIONS, *verify._ETA_D5,
            *(ident for ell in range(3, 14, 2) for ident in verify._ecubed(ell))]
@@ -772,22 +781,17 @@ def _plus_one(ident):
         name, ell, modulus, lhs, side)
 
 
-def _lifted_report(monkeypatch, ident):
-    d5 = verify._ETA_D5
-    if ident[0] in [name for name, *_ in d5]:
-        monkeypatch.setattr(verify, "_ETA_D5", tuple(
-            ident if old[0] == ident[0] else old for old in d5))
-        return check_eta_dissections(prec=60)
+def _lifted_report(ident):
     [rep] = verify._identity_reports([ident], 60)
     return rep
 
 
 @pytest.mark.parametrize("ident", _LIFTED, ids=lambda ident: ident[0])
-def test_lifted_identity_fails_on_one_wrong_coefficient(monkeypatch, ident):
+def test_lifted_identity_fails_on_one_wrong_coefficient(ident):
     # negative control: the identity holds at prec 60, and with one
     # coefficient off by 1 it gives fail there, never pass or skipped
-    assert _lifted_report(monkeypatch, ident).status == "pass"
-    assert _lifted_report(monkeypatch, _plus_one(ident)).status == "fail"
+    assert _lifted_report(ident).status == "pass"
+    assert _lifted_report(_plus_one(ident)).status == "fail"
 
 
 def test_lifted_identities_cover_every_table_entry(monkeypatch):
@@ -802,7 +806,6 @@ def test_lifted_identities_cover_every_table_entry(monkeypatch):
     monkeypatch.setattr(verify, "_identity_reports", recording)
     for check_id in ("product_rules", "eta_dissections", "ecubed_dissect"):
         assert run_check(check_id, {"prec": 60}).status == "pass"
-    seen += [name for name, *_ in verify._ETA_D5]
     assert sorted(seen) == sorted(ident[0] for ident in _LIFTED)
     assert len(set(seen)) == len(seen)
     # a side compared with an identical one could only pass
@@ -842,6 +845,33 @@ def test_lifted_identities_are_each_stated_once():
     keys = [(ell, modulus, _multiset(lhs), _multiset(rhs))
             for _, ell, modulus, lhs, rhs in _LIFTED]
     assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("check_id", ["product_rules", "eta_dissections",
+                                      "ecubed_dissect", "chan_identity"])
+def test_cleared_checks_divide_nothing(monkeypatch, small_checks, check_id):
+    # the exact theta identities are compared cleared of their
+    # denominators: no sparse division and no dense P(a) basis
+    def refuse(*args):
+        raise AssertionError("divided or built a dense basis")
+
+    monkeypatch.setattr(_kernel, "sparse_divide", refuse)
+    monkeypatch.setattr(verify, "_p_basis", refuse)
+    assert run_check(check_id).status == "pass"
+
+
+def test_rule_r4_fails_where_its_third_term_starts():
+    # r4's third term is q^39 P(4) P(1)^3; with its coefficient raised by
+    # 1 the sides differ by that term, whose first coefficient is q^39's.
+    # Clearing multiplies by a unit with constant term 1, so the cleared
+    # sides first differ there too
+    first, second, (c, qpow, exps) = verify._RULES13[3]
+    assert qpow == 39
+    mutant = (first, second, (c + 1, qpow, exps))
+    [rep] = verify._identity_reports(
+        [("rules:r4", 13, None, mutant, None)], 300)
+    assert rep.status == "fail"
+    assert rep.first_failure[0] == 39
 
 
 def test_t_functional_eq_small():
@@ -927,6 +957,17 @@ def test_run_check_applies_only_known_overrides():
     assert r.status == "pass"
     assert r.params["n_max"] == 8
     assert r.wall_time is not None
+
+
+@pytest.mark.parametrize("check_id, prec", [("lemma_main", 150),
+                                            ("pole_split", 60)])
+def test_run_check_keeps_overrides_the_check_takes(check_id, prec):
+    # ells has no registered default here, but the check takes it
+    assert "ells" not in REGISTRY[check_id].defaults
+    rep = run_check(check_id, {"prec": prec, "ells": [3, 5]})
+    assert rep.status == "pass"
+    assert rep.params["ells"] == [3, 5]
+    assert rep.params["subchecks"] == 2 if check_id == "pole_split" else 16
 
 
 def test_small_checks_cover_the_registry(small_checks):
