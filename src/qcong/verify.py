@@ -60,7 +60,7 @@ from importlib import resources
 from itertools import chain
 from inspect import signature
 from math import prod
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from time import perf_counter
 
 from . import _kernel
@@ -554,7 +554,7 @@ def _identity_reports(idents, prec):
 
 def _alpha(pair, k):
     """alpha_k for the u and v pairs, k >= 1, as its two (coeff, exponent)
-    terms; a zero coefficient is kept, so k = 1 always has a term at q^0."""
+    terms."""
     base = k * (k - 1) // 2
     hi, lo = k * (k + 1) // 2, k * (k - 1) // 2
     sign = 1 if (k + 1) % 2 == 0 else -1
@@ -564,168 +564,86 @@ def _alpha(pair, k):
 
 
 def _binomial_sum(rows, terms, length):
-    """sum of c q^e rows[j] over the (c, e, j) terms, rows[j] the exact
-    coefficient list of [2n; j]_q: the cleared form of the sum of
-    c q^e / ((q;q)_j (q;q)_{2n-j}), on that sum's window [low, low +
-    length), low the least e."""
-    low = min(e for _, e, _ in terms)
+    """sum of c q^e rows[j] over the (c, e, j) terms, e >= 0, rows[j] the
+    exact coefficient list of [2n; j]_q, on [0, length)."""
     cs = [0] * length
     for c, e, j in terms:
-        i = e - low
-        row = rows[j][:max(length - i, 0)]
-        cs[i:i + len(row)] = map(add, cs[i:i + len(row)], map(c.__mul__, row))
-    return LaurentSeries(ZZ, low, cs)
+        row = rows[j][:length - e]
+        cs[e:e + len(row)] = map(add, cs[e:e + len(row)], map(c.__mul__, row))
+    return LaurentSeries(ZZ, 0, cs)
 
 
-def check_bailey_uv(n_max=12, prec=150):
-    """beta_n = sum_k alpha_k / ((q;q)_{n-k} (q;q)_{n+k}) for both pairs,
-    compared as cleared numerators: times the unit (q;q)_{2n}, beta_n is
-    (q;q)_{n-1}^2 and each block the Gaussian binomial [2n; n-k]_q.
+def check_bailey_uv(n_max=12):
+    """beta_n = sum_k alpha_k / ((q;q)_{n-k} (q;q)_{n+k}) for both pairs and
+    n = 1..n_max, compared as whole polynomials: times (q;q)_{2n}, beta_n
+    is (q;q)_{n-1}^2 (times q^n for v) and each block the Gaussian binomial
+    [2n; n-k]_q.  Every side has degree at most n_max^2, so each is
+    compared on all of [0, n_max^2 + n_max + 1), the report's prec.
 
-    A unit with constant term 1 keeps equality below q^prec, so each
-    subcheck has the window, status and first-failure exponent of the
-    quotients; only a failure's two coefficients are the numerators'.
-    Both pairs share beta_n up to a shift and the Gaussian binomials of
-    2n, so these are built once per n and dropped before the next n."""
+    This also proves the second x-derivative of the finite triple product
+    at x = 1 and x = 1/q.  With c_j = (-1)^j q^{j(j+1)/2} [2n; n+j]_q the
+    x^j coefficient of (xq, 1/x; q)_n (proved by check_finite_jtp), pairing
+    j with -j gives, as exact polynomials,
+      sum_j j(j-1) c_j          = -2 sum_k alpha^u_k [2n; n-k]_q,
+      sum_j j(j-1) c_j q^{2-j}  = -2 q^2 sum_k alpha^v_k [2n; n-k]_q,
+    and this check equates the right sides with -2 and -2 q^2 times the
+    cleared beta_n, the closed forms of those derivatives."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if prec <= n_max * (n_max + 1) // 2:
-        raise ValueError(f"prec {prec} too small for n_max {n_max}")
-    poch = [pochhammer_finite(1, k, prec) for k in range(n_max)]
+    length = n_max * (n_max + 1) + 1
+    poch = [pochhammer_finite(1, k, length) for k in range(n_max)]
     subs = {"u": [], "v": []}
     for n in range(1, n_max + 1):
         beta = poch[n - 1] ** 2
         rows = gaussian_binomials(2 * n)
         for pair, lhs in (("u", beta), ("v", beta.shift(n))):
             rhs = _binomial_sum(rows, [(c, e, n - k) for k in range(1, n + 1)
-                                       for c, e in _alpha(pair, k)], prec)
-            subs[pair].append(_cmp(f"bailey:{pair},n={n}", lhs, rhs, prec))
-    rep = merge_reports("bailey_uv", prec, subs["u"] + subs["v"],
-                        {"n_max": n_max, "prec": prec})
+                                       for c, e in _alpha(pair, k)], length)
+            subs[pair].append(_cmp(f"bailey:{pair},n={n}", lhs, rhs, length))
+    rep = merge_reports("bailey_uv", length, subs["u"] + subs["v"],
+                        {"n_max": n_max})
     if rep.status == "pass":
         rep.notes = "n=0 entries of both pairs are 0 by definition"
     return rep
 
 
-def _jtp_sums(t, n):
-    """The symmetric and the paired right side of the finite triple product
-    at x = q^t, as (sign, shift, j) terms, each standing for
-    sign * q^shift / ((q;q)_{n-|j|} (q;q)_{n+|j|})."""
-    sym = [(-1 if j % 2 else 1, t * j + j * (j + 1) // 2, j)
-           for j in range(-n, n + 1)]
-    paired = [(1, 0, 0)]
-    for j in range(1, n + 1):
-        sign = -1 if j % 2 else 1
-        paired += [(sign, j * (j - 1) // 2 - t * j, j),
-                   (sign, j * (j - 1) // 2 + t * j + j, j)]
-    return sym, paired
-
-
-def check_finite_jtp(n_max=10, prec=200):
-    """Finite triple product at x = q^t, t = 1, 2, 3, both the symmetric
-    bilateral sum and the paired form with head 1/(q;q)_n^2 and per-term
-    bracket (x^-j + x^j q^j).
-
-    x = q^(-1-t) states the same identity as x = q^t (the two numerator
-    factors swap, and j -> -j maps one sum onto the other), so no t < 0
-    is checked; t = 0 has the factor 1-q^0 at every n >= 1.  Points where
-    a numerator factor degenerates to 1-q^0 (n > t) are listed and not
-    compared, except t = 1, which stays in as an exact zero = zero
-    polynomial identity.
-
-    Both sides are compared as cleared numerators, times the unit
-    (q;q)_{2n}: (q^{1+t};q)_n (q^{-t};q)_n against the sum of
-    +-q^shift [2n; n-|j|]_q, on the windows of the quotients, so every
-    subcheck keeps its window, status and first-failure exponent (see
-    check_bailey_uv).  Every right-side term starts at its q-shift, and
-    the left side at the sum of the negative exponents of (q^-t;q)_n, so
-    the shared length is prec minus the lowest start.
-    """
-    cases, skipped = [], []
-    for t in (1, 2, 3):
-        for n in range(n_max + 1):
-            if t > 1 and n > t:
-                skipped.append((t, n))
-            else:
-                cases.append((t, n, *_jtp_sums(t, n)))
-    starts = [0]
-    for t, n, sym, paired in cases:
-        starts.append(sum(min(e, 0) for e in range(-t, n - t)))
-        starts += [shift for _, shift, _ in sym + paired]
-    wprec = _length(prec, starts)
-    # the Gaussian binomials depend on n alone: visit the cases by n, so
-    # every t shares one n's rows and only those are held, and report in
-    # case order
-    reports = [None] * len(cases)
-    rows_n = None
-    for i, (t, n, sym, paired) in sorted(enumerate(cases),
-                                         key=lambda c: c[1][1]):
-        if n != rows_n:
-            rows_n, rows = n, gaussian_binomials(2 * n)
-        lhs = (pochhammer_finite(1 + t, n, wprec)
-               * pochhammer_finite(-t, n, wprec))
-        reports[i] = [
-            _cmp(f"jtp:{form},t={t},n={n}", lhs, _binomial_sum(
-                rows, [(sign, shift, n - abs(j)) for sign, shift, j in terms],
-                wprec), prec)
-            for form, terms in (("sym", sym), ("paired", paired))]
-    subs = [r for pair in reports for r in pair]
-    params = {"n_max": n_max, "prec": prec,
-              "skipped_params": [list(x) for x in skipped]}
-    rep = merge_reports("finite_jtp", prec, subs, params)
-    if skipped and rep.status == "pass":
-        rep.notes = "not compared (vanishing factor): " + ", ".join(
-            str(x) for x in skipped)
-    return rep
-
-
-def _x_coeffs(factors, prec):
-    """prod (1 - q^s x^d) over factors (s, d), d = +-1, as a polynomial in
-    x: {k: c_k} with c_k a series in q.  A factor maps c_k to
-    c_k - q^s c_{k-d}, one shift and one subtraction.  Every c_k starts at
-    its own support (a sum of shifts) and reaches at least prec."""
-    c = {0: LaurentSeries.one(ZZ, prec)}
+def _x_coeffs(c, factors):
+    """c times prod (1 - q^s x^d) over factors (s, d), s >= 0, d = +-1, for
+    c a polynomial in x, {k: c_k}, each c_k the coefficient list of a
+    polynomial in q, all of one length past which the product is cut.  A
+    factor maps c_k to c_k - q^s c_{k-d}, one shifted subtraction."""
     for s, d in factors:
         out = dict(c)
         for k, ck in c.items():
-            t = ck.shift(s)
-            out[k + d] = out[k + d] - t if k + d in out else -t
+            t = out[k + d][:] if k + d in out else [0] * len(ck)
+            t[s:] = map(sub, t[s:], ck)
+            out[k + d] = t
         c = out
     return c
 
 
-def check_beta_second_derivatives(n_max=8, prec=120):
-    """d^2/dx^2 of (xq, 1/x; q)_n / (q;q)_{2n} at x0 = 1 and x0 = 1/q
-    against the closed forms -2 (q;q)_{n-1}^2/(q;q)_{2n} and its q^{n+2}
-    multiple, compared as cleared numerators: times the unit (q;q)_{2n},
-    the closed form is -2 (q;q)_{n-1}^2 (see check_bailey_uv).
-
-    The numerator is sum_k c_k x^k (_x_coeffs), so its second derivative
-    at x0 is sum_k k(k-1) c_k x0^{k-2}: the c_k themselves at x0 = 1, each
-    shifted by 2 - k at x0 = 1/q.  That shift moves c_k down by at most
-    n - 2, so the c_k are built on prec + max(n - 2, 0); every term still
-    starts at q^0 or above, and every side reaches prec.  The derivative
-    is cut to the window its quotient by (q;q)_{2n} would have, at most
-    prec long.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if prec < 2:
-        raise ValueError(f"prec {prec} needs to be at least 2")
-    poch = [pochhammer_finite(1, n, prec) for n in range(n_max)]
-    subs = []
-    for n in range(1, n_max + 1):
-        c = _x_coeffs([(1 + i, 1) for i in range(n)]
-                      + [(i, -1) for i in range(n)], prec + max(n - 2, 0))
-        closed = (poch[n - 1] ** 2).scale(-2)
-        for label, at_qinv in (("1", 0), ("1/q", 1)):
-            lhs = reduce(add, (ck.scale(k * (k - 1)).shift(at_qinv * (2 - k))
-                               for k, ck in c.items() if k * (k - 1)))
-            lhs = lhs.truncate(min(lhs.prec, lhs.low + prec))
-            rhs = closed.shift(n + 2) if at_qinv else closed
-            subs.append(_cmp(f"beta2:x0={label},n={n}", lhs, rhs, prec))
-    return merge_reports("beta_second_derivative", prec, subs,
-                         {"n_max": n_max, "prec": prec})
+def check_finite_jtp(n_max=10):
+    """The finite triple product as an identity in x: for n = 0..n_max and
+    each of the 2n + 1 values of j, the x^j coefficient of (xq, 1/x; q)_n
+    equals (-1)^j q^{j(j+1)/2} [2n; n+j]_q, compared as whole polynomials.
+    Every side has degree at most n_max^2, so each is compared on all of
+    [0, n_max^2 + n_max + 1), the report's prec.  The product for n is the
+    one for n - 1 times its two new factors (1 - q^n x)(1 - q^{n-1}/x)."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    length = n_max * (n_max + 1) + 1
+    c, subs = {0: [1] + [0] * (length - 1)}, []
+    for n in range(n_max + 1):
+        if n:
+            c = _x_coeffs(c, [(n, 1), (n - 1, -1)])
+        rows = gaussian_binomials(2 * n)
+        for j in range(-n, n + 1):
+            sign = -1 if j % 2 else 1
+            rhs = _binomial_sum(rows, [(sign, j * (j + 1) // 2, n + j)],
+                                length)
+            subs.append(_cmp(f"jtp:n={n},j={j}",
+                             LaurentSeries(ZZ, 0, c[j]), rhs, length))
+    return merge_reports("finite_jtp", length, subs, {"n_max": n_max})
 
 
 # ---------------------------------------------------------------------------
@@ -1249,37 +1167,30 @@ def check_chan_identity(prec=200):
     return merge_reports("chan_identity", prec, subs, {"prec": prec})
 
 
-def pole_split_check(ell, prec=120, n_range=20):
-    """Check 1/(1-q^n)^2 = sum_{k=0}^{ell-2} (k+1) q^{nk} / (1-q^{ell n}) mod ell.
+def _pole_weights(ell):
+    """The weights k + 1, k = 0..ell-2, of the single-pole split mod ell."""
+    return [k + 1 for k in range(ell - 1)]
 
-    This is the step that turns a double pole into single poles with
-    polynomial weights, so it gets its own direct test over n = 1..n_range.
-    """
-    ring = Zmod(ell)
+
+def check_pole_split(ells=(3, 5, 7, 13)):
+    """1/(1-x)^2 = sum_{k=0}^{ell-2} (k+1) x^k / (1-x^ell) mod ell, the step
+    that turns each double pole 1/(1-q^n)^2 into single poles with
+    polynomial weights, for every n at once (x = q^n).  Cleared of its
+    denominators it reads (1-x)^2 sum_k (k+1) x^k = 1 - x^ell mod ell, one
+    comparison of degree ell per modulus; the report's prec is the
+    longest, max ell + 1."""
     subs = []
-    for n in range(1, n_range + 1):
-        lhs = [0] * prec
-        e, j = 0, 1
-        while e < prec:
-            lhs[e] += j
-            e += n
-            j += 1
-        rhs = [0] * prec
-        for k in range(ell - 1):
-            e = n * k
-            while e < prec:
-                rhs[e] += k + 1
-                e += ell * n
+    for ell in ells:
+        w = [0, 0] + _pole_weights(ell) + [0, 0]
+        lhs = [w[i + 2] - 2 * w[i + 1] + w[i] for i in range(ell + 1)]
+        rhs = [1] + [0] * (ell - 1) + [-1]
+        ring = Zmod(ell)
         subs.append(series_compare_report(
-            f"pole_split[{ell}]:n={n}",
-            LaurentSeries(ring, 0, lhs), LaurentSeries(ring, 0, rhs), prec))
-    return merge_reports(f"pole_split[{ell}]", prec, subs, {"ell": ell})
-
-
-def check_pole_split(ells=(3, 5, 7, 13), prec=120, n_range=20):
-    """Double pole against the mod-ell single-pole split, per modulus."""
-    subs = [pole_split_check(ell, prec, n_range) for ell in ells]
-    return merge_reports("pole_split", prec, subs, {"ells": list(ells)})
+            f"pole_split[{ell}]", LaurentSeries(ring, 0, lhs),
+            LaurentSeries(ring, 0, rhs), ell + 1))
+    return merge_reports("pole_split", max((ell + 1 for ell in ells),
+                                           default=0),
+                         subs, {"ells": list(ells)})
 
 
 # ---------------------------------------------------------------------------
@@ -1445,13 +1356,11 @@ REGISTRY = {
     "ecubed_dissect": CheckDef(check_ecubed_family, {"prec": 500}),
     "eta_dissections": CheckDef(check_eta_dissections, {"prec": 2000}),
     "product_rules": CheckDef(check_product_rules, {"prec": 5000}),
-    "bailey_uv": CheckDef(check_bailey_uv, {"n_max": 12, "prec": 150}),
-    "finite_jtp": CheckDef(check_finite_jtp, {"n_max": 10, "prec": 200}),
-    "beta_second_derivative": CheckDef(check_beta_second_derivatives,
-                                       {"n_max": 8, "prec": 120}),
+    "bailey_uv": CheckDef(check_bailey_uv, {"n_max": 12}),
+    "finite_jtp": CheckDef(check_finite_jtp, {"n_max": 10}),
     "t_functional_eq": CheckDef(check_t_functional_eq, {"prec": 200}),
     "chan_identity": CheckDef(check_chan_identity, {"prec": 200}),
-    "pole_split": CheckDef(check_pole_split, {"prec": 120}),
+    "pole_split": CheckDef(check_pole_split, {}),
     "cross_lemma": CheckDef(check_cross_lemma, {"prec": 200}),
     "conjectures": CheckDef(report_conjectures,
                             {"n_max": 1800, "prec": 2000},

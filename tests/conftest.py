@@ -17,12 +17,11 @@ SMALL = {
     "ecubed_dissect": {"prec": 60},
     "eta_dissections": {"prec": 60},
     "product_rules": {"prec": 60},
-    "bailey_uv": {"n_max": 4, "prec": 30},
-    "finite_jtp": {"n_max": 4, "prec": 40},
-    "beta_second_derivative": {"n_max": 3, "prec": 30},
+    "bailey_uv": {"n_max": 4},
+    "finite_jtp": {"n_max": 4},
     "t_functional_eq": {"prec": 60},
     "chan_identity": {"prec": 60},
-    "pole_split": {"prec": 60},
+    "pole_split": {},
     "cross_lemma": {"ells": [5], "prec": 60},
     "conjectures": {"n_max": 60, "prec": 60},
 }

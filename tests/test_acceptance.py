@@ -69,9 +69,9 @@ def test_criterion_08_product_rules():
 
 
 def test_criterion_09_bailey_machinery():
-    _run(9, "Bailey pairs to n=12, finite triple product to n=10, "
-            "second derivatives to n=8",
-         ["bailey_uv", "finite_jtp", "beta_second_derivative"])
+    _run(9, "Bailey pairs to n=12 and the finite triple product in x to "
+            "n=10, as whole polynomials",
+         ["bailey_uv", "finite_jtp"])
 
 
 def test_criterion_10_t_identities():

@@ -5,7 +5,7 @@ import pytest
 from qcong.lambert import double_pole_sum, s_series, t_series
 from qcong.products import euler_E
 from qcong.series import LaurentSeries, ZZ
-from qcong.verify import pole_split_check
+from qcong.verify import check_pole_split
 
 U_HEADS = [0, 1, 5, 15, 44, 105, 252, 539, 1135, 2259, 4390, 8213, 15099,
            26975, 47397, 81600, 138414, 230938, 380475, 618317]
@@ -177,5 +177,6 @@ def test_double_pole_splits_into_single_poles_mod_ell():
 
 def test_pole_split_check_passes():
     for ell in (3, 5, 7, 13):
-        rep = pole_split_check(ell, prec=60)
+        rep = check_pole_split(ells=(ell,))
         assert rep.status == "pass", (ell, rep.notes)
+        assert rep.prec == ell + 1

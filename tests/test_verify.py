@@ -1,5 +1,6 @@
 import re
 import sys
+from collections import Counter
 from functools import partial, reduce
 from operator import add
 
@@ -7,7 +8,7 @@ import pytest
 
 from qcong import _kernel, lambert, partitions, products, verify
 from qcong.lambert import t_series
-from qcong.products import euler_E, jacobi_theta
+from qcong.products import euler_E, gaussian_binomials, jacobi_theta
 from qcong.report import Report, merge_reports, series_compare_report
 from qcong.series import ZZ, LaurentSeries, WindowError, Zmod
 from qcong.verify import (
@@ -15,7 +16,6 @@ from qcong.verify import (
     SUITE,
     TableError,
     check_bailey_uv,
-    check_beta_second_derivatives,
     check_chan_identity,
     check_cross_lemma,
     check_ecubed_dissect,
@@ -299,17 +299,15 @@ def test_theorem2_window_from_q_shifts(monkeypatch):
 
 @pytest.mark.parametrize("check_id, head", [
     ("lemma_main", "V"), ("lemma_second", "V"), ("cross_lemma", "VVs"),
-    ("eta_dissections", "VVVVVVV"), ("beta_second_derivative", "V"),
-    ("chan_identity", "")])
+    ("eta_dissections", "VVVVVVV"), ("chan_identity", "")])
 def test_small_prec_reports_or_names_the_least_prec(check_id, head):
     # these once raised WindowError at small prec: a T window asked to end
     # at or below its first term (lemma and cross lemma up to prec 25, 26
-    # and 13, chan at 1), a coefficient read past the window (eta below 8)
-    # and an empty window (beta at 1).  Now every prec gives a report, or
-    # a ValueError that names the least prec L, and prec L gives a report.
+    # and 13, chan at 1) and a coefficient read past the window (eta below
+    # 8).  Now every prec gives a report, or a ValueError that names the
+    # least prec L, and prec L gives a report.
     # Per prec from 1: V for that ValueError, then s(kipped) or p(ass)
-    top = {"eta_dissections": 12, "beta_second_derivative": 4,
-           "chan_identity": 8}.get(check_id, 40)
+    top = {"eta_dissections": 12, "chan_identity": 8}.get(check_id, 40)
     got, named = [], set()
     for prec in range(1, top + 1):
         try:
@@ -389,10 +387,8 @@ def test_merge_of_no_subchecks_is_skipped():
 def test_family_with_no_subchecks_is_skipped():
     rep = check_lemma_family(ells=(), prec=80)
     assert (rep.status, rep.notes) == ("skipped", "no subchecks ran")
-    # each modulus's inner family is empty, and the outer report says which
-    rep = check_pole_split(ells=(3, 5), prec=60, n_range=0)
-    assert rep.status == "skipped"
-    assert rep.notes == "pole_split[3]; pole_split[5]"
+    rep = check_pole_split(ells=())
+    assert (rep.status, rep.notes) == ("skipped", "no subchecks ran")
 
 
 def test_lemma_family_second_small():
@@ -419,38 +415,52 @@ def test_product_rules_small():
 
 
 def test_bailey_small():
-    assert check_bailey_uv(n_max=6, prec=80).status == "pass"
+    rep = check_bailey_uv(n_max=6)
+    assert rep.status == "pass"
+    # both pairs for n = 1..6, each on the whole window [0, 6^2 + 6 + 1)
+    assert (rep.prec, rep.params) == (43, {"n_max": 6, "subchecks": 12})
     with pytest.raises(ValueError):
-        check_bailey_uv(n_max=12, prec=70)
+        check_bailey_uv(n_max=0)
 
 
-def test_finite_jtp_skips_degenerate_points():
-    r = check_finite_jtp(n_max=4, prec=80)
-    assert r.status == "pass"
-    # t=2 dies at n>=3, t=3 at n>=4, t=1 never (zero = zero is still exact)
-    assert r.params["skipped_params"] == [[2, 3], [2, 4], [3, 4]]
-    assert r.params["subchecks"] == 2 * (5 + 3 + 4)
+def test_finite_jtp_compares_every_coefficient_in_x():
+    # in x no point is degenerate: all 2n + 1 coefficients of every n are
+    # compared on the whole window, and no point is listed as not compared
+    rep = check_finite_jtp(n_max=4)
+    assert (rep.status, rep.notes, rep.prec) == ("pass", "", 21)
+    assert rep.params == {"n_max": 4, "subchecks": 1 + 3 + 5 + 7 + 9}
+    assert run_check("finite_jtp").params == {"n_max": 10, "subchecks": 121}
 
 
-@pytest.mark.parametrize("t", [1, 2, 3])
-def test_finite_jtp_mirror_t_is_the_same_identity(t):
-    # x = q^(-1-t) restates x = q^t: the paired sums are equal, the
-    # symmetric sums equal after j -> -j, and the left side's two factors
-    # (q^(1+t);q)_n and (q^-t;q)_n swap, so the check keeps t > 0 only
-    u, prec = -1 - t, 80
-    for n in range(11):
-        sym, paired = verify._jtp_sums(t, n)
-        sym_u, paired_u = verify._jtp_sums(u, n)
-        assert sorted(paired) == sorted(paired_u)
-        assert sorted(sym) == sorted((s, e, -j) for s, e, j in sym_u)
-        lhs, lhs_u = ((products.pochhammer_finite(1 + x, n, prec)
-                       * products.pochhammer_finite(-x, n, prec))
-                      for x in (t, u))
-        assert lhs == lhs_u
+def _whole(terms):
+    """The polynomial sum of c q^e over the (c, e) terms, as {e: c} with
+    no zero coefficient."""
+    out = Counter()
+    for c, e in terms:
+        out[e] += c
+    return {e: c for e, c in out.items() if c}
 
 
-def test_beta_second_derivative_small():
-    assert check_beta_second_derivatives(n_max=4, prec=60).status == "pass"
+def test_second_derivatives_pair_into_the_bailey_sums():
+    # the argument in check_bailey_uv's docstring: with c_j the x^j
+    # coefficient of (xq, 1/x; q)_n, pairing j with -j gives
+    #   sum_j j(j-1) c_j         = -2 sum_k alpha^u_k [2n; n-k]_q,
+    #   sum_j j(j-1) c_j q^{2-j} = -2 q^2 sum_k alpha^v_k [2n; n-k]_q,
+    # the second x-derivatives at x = 1 and x = 1/q, as exact polynomials;
+    # so finite_jtp and bailey_uv together prove those derivatives.  The
+    # c_j have degree at most 144 < 157, so no coefficient is cut
+    c = {0: [1] + [0] * 156}
+    for n in range(1, 13):
+        c = verify._x_coeffs(c, [(n, 1), (n - 1, -1)])
+        rows = gaussian_binomials(2 * n)
+        for pair, at_qinv in (("u", 0), ("v", 1)):
+            lhs = _whole((j * (j - 1) * a, i + at_qinv * (2 - j))
+                         for j, cj in c.items() for i, a in enumerate(cj))
+            rhs = _whole((-2 * a * b, e + i + 2 * at_qinv)
+                         for k in range(1, n + 1)
+                         for a, e in verify._alpha(pair, k)
+                         for i, b in enumerate(rows[n - k]))
+            assert lhs == rhs, (pair, n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -462,15 +472,15 @@ def test_x_coeffs_are_the_finite_triple_product_terms(n):
     def qq(k):
         return products.pochhammer_finite(1, k, prec)
 
-    c = verify._x_coeffs([(1 + i, 1) for i in range(n)]
-                         + [(i, -1) for i in range(n)], prec)
+    c = verify._x_coeffs({0: [1] + [0] * (prec - 1)},
+                         [(1 + i, 1) for i in range(n)]
+                         + [(i, -1) for i in range(n)])
     assert sorted(c) == list(range(-n, n + 1))
     for k, ck in c.items():
         want = (qq(2 * n) * (qq(n - abs(k)) * qq(n + abs(k))).invert())
         want = want.scale((-1) ** k).shift(k * (k + 1) // 2)
-        assert ck.low == k * (k + 1) // 2   # its own support, no padding
-        assert ck.prec >= prec
-        assert ck == want, k
+        assert len(ck) == prec
+        assert LaurentSeries(ZZ, 0, ck) == want, k
 
 
 def _mutate_bailey(monkeypatch):
@@ -482,33 +492,20 @@ def _mutate_bailey(monkeypatch):
     monkeypatch.setattr(verify, "_alpha", alpha)
 
 
-def _mutate_jtp(monkeypatch):
-    real = verify._jtp_sums
-
-    def jtp_sums(t, n):
-        sym, paired = real(t, n)
-        if n == 3:
-            sign, shift, j = paired[1]
-            paired = paired[:1] + [(-sign, shift, j)] + paired[2:]
-        return sym, paired
-    monkeypatch.setattr(verify, "_jtp_sums", jtp_sums)
-
-
-def _mutate_beta(monkeypatch):
+def _mutate_factor(monkeypatch):
+    # the new factor 1 - q^2 x of (xq, 1/x; q)_2 read as 1 - q^3 x
     real = verify._x_coeffs
 
-    def x_coeffs(factors, prec):
-        (s, d), *rest = factors
-        return real([(s + 1, d)] + rest, prec)
+    def x_coeffs(c, factors):
+        return real(c, [(3, d) if (s, d) == (2, 1) else (s, d)
+                        for s, d in factors])
     monkeypatch.setattr(verify, "_x_coeffs", x_coeffs)
 
 
 @pytest.mark.parametrize("mutate, check, first", [
-    (_mutate_bailey, partial(check_bailey_uv, n_max=4, prec=20), 1),
-    (_mutate_jtp, partial(check_finite_jtp, n_max=3, prec=20), -1),
-    (_mutate_beta, partial(check_beta_second_derivatives, n_max=3,
-                           prec=20), 2),
-], ids=["bailey_uv", "finite_jtp", "beta_second_derivative"])
+    (_mutate_bailey, partial(check_bailey_uv, n_max=4), 1),
+    (_mutate_factor, partial(check_finite_jtp, n_max=3), 3),
+], ids=["bailey_uv", "finite_jtp"])
 def test_finite_product_checks_fail_on_one_wrong_term(monkeypatch, mutate,
                                                       check, first):
     # negative control: one term of the check's own construction changed
@@ -520,9 +517,36 @@ def test_finite_product_checks_fail_on_one_wrong_term(monkeypatch, mutate,
     assert rep.first_failure[0] == first
 
 
-# the quotient route the three finite-product checks took before their
-# identities were cleared of (q;q)_{2n}: every block 1/((q;q)_j (q;q)_k)
-# divided out on the check's window, each side compared as a quotient
+def _mutate_binomial(monkeypatch):
+    # [4; 1]_q = 1 + q + q^2 + q^3 read as 1 + 2q + q^2 + q^3: the block of
+    # alpha_1 at n = 2 in bailey_uv, and of x^-1 at n = 2 in finite_jtp
+    real = verify.gaussian_binomials
+
+    def rows(N):
+        out = real(N)
+        if N == 4:
+            out[1] = [1, 2, 1, 1]
+        return out
+    monkeypatch.setattr(verify, "gaussian_binomials", rows)
+
+
+@pytest.mark.parametrize("check", [partial(check_bailey_uv, n_max=4),
+                                   partial(check_finite_jtp, n_max=3)],
+                         ids=["bailey_uv", "finite_jtp"])
+def test_finite_product_checks_fail_on_one_wrong_binomial(monkeypatch,
+                                                          check):
+    # negative control: one Gaussian-binomial coefficient changed must
+    # give fail, at that coefficient's q^1, never pass or skipped
+    assert check().status == "pass"
+    _mutate_binomial(monkeypatch)
+    rep = check()
+    assert rep.status == "fail"
+    assert rep.first_failure[0] == 1
+
+
+# the quotient route bailey_uv took before its identities were cleared of
+# (q;q)_{2n}: every block 1/((q;q)_{n-k} (q;q)_{n+k}) divided out on the
+# check's window, each side compared as a quotient
 
 
 def _qq(k, length):
@@ -547,69 +571,18 @@ def _quotient_bailey(cmp, n_max, prec):
     return subs["u"] + subs["v"]
 
 
-def _quotient_jtp(cmp, n_max, prec):
-    cases = [(t, n, *verify._jtp_sums(t, n)) for t in (1, 2, 3)
-             for n in range(n_max + 1) if t == 1 or n <= t]
-    starts = [0]
-    for t, n, sym, paired in cases:
-        starts.append(sum(min(e, 0) for e in range(-t, n - t)))
-        starts += [shift for _, shift, _ in sym + paired]
-    wprec = verify._length(prec, starts)
-    blocks = {n: _quotient_blocks(n, range(n + 1), wprec)
-              for n in range(n_max + 1)}
-    subs = []
-    for t, n, sym, paired in cases:
-        lhs = (products.pochhammer_finite(1 + t, n, wprec)
-               * products.pochhammer_finite(-t, n, wprec)).divide(
-                   _qq(2 * n, wprec))
-        for form, terms in (("sym", sym), ("paired", paired)):
-            rhs = reduce(add, (blocks[n][abs(j)].shift(shift).scale(sign)
-                               for sign, shift, j in terms))
-            subs.append(cmp(f"jtp:{form},t={t},n={n}", lhs, rhs, prec))
-    return subs
-
-
-def _quotient_beta(cmp, n_max, prec):
-    subs = []
-    for n in range(1, n_max + 1):
-        c = verify._x_coeffs([(1 + i, 1) for i in range(n)]
-                             + [(i, -1) for i in range(n)],
-                             prec + max(n - 2, 0))
-        closed = (_qq(n - 1, prec) ** 2).divide(_qq(2 * n, prec)).scale(-2)
-        for label, at_qinv in (("1", 0), ("1/q", 1)):
-            lhs = reduce(add, (ck.scale(k * (k - 1)).shift(at_qinv * (2 - k))
-                               for k, ck in c.items() if k * (k - 1)))
-            rhs = closed.shift(n + 2) if at_qinv else closed
-            subs.append(cmp(f"beta2:x0={label},n={n}",
-                            lhs.divide(_qq(2 * n, prec)), rhs, prec))
-    return subs
-
-
 def _graded(rep):
     ff = rep.first_failure
     return rep.check_id, rep.status, rep.window, ff and ff[0]
 
 
-_FINITE_PRODUCT_CASES = (
-    [(check_bailey_uv, _quotient_bailey, 12, 150)]
-    + [(check_bailey_uv, _quotient_bailey, n_max, prec)
-       for n_max in (1, 4) for prec in range(n_max * (n_max + 1) // 2 + 1, 31)]
-    + [(check_finite_jtp, _quotient_jtp, 10, 200)]
-    + [(check_finite_jtp, _quotient_jtp, n_max, prec)
-       for n_max in (0, 3) for prec in range(1, 41)]
-    + [(check_beta_second_derivatives, _quotient_beta, 8, 120)]
-    + [(check_beta_second_derivatives, _quotient_beta, n_max, prec)
-       for n_max in (1, 3) for prec in range(2, 31)])
-
-
-@pytest.mark.parametrize("mutate", [None, "_mutate_bailey", "_mutate_jtp",
-                                    "_mutate_beta"])
+@pytest.mark.parametrize("mutate", [None, "_mutate_bailey"])
 def test_cleared_numerators_grade_every_subcheck_as_the_quotients(
         monkeypatch, mutate):
-    # (q;q)_{2n} is a unit with constant term 1, so the cleared numerators
-    # must give each subcheck the quotients' status, window and first
-    # failure exponent, at the defaults, at small precs down to the least
-    # accepted one, and with one term of a check's construction changed
+    # (q;q)_{2n} is a unit with constant term 1, so on the check's window
+    # the whole polynomials must give each subcheck the quotients' status,
+    # window and first failure exponent, at the default n_max and below
+    # it, and with one alpha weight changed
     if mutate:
         globals()[mutate](monkeypatch)
     real = verify._cmp
@@ -622,20 +595,13 @@ def test_cleared_numerators_grade_every_subcheck_as_the_quotients(
 
     monkeypatch.setattr(verify, "_cmp", recording)
     statuses = set()
-    for check, quotient, n_max, prec in _FINITE_PRODUCT_CASES:
+    for n_max in (1, 4, 12):
         graded.clear()
-        try:
-            want = [_graded(r) for r in quotient(real, n_max, prec)]
-        except ValueError:
-            with pytest.raises(ValueError):
-                check(n_max=n_max, prec=prec)
-            continue
-        check(n_max=n_max, prec=prec)
-        # the checks build the subchecks in their own order
-        assert sorted(graded) == sorted(want), (check.__name__, n_max, prec)
+        rep = check_bailey_uv(n_max=n_max)
+        want = [_graded(r) for r in _quotient_bailey(real, n_max, rep.prec)]
+        # the check builds the subchecks in its own order
+        assert sorted(graded) == sorted(want), n_max
         statuses.update(status for _, status, _, _ in want)
-    # the windows reach prec at every prec, so nothing is skipped; a
-    # changed term fails
     assert statuses == ({"pass", "fail"} if mutate else {"pass"})
 
 
@@ -696,6 +662,43 @@ def test_quotient_checks_fail_on_one_wrong_term(monkeypatch, mutate, check):
     assert rep.first_failure[0] < rep.prec
 
 
+def _mutate_t_coeff(monkeypatch):
+    # the q^5 coefficient of T(1, 3, 9) raised by 1
+    real = verify.t_series
+
+    def t_series(a, b, c, prec, ring=ZZ):
+        t = real(a, b, c, prec, ring=ring)
+        if (a, b, c) != (1, 3, 9):
+            return t
+        cs = list(t.coeffs)
+        cs[5 - t.low] += 1
+        return LaurentSeries(ring, t.low, cs)
+    monkeypatch.setattr(verify, "t_series", t_series)
+
+
+def _mutate_pole_weight(monkeypatch):
+    # the ell = 5 weights k + 1 of the single-pole split read as k
+    real = verify._pole_weights
+    monkeypatch.setattr(verify, "_pole_weights",
+                        lambda ell: [w - (ell == 5) for w in real(ell)])
+
+
+@pytest.mark.parametrize("mutate, check, first", [
+    (_mutate_t_coeff, partial(check_t_functional_eq, prec=60), 5),
+    (_mutate_pole_weight, check_pole_split, 0),
+], ids=["t_functional_eq", "pole_split"])
+def test_t_and_pole_checks_fail_on_one_wrong_term(monkeypatch, mutate,
+                                                  check, first):
+    # negative control for the two identities on T and on the pole split:
+    # one term of the check's own construction changed must give fail,
+    # never pass or skipped
+    assert check().status == "pass"
+    mutate(monkeypatch)
+    rep = check()
+    assert rep.status == "fail"
+    assert rep.first_failure[0] == first
+
+
 def _first_plus_one(table, case):
     """Raise the coefficient of the first term of table[case] by 1."""
     def mutate(monkeypatch):
@@ -727,12 +730,15 @@ def _weight_plus_one(second):
     (_first_plus_one(verify._PRODUCTS, "U7"),
      partial(check_theorem2, "U7", 98)),
     (_first_plus_one(verify._LAMBERT, "V7"), partial(check_theorem2, "V7", 98)),
+    (_first_plus_one(verify._LAMBERT, "U13"),
+     partial(check_theorem2, "U13", 338)),
     (_first_plus_one(verify._LAMBERT, "V13"),
      partial(check_theorem2, "V13", 338)),
     (_weight_plus_one(False), partial(check_lemma_family, False, (5,), 40)),
     (_weight_plus_one(True), partial(check_lemma_family, True, (5,), 40)),
 ], ids=["theorem2_u3", "theorem2_v3", "theorem2_u5", "theorem2_v5",
-        "theorem2_u7", "theorem2_v7", "theorem2_v13", "lemma_main",
+        "theorem2_u7", "theorem2_v7", "theorem2_u13", "theorem2_v13",
+        "lemma_main",
         "lemma_second"])
 def test_lane_checks_fail_on_one_wrong_term(monkeypatch, mutate, check):
     # negative control for the gating checks whose P-monomial sums run in
@@ -765,7 +771,9 @@ def test_uv_checks_fail_on_one_wrong_tail_weight(monkeypatch, check, weights):
     assert rep.first_failure[0] <= rep.prec
 
 
-# every lifted identity, and the tables it comes from
+# every lifted identity, the tables it comes from, and the checks that
+# evaluate them
+_LIFTED_CHECKS = ("product_rules", "eta_dissections", "ecubed_dissect")
 _LIFTED = [*verify._PRODUCT_RULES, *verify._MOD7_CLASSES,
            *verify._ETA_DISSECTIONS, *verify._ETA_D5,
            *(ident for ell in range(3, 14, 2) for ident in verify._ecubed(ell))]
@@ -804,12 +812,34 @@ def test_lifted_identities_cover_every_table_entry(monkeypatch):
         return real(idents, prec)
 
     monkeypatch.setattr(verify, "_identity_reports", recording)
-    for check_id in ("product_rules", "eta_dissections", "ecubed_dissect"):
+    for check_id in _LIFTED_CHECKS:
         assert run_check(check_id, {"prec": 60}).status == "pass"
     assert sorted(seen) == sorted(ident[0] for ident in _LIFTED)
     assert len(set(seen)) == len(seen)
     # a side compared with an identical one could only pass
     assert all(lhs != rhs for _, _, _, lhs, rhs in _LIFTED)
+
+
+_CONTROL_TESTS = (
+    test_finite_product_checks_fail_on_one_wrong_term,
+    test_finite_product_checks_fail_on_one_wrong_binomial,
+    test_quotient_checks_fail_on_one_wrong_term,
+    test_t_and_pole_checks_fail_on_one_wrong_term,
+    test_lane_checks_fail_on_one_wrong_term,
+    test_uv_checks_fail_on_one_wrong_tail_weight)
+
+
+def test_every_gating_check_has_a_negative_control():
+    # each control test names the checks it mutates by the ids of its
+    # "check" parametrization; with the lifted identities' three checks
+    # they must be exactly the gating checks, so a check registered
+    # without a control fails here
+    controlled = {cid for test in _CONTROL_TESTS for mark in test.pytestmark
+                  if mark.name == "parametrize" and "check" in mark.args[0]
+                  for cid in mark.kwargs["ids"]}
+    gating = {cid for cid, cd in REGISTRY.items() if not cd.informational}
+    assert controlled | set(_LIFTED_CHECKS) == gating
+    assert len(gating) == 22
 
 
 def test_four_theta_grid_gives_exactly_rules_r9_to_r21():
@@ -900,11 +930,10 @@ def test_chan_identity_windows_reach_prec(monkeypatch):
     assert all(hi >= 60 for _, hi in windows), windows
 
 
-@pytest.mark.parametrize("check_id", ["finite_jtp", "beta_second_derivative"])
+@pytest.mark.parametrize("check_id", ["bailey_uv", "finite_jtp"])
 def test_padded_windows_end_at_prec(monkeypatch, check_id):
-    # lengths sized from the q-shifts leave no padding: the shortest
-    # window ends at prec exactly, so every window reaches prec and a
-    # length one coefficient short would end below it
+    # every side is a whole polynomial on [0, prec), prec n_max^2 + n_max
+    # + 1 past its degree: the shortest window ends at prec exactly
     windows = []
     real = verify.series_compare_report
 
@@ -920,8 +949,10 @@ def test_padded_windows_end_at_prec(monkeypatch, check_id):
 
 
 def test_pole_split_small():
-    assert check_pole_split(ells=(3, 5), prec=60,
-                            n_range=12).status == "pass"
+    rep = check_pole_split(ells=(3, 5))
+    assert rep.status == "pass"
+    # one polynomial of degree ell per modulus
+    assert (rep.prec, rep.params["subchecks"]) == (6, 2)
 
 
 def test_cross_lemma_small():
