@@ -55,8 +55,8 @@ Division by a series that is sparse by construction (Jacobi's E(1)**3, a
 triple-product sum, E(1) itself) packs nothing: ``sparse_divide`` runs
 the recurrence g_m = c_0**-1 (f_m - sum_{j>=1} d_j g_{m-j}) over the
 divisor's nonzero terms only, in length times terms plain-int steps.  A
-dense divisor goes through ``newton_invert`` and a product instead;
-nothing here chooses between the two, the call site does.
+dense divisor costs length squared steps; the call sites divide only by
+sparse ones.
 
 A product by a sparse series packs nothing new either: ``sparse_mul``
 adds the packed operand shifted by each term's exponent, times its
@@ -238,26 +238,6 @@ def sparse_mul(value, terms, nbytes, count):
         else:
             out += c * value << bits * e
     return out & ((1 << bits * count) - 1)
-
-
-def newton_invert(coeffs, lead_inverse, modulus=None):
-    """Invert a power series with unit constant term; output length matches.
-
-    lead_inverse must satisfy coeffs[0] * lead_inverse == 1 in the ring.
-    Classic quadratic Newton iteration g <- g*(2 - f*g).
-    """
-    total = len(coeffs)
-    g = [lead_inverse]
-    done = 1
-    while done < total:
-        done = min(2 * done, total)
-        t = convolve(coeffs[:done], g, done, modulus)
-        w = [-c for c in t]
-        w[0] += 2
-        if modulus is not None:
-            w = [c % modulus for c in w]
-        g = convolve(g, w, done, modulus)
-    return g
 
 
 def sparse_divide(coeffs, terms, lead_inverse, modulus=None):

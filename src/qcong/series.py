@@ -8,9 +8,9 @@ operation returns the window its inputs actually determine:
   add/sub   [min low, min prec): below its low a series is zero, so the
             lower start is sound; above the lower prec nothing is known
   mul       [f.low + g.low, min(f.low + g.prec, g.low + f.prec))
-  invert    [-v, g.prec - 2v), v the valuation of g
   divide    f / g: [f.low - v, f.low - v + min(f.prec - f.low, g.prec - v)),
-            the window of f * g.invert()
+            v the valuation of g: the quotient's coefficients there are
+            the ones that f and g from q^v up determine
   equality  compared on the overlap only; an empty overlap is an error
 
 Out-of-window coefficient access raises.  All values are immutable; share
@@ -19,7 +19,6 @@ them freely.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -51,11 +50,6 @@ class Ring:
     def __post_init__(self):
         if self.modulus is not None and self.modulus < 2:
             raise ValueError("modulus must be >= 2")
-
-    def is_unit(self, c):
-        if self.modulus is None:
-            return c in (1, -1)
-        return math.gcd(c, self.modulus) == 1
 
     def unit_inverse(self, c):
         if self.modulus is None:
@@ -247,35 +241,19 @@ class LaurentSeries:
                 out = out * self
         return out
 
-    def _unit_lead(self):
-        """(valuation v, inverse of the coefficient at q^v); raises
-        NonUnitError unless that coefficient is a ring unit."""
-        v = self.valuation()
-        if v is None:
-            raise NonUnitError("cannot invert a series with all-zero window")
-        lead = self.coeffs[v - self.low]
-        if not self.ring.is_unit(lead):
-            raise NonUnitError(f"leading coefficient {lead} not a unit in {self.ring}")
-        return v, self.ring.unit_inverse(lead)
-
-    def invert(self):
-        """Inverse by Newton iteration; the first nonzero coefficient must
-        be a ring unit.  Window: [-v, -v + L) where v is the valuation and
-        L the number of stored coefficients from v up."""
-        v, lead_inverse = self._unit_lead()
-        inv = _kernel.newton_invert(list(self.coeffs[v - self.low:]),
-                                    lead_inverse, self.ring.modulus)
-        return LaurentSeries(self.ring, -v, inv)
-
     def divide(self, other):
-        """self / other, with the coefficients, window and errors of
-        self * other.invert(), by the recurrence over other's nonzero terms
-        (_kernel.sparse_divide): length times terms steps and no Newton
-        iteration.  For divisors that are sparse by construction; a dense
-        one costs length squared."""
-        v, lead_inverse = other._unit_lead()
-        self._want_ring(other)
+        """self / other on the window of the module docstring, by the
+        recurrence over other's nonzero terms (_kernel.sparse_divide):
+        length times terms steps.  other's first nonzero coefficient must
+        be a ring unit (NonUnitError) and the rings must agree
+        (RingMismatchError).  For divisors that are sparse by
+        construction; a dense one costs length squared."""
+        v = other.valuation()
+        if v is None:
+            raise NonUnitError("cannot divide by a series with all-zero window")
         idx = v - other.low
+        lead_inverse = other.ring.unit_inverse(other.coeffs[idx])
+        self._want_ring(other)
         out_len = min(len(self.coeffs), len(other.coeffs) - idx)
         terms = [(e, c) for e, c in enumerate(other.coeffs[idx:idx + out_len])
                  if c]

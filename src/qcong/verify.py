@@ -18,17 +18,16 @@ scheme, so each distinct power multiplies a partial sum once instead of
 every term.  The mod-ell sums (theorem2, the lemma layer, cross_lemma,
 conjectures) run the plan on packed 64-bit lanes, one int multiply per
 product, reduced mod m only where a tracked bound would reach 2^64
-(_LaneSums); a series basis over ZZ, or a modulus too large for one
-product to fit a lane, runs on LaurentSeries (_SeriesSums).  E(ell^2) and
-E(ell) are series in x too, keys "E" and "e" of the same basis, so a
-prefactor such as E(ell^2)^k / E(ell) becomes exponents merged into every
-term (_times), and Horner factors it out once per class; only the Lambert
-(T) terms, the powers of E(1) and the comparisons stay in q.  Every
-inverse of a basis series is a division by a sparse series, built the
-first time a term needs it.  The S_ell(b) representations (the lemma
-layer, _lemma_rhs) go through the same evaluator, one call per ell: each
-theta [q^{ell y}; q^{ell^2}] there is sign * q^shift * P(a), by the theta
-normalization followed by the fold P(a) = P(ell - a) (_pjac).
+(_LaneSums).  E(ell^2) and E(ell) are series in x too, keys "E" and "e"
+of the same basis, so a prefactor such as E(ell^2)^k / E(ell) becomes
+exponents merged into every term (_times), and Horner factors it out
+once per class; only the Lambert (T) terms, the powers of E(1) and the
+comparisons stay in q.  Every inverse of a basis series is a division by
+a sparse series, built the first time a term needs it.  The S_ell(b)
+representations (the lemma layer, _lemma_rhs) go through the same
+evaluator, one call per ell: each theta [q^{ell y}; q^{ell^2}] there is
+sign * q^shift * P(a), by the theta normalization followed by the fold
+P(a) = P(ell - a) (_pjac).
 
 The identities of ecubed_dissect, eta_dissections and product_rules are
 data, module-level (name, ell, modulus, lhs, rhs) tuples over ZZ (modulus
@@ -162,25 +161,24 @@ def _monomial_sums(basis, step, prec, *term_lists):
     The terms are split by the residue r = qpow mod step: a class is a sum
     of c * x^t * prod basis[key]^e with t = (qpow - r) / step, so every
     power, inverse and group product of a class is a product of series of
-    length n, not prec.  The class sums are interleaved into the q-series,
-    class r on the exponents r mod step.  The sum ends at
-    q^(min qpow + prec), which every class reaches on such a basis: its
-    terms start at or above min qpow, and step * n >= prec.  A class whose
-    window ends sooner (the inverse of a series that starts above x^0 ends
-    below x^n) ends the sum there.  Each power of a base is built once per
-    call and shared by every class and every term list.
+    length n, not prec.  Every class reads back n coefficients of x from
+    its lowest t, and the class sums are interleaved into the q-series,
+    class r on the exponents r mod step.  So the sum ends at
+    q^(min qpow + prec), which every class reaches: its terms start at or
+    above min qpow, and step * n >= prec.  Each power of a base is built
+    once per call and shared by every class and every term list.
 
-    One plan (_horner_sum) sums every class.  A basis of sparse series,
-    each a list of (exponent, coeff) terms, is over ZZ on n = ceil(prec /
-    step), and its sums run as packed shift-adds with no inverse
-    (_SparseSums).  Over Z/m, when a product of two canonical series fits
-    a 64-bit lane (n (m - 1)^2 < 2^64), the plan runs on packed lanes
+    One plan (_horner_sum) sums every class, on one of two backends.  A
+    basis of sparse series, each a list of (exponent, coeff) terms, is
+    over ZZ on n = ceil(prec / step), and its sums run as packed
+    shift-adds with no inverse (_SparseSums).  A basis of series over
+    Z/m on [0, n), with n (m - 1)^2 < 2^64 so that a product of two
+    canonical series fits a 64-bit lane, runs on packed lanes
     (_LaneSums): each power is packed into an int once per call and must
     lie on [0, n), a product is one int multiply, and each partial sum
     carries a bound on its lanes, so lanes are reduced mod m only where a
-    bound would reach 2^64, and each class is read back once.  Otherwise
-    (a series basis over ZZ, the tests' reference, or a larger modulus)
-    it runs on LaurentSeries (_SeriesSums).
+    bound would reach 2^64, and each class is read back once.  Any other
+    basis raises ValueError.
     """
     if isinstance(next(iter(basis.values())), list):
         ring, n = ZZ, -(-prec // step)
@@ -188,10 +186,10 @@ def _monomial_sums(basis, step, prec, *term_lists):
     else:
         ref = next(s for s in basis.values() if isinstance(s, LaurentSeries))
         ring, n, m = ref.ring, len(ref.coeffs), ref.ring.modulus
-        if m is not None and not (n * (m - 1) ** 2) >> 64:
-            ev = _LaneSums(basis, m, n)
-        else:
-            ev = _SeriesSums(basis, LaurentSeries.one(ring, n))
+        if m is None or (n * (m - 1) ** 2) >> 64:
+            raise ValueError(f"a series basis needs Z/m with n (m - 1)^2 "
+                             f"< 2^64 for lane sums, not {ring} at n = {n}")
+        ev = _LaneSums(basis, m, n)
     for terms in term_lists:
         if not terms:
             raise ValueError("a sum of monomials needs at least one term")
@@ -208,12 +206,10 @@ def _monomial_sums(basis, step, prec, *term_lists):
             total = _horner_sum(ev, keys, rows, range(len(keys)), 0)
             parts.append((r, *ev.read(total)))
         low = min(step * s + r for r, s, _ in parts)
-        top = min(min(qpow for _, qpow, _ in terms) + prec,
-                  *(step * (s + len(cs)) + r for r, s, cs in parts))
-        out = [0] * (top - low)
+        out = [0] * prec
         for r, s, cs in parts:
             start = step * s + r - low
-            out[start::step] = cs[:len(range(start, top - low, step))]
+            out[start::step] = cs[:len(range(start, prec, step))]
         yield LaurentSeries._canonical(ring, low, tuple(out))
 
 
@@ -262,27 +258,6 @@ def _horner_sum(ev, keys, rows, cols, done):
             part = _horner_sum(ev, keys, groups[e], rest, done + (e != 0))
             parts.append(ev.times(keys[j], e, part) if e else part)
     return ev.total(parts)
-
-
-class _SeriesSums:
-    """The parts of _horner_sum as LaurentSeries, on the windows of series
-    arithmetic: [min low, min prec) for a sum."""
-
-    def __init__(self, basis, one):
-        self.power, self.one = partial(_power, basis, {}), one
-
-    def term(self, c, t, key, e):
-        f = self.one if key is None else self.power(key, e)
-        return f.scale(c).shift(t)
-
-    def times(self, key, e, part):
-        return self.power(key, e) * part
-
-    def total(self, parts):
-        return reduce(add, parts)
-
-    def read(self, s):
-        return s.low, s.coeffs
 
 
 class _LaneSums:
@@ -899,7 +874,9 @@ _PRODUCT_RULES = (
       for i, terms in enumerate(_RULES13, 1)),
 )
 
-# the two mod-7 component combinations that the relations force to vanish
+# the two mod-7 component combinations that the relations force to vanish,
+# compared to at most _MOD7_PREC
+_MOD7_PREC = 600
 _MOD7_CLASSES = (
     ("rules:mod7_class0", 7, 7, (
         (4, 7, {2: 2, 1: -1, 3: -1}), (3, 7, {3: 1, 2: -1}),
@@ -916,7 +893,7 @@ def check_product_rules(prec=5000):
     the four-theta elimination identity over its 15-point grid, which
     gives 13 distinct term lists), and the two mod-7 component
     combinations that those relations force to vanish."""
-    prec7 = min(prec, 600)
+    prec7 = min(prec, _MOD7_PREC)
     subs = (_identity_reports(_PRODUCT_RULES, prec)
             + _identity_reports(_MOD7_CLASSES, prec7))
     params = {"prec": prec, "mod7_prec": prec7}

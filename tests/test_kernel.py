@@ -225,37 +225,6 @@ def test_max_abs(coeffs, want):
     assert _kernel.max_abs(list(coeffs)) == want
 
 
-# newton_invert ---------------------------------------------------------------
-
-@pytest.mark.parametrize("length", [1, 2, 3, 257])
-@pytest.mark.parametrize("modulus", [None, 13])
-@pytest.mark.parametrize("force_packed", [False, True])
-def test_newton_invert(monkeypatch, length, modulus, force_packed):
-    if force_packed:
-        monkeypatch.setattr(_kernel, "_SCHOOLBOOK_AREA", 0)
-    rng = random.Random(length)
-    if modulus is None:
-        f = [1] + [rng.randint(-5, 5) for _ in range(length - 1)]
-        lead_inverse = 1
-    else:
-        f = [rng.randrange(1, modulus)] + [
-            rng.randrange(modulus) for _ in range(length - 1)]
-        lead_inverse = pow(f[0], -1, modulus)
-    g = _kernel.newton_invert(f, lead_inverse, modulus)
-    assert len(g) == length
-    assert naive_convolve(f, g, length, modulus) == [1] + [0] * (length - 1)
-
-
-def test_newton_invert_mod_crosses_lanes(lanes):
-    # the last Newton step multiplies by a 512-term g, and 12**2 * 512
-    # outgrows 2-byte lanes, so the earlier steps run in H and the last in I
-    rng = random.Random(600)
-    f = [rng.randrange(1, 13)] + [rng.randrange(13) for _ in range(599)]
-    g = _kernel.newton_invert(f, pow(f[0], -1, 13), 13)
-    assert naive_convolve(f, g, 600, 13) == [1] + [0] * 599
-    assert set(lanes) == {"H", "I"}
-
-
 # sparse_divide -------------------------------------------------------------------
 
 @pytest.mark.parametrize("length", [1, 2, 3, 200])

@@ -15,7 +15,7 @@ from qcong.partitions import (
     uv_series_lambert,
     v_count,
 )
-from qcong.products import euler_E, euler_cube, p_count, pochhammer_finite
+from qcong.products import euler_E, euler_cube, p_count
 from qcong.series import ZZ, LaurentSeries
 
 
@@ -210,9 +210,12 @@ def test_series_def_matches_counters_at_every_small_prec(cold_def_cache):
 @pytest.mark.parametrize("length", [1, 2, 300])
 def test_core_start_matches_the_inverted_product(length):
     # the end division of 1 is core_1: Jacobi's sparse recurrence and two
-    # prefix sums against a dense inversion of E(1)^3 (1-q)(1-q^2); a
-    # signed series divides to its product with that inverse
-    want = (euler_E(1, length) ** 3 * pochhammer_finite(1, 2, length)).invert()
+    # prefix sums against the closed form of 1 / (E(1)^3 (1-q)(1-q^2)),
+    # the cube of sum p(n) q^n times sum (floor(n/2) + 1) q^n, the
+    # partitions into parts 1 and 2; a signed series divides to its
+    # product with that inverse
+    want = (LaurentSeries(ZZ, 0, [p_count(n) for n in range(length)]) ** 3
+            * LaurentSeries(ZZ, 0, [n // 2 + 1 for n in range(length)]))
     rng = random.Random(length)
     x = [rng.randint(-1 << 20, 1 << 20) for _ in range(length)]
     one, got = partitions._end_division([1] + [0] * (length - 1), x)

@@ -1,3 +1,4 @@
+import math
 import random
 from operator import add, sub
 
@@ -230,20 +231,22 @@ def test_pow_zero_is_one():
     assert (f ** 0).coeffs == (1, 0, 0)
 
 
-# inversion ----------------------------------------------------------------
+# inverses by division ------------------------------------------------------
 
 def test_invert_one_minus_q():
+    # 1 / (1 - q) is the geometric series
     f = LaurentSeries(ZZ, 0, [1, -1, 0, 0, 0])
-    assert f.invert().coeffs == (1, 1, 1, 1, 1)
+    assert LaurentSeries.one(ZZ, 5).divide(f).coeffs == (1, 1, 1, 1, 1)
 
 
 def test_invert_with_valuation():
     # q(1-q) on [1, 5), and stored on [-2, 5) with three leading zeros:
-    # either way v = 1 and L = 4
+    # either way v = 1, and 1 / (q (1 - q)) is q^-1 times the geometric
+    # series, on [-1, -1 + min(4, 5 - 1))
     for ring, low, cs in ((ZZ, 1, [1, -1, 0, 0]),
                           (ZZ, -2, [0, 0, 0, 1, -1, 0, 0]),
                           (Zmod(7), -2, [0, 0, 0, 1, -1, 0, 0])):
-        g = LaurentSeries(ring, low, cs).invert()
+        g = LaurentSeries.one(ring, 4).divide(LaurentSeries(ring, low, cs))
         assert (g.low, g.prec) == (-1, 3)
         assert g.coeffs == (1, 1, 1, 1)
 
@@ -255,35 +258,40 @@ def test_partition_counts_oracle_with_no_part_left():
 
 def test_invert_euler_sub5_counts_multiples_of_5_partitions():
     e5 = subst_pow(euler(12), 5).truncate(12)
-    inv = e5.invert()
+    inv = LaurentSeries.one(ZZ, 12).divide(e5)
     assert list(inv.coeffs) == partition_counts(12, parts=[5, 10])
 
 
 def test_invert_requires_unit_lead():
+    one = LaurentSeries.one(ZZ, 4)
     with pytest.raises(NonUnitError):
-        LaurentSeries(ZZ, 0, [2, 1]).invert()
+        one.divide(LaurentSeries(ZZ, 0, [2, 1]))
     with pytest.raises(NonUnitError):
-        LaurentSeries(ZZ, 0, [0, 0, 0]).invert()
+        one.divide(LaurentSeries(ZZ, 0, [0, 0, 0]))
     # 2 is a unit mod 5 though
     f = LaurentSeries(Zmod(5), 0, [2, 1, 0, 0])
-    assert (f * f.invert()).coeff(0) == 1
+    assert f * LaurentSeries.one(Zmod(5), 4).divide(f) == \
+        LaurentSeries.one(Zmod(5), 4)
 
 
 def test_invert_random_units_two_sided():
+    # 1 / f on [-low, -low + length), multiplied back on either side
     rng = random.Random(7)
     for trial in range(200):
         ring = ZZ if trial % 2 else Zmod(rng.choice([3, 5, 13, 9]))
         low = rng.randrange(-4, 5)
         length = rng.randrange(2, 12)
         lead = rng.choice([1, -1]) if ring.modulus is None else 1 + rng.randrange(ring.modulus - 1)
-        while ring.modulus is not None and not ring.is_unit(lead):
+        while ring.modulus is not None and math.gcd(lead, ring.modulus) != 1:
             lead = 1 + rng.randrange(ring.modulus - 1)
         cs = [lead] + [rng.randrange(-9, 10) for _ in range(length - 1)]
         f = LaurentSeries(ring, low, cs)
-        g = f.invert()
+        g = LaurentSeries.one(ring, length).divide(f)
+        assert (g.low, g.prec) == (-low, length - low)
         left = f * g
         right = g * f
-        expected = LaurentSeries.one(ring, left.prec).with_low(left.low)
+        expected = LaurentSeries.one(ring, length)
+        assert (left.low, left.prec) == (right.low, right.prec) == (0, length)
         assert left == expected
         assert right == expected
 
@@ -312,20 +320,25 @@ def _sparse_divisor(rng, ring, v, lead, length):
     (ZZ, (1, -1)), (Zmod(7), (1, 6, 3)), (Zmod(13), (1, 12, 5))])
 @pytest.mark.parametrize("v", [0, 1, 2, 3])
 def test_divide_equals_times_the_inverse(ring, leads, v):
-    # same coefficients and the same window as f * g.invert(), whether f or
-    # g is the longer
+    # f / g is on [f.low - v, f.low - v + W), W = min(f.prec - f.low,
+    # g.prec - v), whether f or g is the longer; multiplied back by g from
+    # its valuation on, a unit times q^v, it gives f on [f.low, f.low + W),
+    # which fixes every coefficient of the quotient
     rng = random.Random(31 * v + len(leads))
     for lead in leads:
         for f_len, g_len in ((40, 25), (25, 40), (30, 30), (1, 1)):
             f = LaurentSeries(ring, rng.randrange(-3, 4),
                               [rng.randrange(-20, 21) for _ in range(f_len)])
             g = _sparse_divisor(rng, ring, v, lead, g_len)
-            got, want = f.divide(g), f * g.invert()
-            assert (got.low, got.prec) == (want.low, want.prec)
-            assert got.coeffs == want.coeffs
+            got = f.divide(g)
+            width = min(f_len, g.prec - v)
+            assert (got.low, got.prec) == (f.low - v, f.low - v + width)
+            back = LaurentSeries(ring, v, g.coeffs[v - g.low:]) * got
+            assert (back.low, back.prec) == (f.low, f.low + width)
+            assert back.coeffs == f.coeffs[:width]
 
 
-def test_divide_raises_as_times_the_inverse_does():
+def test_divide_raises_on_a_non_unit_lead_or_a_ring_mismatch():
     f = LaurentSeries(ZZ, 0, [1, 2, 3])
     for bad in (LaurentSeries(ZZ, 0, [2, 1, 0]), LaurentSeries(ZZ, 0, [0, 0]),
                 LaurentSeries(Zmod(7), 0, [0, 7, 14])):

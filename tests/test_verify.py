@@ -1,14 +1,16 @@
+import math
 import re
 import sys
 from collections import Counter
 from functools import partial, reduce
-from operator import add
+from operator import add, itemgetter
 
 import pytest
 
 from qcong import _kernel, lambert, partitions, products, verify
 from qcong.lambert import t_series
-from qcong.products import euler_E, gaussian_binomials, jacobi_theta
+from qcong.products import (euler_E, gaussian_binomials, jacobi_theta,
+                             triple_product)
 from qcong.report import Report, merge_reports, series_compare_report
 from qcong.series import ZZ, LaurentSeries, WindowError, Zmod
 from qcong.verify import (
@@ -182,15 +184,18 @@ def test_lemma_rejects_excluded_m():
 
 
 def _lemma_rhs_reference(ell, b, m, prec, ring, second):
-    """The S_ell(b) right side built term by term from jacobi_theta, with
-    each k-term jac(A) jac(B) / jac(C) and both prefactors inverted on
-    their own."""
+    """The S_ell(b) right side built term by term in q, with each k-term
+    jac(A) jac(B) / jac(C) and both prefactors inverted on their own, by
+    the closed form 1/[q^a; q^L2] = E(L2) / triple_product(a, L2)."""
     L2 = ell * ell
     N = prec + 8 * L2 + 400
     a0 = ell * (ell - 1) // 2 + ell * m - ell * b
 
     def jac(a):
         return jacobi_theta(a, L2, N, ring)
+
+    def inv_jac(a):
+        return EL2.divide(triple_product(a, L2, N, ring))
 
     EL2 = euler_E(L2, N, ring)
     inv2, inv4 = pow(2, -1, ell), pow(4, -1, ell)
@@ -199,7 +204,8 @@ def _lemma_rhs_reference(ell, b, m, prec, ring, second):
                                                        else b % 2)
     if tc % ell:
         t0 = t_series(a0, ell * m, L2, N, ring=ring).with_low(-L2 - 80)
-        pref = (EL2 * jac(ell * m)).invert()
+        pref = LaurentSeries.one(ring, N).divide(
+            triple_product(ell * m, L2, N, ring))
         terms.append((t0 * euler_E(1, N, ring) ** 3 * pref).scale(tc)
                      .shift(ell * m - b * (b + 1) // 2))
     s0 = (-1) ** (((ell + 1) // 2 + b) % 2) * (-1 if second else 1)
@@ -215,11 +221,11 @@ def _lemma_rhs_reference(ell, b, m, prec, ring, second):
             w = ((k - b) * (k - b) - inv4) % ell
         if w:
             C = ell * (ell - 1) // 2 - ell * b + ell * k
-            t = jac(a0 + ell * k) * jac(ell * k - ell * m) * jac(C).invert()
+            t = jac(a0 + ell * k) * jac(ell * k - ell * m) * inv_jac(C)
             ks.append(t.scale(s0 * (-1) ** (k % 2) * w)
                       .shift(qp2 + k * (k - ell) // 2))
     if ks:
-        pref2 = (EL2 ** 2) * (jac(ell * m) * jac(a0)).invert()
+        pref2 = EL2 ** 2 * inv_jac(ell * m) * inv_jac(a0)
         terms.append(reduce(add, ks) * pref2)
     if not terms:
         return LaurentSeries.zeros(ring, -L2, prec)
@@ -477,10 +483,12 @@ def test_x_coeffs_are_the_finite_triple_product_terms(n):
                          + [(i, -1) for i in range(n)])
     assert sorted(c) == list(range(-n, n + 1))
     for k, ck in c.items():
-        want = (qq(2 * n) * (qq(n - abs(k)) * qq(n + abs(k))).invert())
-        want = want.scale((-1) ** k).shift(k * (k + 1) // 2)
+        # multiplied back by both denominators, on all of [0, prec)
         assert len(ck) == prec
-        assert LaurentSeries(ZZ, 0, ck) == want, k
+        got = LaurentSeries(ZZ, 0, ck) * qq(n - abs(k)) * qq(n + abs(k))
+        want = qq(2 * n).scale((-1) ** k).shift(k * (k + 1) // 2)
+        assert (got.low, got.prec) == (0, prec)
+        assert got == want.with_low(0), k
 
 
 def _mutate_bailey(monkeypatch):
@@ -608,12 +616,17 @@ def test_cleared_numerators_grade_every_subcheck_as_the_quotients(
 @pytest.mark.parametrize("check_id", SUITE)
 def test_no_registered_check_inverts_densely(monkeypatch, small_checks,
                                              check_id):
-    # every quotient is a division by a sparse series or a cleared
-    # numerator; newton_invert stays a test oracle only
-    def refuse(*args):
-        raise AssertionError("newton_invert called")
+    # every quotient is a cleared numerator or a division by a series that
+    # is sparse by construction (E(1)^3, a triple-product sum, E(m)), of at
+    # most 2 sqrt(length) + 2 terms; a dense divisor would cost length^2
+    real = _kernel.sparse_divide
 
-    monkeypatch.setattr(_kernel, "newton_invert", refuse)
+    def sparse_only(coeffs, terms, lead_inverse, modulus=None):
+        assert len(terms) <= 2 * math.isqrt(len(coeffs)) + 2, (
+            len(coeffs), len(terms))
+        return real(coeffs, terms, lead_inverse, modulus)
+
+    monkeypatch.setattr(_kernel, "sparse_divide", sparse_only)
     assert run_check(check_id).status in ("pass", "fail")
 
 
@@ -840,6 +853,52 @@ def test_every_gating_check_has_a_negative_control():
     gating = {cid for cid, cd in REGISTRY.items() if not cd.informational}
     assert controlled | set(_LIFTED_CHECKS) == gating
     assert len(gating) == 22
+
+
+def _term_tables():
+    """(owning check ids, the prec of a check's parameters that the list is
+    compared to, name, terms) for every P-monomial term list that a check
+    reads from a table."""
+    def sides(idents):
+        return [(name, side) for name, _, _, lhs, rhs in idents
+                for side in (lhs, rhs) if isinstance(side, tuple)]
+
+    prec = itemgetter("prec")
+    out = [((f"theorem2_{case.lower()}",), prec, f"_PRODUCTS[{case}]", terms)
+           for case, terms in verify._PRODUCTS.items() if terms]
+    out += [(("theorem2_u13",), prec, "a13.terms", load_table("A13")),
+            (("theorem2_v13",), prec, "b13.terms", load_table("B13"))]
+    out += [(("eta_dissections", "conjectures"), prec, name, terms)
+            for name, terms in (("_E4_MOD7", verify._E4_MOD7),
+                                ("_E10_MOD13", verify._E10_MOD13))]
+    out += [(("eta_dissections",), prec, name, side)
+            for name, side in sides(verify._ETA_D5 + verify._ETA_DISSECTIONS)]
+    out += [(("product_rules",), prec, name, side)
+            for name, side in sides(verify._PRODUCT_RULES)]
+    out += [(("product_rules",),
+             lambda params: min(params["prec"], verify._MOD7_PREC), name, side)
+            for name, side in sides(verify._MOD7_CLASSES)]
+    out += [(("ecubed_dissect",), prec, f"_ECUBED_SHORT[{ell}]", terms)
+            for ell, terms in verify._ECUBED_SHORT.items()]
+    return out
+
+
+def test_term_table_rows_start_below_every_prec():
+    # a term is coeff q^qpow times P- and E-factors and inverses, each with
+    # constant term 1, so a coefficient edit in one row changes the series
+    # first at that row's own qpow.  Every row lies inside the window its
+    # check compares, at the registered defaults and at the SMALL
+    # parameters of the tests, so no such edit can pass; no check runs
+    from conftest import SMALL
+
+    tables = _term_tables()
+    assert len(tables) == 5 + 2 + 2 + 10 + 24 + 2 + 2
+    for cids, prec_of, name, terms in tables:
+        top = max(qpow for _, qpow, _ in terms)
+        for cid in cids:
+            for params in (REGISTRY[cid].defaults,
+                           {**REGISTRY[cid].defaults, **SMALL[cid]}):
+                assert top < prec_of(params), (cid, name, top)
 
 
 def test_four_theta_grid_gives_exactly_rules_r9_to_r21():
